@@ -61,6 +61,16 @@ def cptp_defect(operators):
     return float(np.linalg.norm(acc - np.eye(d)))
 
 
+def require_certified(ks):
+    """Return ``ks``; raise NotAChannelError unless it is certified CPTP."""
+    if not ks.certified:
+        raise NotAChannelError(
+            f"Kraus set is not CPTP: ||sum K^dag K - I|| = "
+            f"{cptp_defect(ks.operators):.2e} > {CPTP_TOL:.0e}"
+        )
+    return ks
+
+
 def unitary_channel(u):
     """Wrap a unitary as a rank-1 certified channel."""
     u = np.asarray(u, dtype=complex)
@@ -260,6 +270,8 @@ def kraus_to_json(ks):
 
 
 def kraus_from_json(data):
+    """KrausSet from its JSON form, re-certified: NotAChannelError if the
+    operators are not CPTP within CPTP_TOL."""
     try:
         arr = np.asarray(data["operators"], dtype=float)
         dim, rank = int(data["dim"]), int(data["rank"])
@@ -269,4 +281,4 @@ def kraus_from_json(data):
         raise ValidationError(
             f"operators shape {arr.shape} does not match rank {rank}, dim {dim}"
         )
-    return KrausSet(arr[..., 0] + 1j * arr[..., 1])
+    return require_certified(KrausSet(arr[..., 0] + 1j * arr[..., 1]))

@@ -12,6 +12,12 @@ the sum of |Re| and |Im| over the stack.  For a shot-noise dataset
 point's binomial variance, estimated from the measured W (weighted least
 squares); exact datasets are fitted unweighted.
 
+Predictions come from ``tomography.ParityModel``, the forward model that
+also simulates datasets: the probes' output states, packed into d^2 real
+coordinates, times the cached packed parity operators in one real GEMM.
+The l2 gradient runs the transposed GEMM to form N_i = sum_j r_ij M_j and
+applies it to the probe images K_k |alpha_i> in one batched product.
+
 Gradient convention: for a real loss L the array returned by
 ``euclidean_gradient`` is G = dL/d(conj V), so the derivative of L along a
 perturbation dV is 2 Re<G, dV>.  Finite differences per real coordinate
@@ -23,14 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausSet, kraus_from_json, kraus_to_json
+from .channel import KrausSet, kraus_from_json, kraus_to_json, require_certified
 from .errors import (
     DimensionMismatchError,
     RetractionError,
     ValidationError,
 )
-from .fock import coherent_state
-from .tomography import displaced_parity_ops
+from .tomography import ParityModel, parity_model, probe_kets
+
+# the name the gradient checks call the probe-ket cache by
+_probe_kets = probe_kets
 
 RESULT_SCHEMA = "csqpt-result-v1"
 
@@ -123,19 +131,6 @@ def stack_kraus(operators):
     return IsometryPoint(ops.reshape(-1, ops.shape[2]))
 
 
-_PROBE_KET_CACHE = {}
-
-
-def _probe_kets(alphas, dim):
-    alphas = np.asarray(alphas, dtype=complex)
-    key = (dim, alphas.tobytes())
-    if key not in _PROBE_KET_CACHE:
-        _PROBE_KET_CACHE[key] = np.stack(
-            [coherent_state(a, dim) for a in alphas]
-        )
-    return _PROBE_KET_CACHE[key]
-
-
 def _as_alphas(probes):
     return np.asarray(getattr(probes, "alphas", probes), dtype=complex)
 
@@ -145,25 +140,23 @@ def _as_betas(grid):
 
 
 def _predict(v, kets, mops):
-    """W_pred[i, j] for stack v, probe kets (n_p, d), parity ops (n_b, d, d)."""
-    d = v.shape[1]
-    r = v.shape[0] // d
-    phi = (v @ kets.T).reshape(r, d, -1)  # phi[k, :, i] = K_k |alpha_i>
-    z = np.tensordot(mops, phi, axes=([2], [1]))  # z[j, a, k, i]
-    y = np.einsum("jaki,kai->ij", z, phi.conj())
-    return y.real
+    """W_pred[i, j] for stack v, probe kets (n_p, d) and the parity stack
+    (n_b, d, d) or its ParityModel."""
+    return ParityModel.of(mops).wigner(v, kets)
 
 
 def predict_wigner(point, probes, grid):
     """Wigner predictions of the channel encoded by an isometry point.
 
-    Uses pure-state quadratic forms <alpha| K^dag M K |alpha> rather than
-    density-matrix evolution; probe kets and displaced-parity observables
-    are built once per (grid, dim) and cached.
+    The forward model ``simulate_dataset`` shares (``ParityModel.wigner``):
+    the output states rho_i come from the probe images K_k |alpha_i> in one
+    batched product, are packed into d^2 real coordinates and meet the
+    packed parity operators in one real GEMM.  Probe kets and parity
+    operators are built once per (grid, dim) and cached.
     """
-    kets = _probe_kets(_as_alphas(probes), point.dim)
-    mops = displaced_parity_ops(_as_betas(grid), point.dim)
-    return _predict(point.matrix, kets, mops)
+    kets = probe_kets(_as_alphas(probes), point.dim)
+    model = parity_model(_as_betas(grid), point.dim)
+    return _predict(point.matrix, kets, model)
 
 
 def _l1_parts(v):
@@ -192,7 +185,7 @@ def _residual_weights(ds):
 
 
 def _objective(ds, dim, what):
-    """(kets, mops, y, weights): the fixed inputs of the loss for a dataset.
+    """(kets, model, y, weights): the fixed inputs of the loss for a dataset.
 
     The one place that decides what ``loss``, ``euclidean_gradient`` and
     ``reconstruct`` minimise; ``what`` names the dim the dataset must match.
@@ -201,9 +194,9 @@ def _objective(ds, dim, what):
         raise DimensionMismatchError(
             f"dataset dim {ds.dim} does not match {what} dim {dim}"
         )
-    kets = _probe_kets(ds.probes, dim)
-    mops = displaced_parity_ops(ds.betas, dim)
-    return kets, mops, ds.values, _residual_weights(ds)
+    kets = probe_kets(ds.probes, dim)
+    model = parity_model(ds.betas, dim)
+    return kets, model, ds.values, _residual_weights(ds)
 
 
 def _loss_terms(v, kets, mops, y_data, gamma, weights=None):
@@ -234,14 +227,9 @@ def loss(point, ds, gamma):
 
 
 def _l2_gradient(v, kets, mops, resid):
-    """Wirtinger dL2/d(conj V): stack of 2 sum_ij resid_ij M_j K_k rho_i."""
-    d = v.shape[1]
-    r = v.shape[0] // d
-    phi = (v @ kets.T).reshape(r, d, -1)
-    n = np.tensordot(resid, mops, axes=([1], [0]))  # N_i = sum_j resid_ij M_j
-    w = np.einsum("iab,kbi->kai", n, phi)  # N_i K_k |alpha_i>
-    g = 2.0 * np.einsum("kai,ic->kac", w, kets.conj())
-    return g.reshape(r * d, d)
+    """Wirtinger dL2/d(conj V) = 2 sum_ij resid_ij dW_ij/d(conj V) for the
+    weighted residual ``resid``."""
+    return 2.0 * ParityModel.of(mops).gradient(v, kets, resid)
 
 
 def _l1_subgradient(v):
@@ -328,8 +316,8 @@ def reconstruct(ds, cfg):
     falls to cfg.grad_tol or after cfg.max_iters accepted steps; in the
     latter case the report carries converged=False.
 
-    Returns (KrausSet, LossReport); the KrausSet constructor re-certifies
-    the CPTP condition and raising there is a hard error.
+    Returns (KrausSet, LossReport).  The returned set is re-certified CPTP;
+    NotAChannelError if that fails is a hard error.
     """
     kets, mops, y, weights = _objective(ds, cfg.dim, "config")
 
@@ -376,7 +364,7 @@ def reconstruct(ds, cfg):
         converged = grad_norm <= cfg.grad_tol
 
     point = retract(v)
-    ks = KrausSet(point.kraus())
+    ks = require_certified(KrausSet(point.kraus()))
     report = LossReport(
         l2=l2, l1=l1, total=total, grad_norm=grad_norm,
         iters_used=len(history) - 1, history=tuple(history),

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import apply
 from .errors import DataQualityError, ValidationError
 from .fock import coherent_state, displacement, parity
 
@@ -93,22 +92,137 @@ class TomographyDataset:
             raise DataQualityError("dataset contains non-finite values")
 
 
+# The forward-model caches keep this many most recently used entries each.
+CACHE_ENTRIES = 4
+
+_PROBE_KET_CACHE = {}
 _PARITY_CACHE = {}
 
 
-def displaced_parity_ops(betas, dim):
-    """(2/pi) D(beta) P D^dag(beta) for each beta, cached per (betas, dim)."""
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _cached(cache, key, build):
+    """cache[key], calling build() on a miss; evicts the least recently used."""
+    if key in cache:
+        cache[key] = value = cache.pop(key)
+        return value
+    value = cache[key] = build()
+    if len(cache) > CACHE_ENTRIES:
+        del cache[next(iter(cache))]
+    return value
+
+
+def probe_kets(alphas, dim):
+    """Coherent kets |alpha_i> as rows (n_probes, dim), cached and read-only."""
+    alphas = np.asarray(alphas, dtype=complex)
+    return _cached(
+        _PROBE_KET_CACHE, (dim, alphas.tobytes()),
+        lambda: _read_only(np.stack([coherent_state(a, dim) for a in alphas])),
+    )
+
+
+def _images(operators, kets):
+    """a[i, k] = K_k |alpha_i>, shape (n_probes, rank, dim), for a Kraus stack
+    of shape (rank, dim, dim) or its vertical (rank*dim, dim) form."""
+    n, dim = kets.shape
+    return (kets @ operators.reshape(-1, dim).T).reshape(n, -1, dim)
+
+
+class ParityModel:
+    """The forward model W_ij = Tr[M_j E(|alpha_i><alpha_i|)] of one grid.
+
+    M_j = (2/pi) D(beta_j) P D^dag(beta_j) is Hermitian, so it has d^2 real
+    coordinates: the diagonal, then Re and Im of the strict upper triangle
+    (row-major).  ``packed`` (d^2, n_betas) holds them column by column and
+    ``ops`` (n_betas, d, d) is the dense stack.  For a Kraus set,
+    rho_i = sum_k K_k |alpha_i><alpha_i| K_k^dag is one batched product of
+    the probe images K_k |alpha_i>, its coordinates (off-diagonal ones
+    doubled) form row i of X, and W = X packed is a single real GEMM.  The
+    gradient's N_i = sum_j c_ij M_j is the transposed GEMM, unpacked to
+    Hermitian d x d by one gather and applied to the images in one batched
+    product.
+    """
+
+    def __init__(self, ops):
+        self.ops = ops
+        dim = ops.shape[-1]
+        iu, ju = np.triu_indices(dim, 1)
+        upper, lower = 2 * (iu * dim + ju), 2 * (ju * dim + iu)
+        diag = 2 * np.arange(dim) * (dim + 1)
+        # the coordinates' slots in the real view (.., 2 d^2) of a complex
+        # d x d matrix, where Re(z_ab) sits at 2(a d + b) and Im(z_ab) after it
+        self._pack = np.concatenate([diag, upper, upper + 1])
+        self._scale = np.concatenate([np.ones(dim), np.full(2 * iu.size, 2.0)])
+        # the reverse gather: the coordinate each slot reads, and its sign;
+        # the lower triangle mirrors the upper with Im negated
+        self._src = np.zeros(2 * dim * dim, dtype=np.intp)
+        self._sign = np.zeros(2 * dim * dim)
+        self._src[self._pack], self._sign[self._pack] = np.arange(dim * dim), 1.0
+        self._src[lower], self._sign[lower] = self._src[upper], 1.0
+        self._src[lower + 1], self._sign[lower + 1] = self._src[upper + 1], -1.0
+        flat = np.ascontiguousarray(ops).reshape(ops.shape[0], -1).view(float)
+        self.packed = _read_only(np.ascontiguousarray(flat.take(self._pack, axis=1).T))
+
+    @classmethod
+    def of(cls, ops):
+        """The model of a parity stack: ``ops`` itself if it is a model, the
+        cached model whose ``ops`` is that very array, else a new one."""
+        if isinstance(ops, cls):
+            return ops
+        for model in _PARITY_CACHE.values():
+            if model.ops is ops:
+                return model
+        return cls(np.asarray(ops, dtype=complex))
+
+    def wigner(self, operators, kets):
+        """W (n_probes, n_betas) of the Kraus stack ``operators``, of shape
+        (rank, dim, dim) or (rank*dim, dim), on the probe kets (rows)."""
+        a = _images(operators, kets)
+        rho = a.swapaxes(1, 2) @ a.conj()
+        x = rho.reshape(rho.shape[0], -1).view(float).take(self._pack, axis=1)
+        x *= self._scale
+        return x @ self.packed
+
+    def gradient(self, operators, kets, coeffs):
+        """d/d(conj K) of sum_ij coeffs_ij W_ij, shaped like ``operators``.
+
+        Operator k of it is sum_i N_i K_k |alpha_i><alpha_i| with the
+        Hermitian N_i = sum_j coeffs_ij M_j.
+        """
+        dim = kets.shape[1]
+        slots = (coeffs @ self.packed.T).take(self._src, axis=1) * self._sign
+        n = slots.view(complex).reshape(-1, dim, dim)
+        # row k of nk[i] is (N_i K_k |alpha_i>)^T
+        nk = _images(operators, kets) @ n.swapaxes(1, 2)
+        g = nk.reshape(kets.shape[0], -1).T @ kets.conj()
+        return g.reshape(operators.shape)
+
+
+def parity_model(betas, dim):
+    """ParityModel of (2/pi) D(beta) P D^dag(beta), cached per (betas, dim).
+
+    Its arrays are read-only; the cache keeps CACHE_ENTRIES grids.
+    """
     betas = np.asarray(betas, dtype=complex)
-    key = (dim, betas.tobytes())
-    if key in _PARITY_CACHE:
-        return _PARITY_CACHE[key]
-    p = parity(dim)
-    ops = np.empty((betas.size, dim, dim), dtype=complex)
-    for j, beta in enumerate(betas):
-        d = displacement(beta, dim)
-        ops[j] = (2 / np.pi) * (d @ p @ d.conj().T)
-    _PARITY_CACHE[key] = ops
-    return ops
+
+    def build():
+        p = parity(dim)
+        ops = np.empty((betas.size, dim, dim), dtype=complex)
+        for j, beta in enumerate(betas):
+            d = displacement(beta, dim)
+            ops[j] = (2 / np.pi) * (d @ p @ d.conj().T)
+        return ParityModel(_read_only(ops))
+
+    return _cached(_PARITY_CACHE, (dim, betas.tobytes()), build)
+
+
+def displaced_parity_ops(betas, dim):
+    """(2/pi) D(beta) P D^dag(beta) for each beta: the read-only stack of
+    the cached ``parity_model``."""
+    return parity_model(betas, dim).ops
 
 
 def wigner_value(rho, beta):
@@ -123,6 +237,8 @@ def wigner_value(rho, beta):
 def simulate_dataset(channel_ks, probes, grid, shots=0, seed=0):
     """Wigner dataset of the channel on the probe/measurement grids.
 
+    Exact values come from ``ParityModel.wigner`` on the channel's Kraus
+    stack, the forward model ``reconstruct`` fits with; any rank works.
     With ``shots`` > 0 each (probe, beta) value is replaced by the estimate
     from a binomial parity-bit sample of that size, drawn from an
     independent substream seeded by (seed, probe index, beta index).
@@ -132,12 +248,9 @@ def simulate_dataset(channel_ks, probes, grid, shots=0, seed=0):
     dim = channel_ks.dim
     if shots < 0:
         raise ValidationError("shots must be non-negative")
-    m = displaced_parity_ops(betas, dim)
-    values = np.empty((alphas.size, betas.size))
-    for i, alpha in enumerate(alphas):
-        ket = coherent_state(alpha, dim)
-        out = apply(channel_ks, np.outer(ket, ket.conj()))
-        values[i] = np.einsum("jab,ba->j", m, out).real
+    values = parity_model(betas, dim).wigner(
+        channel_ks.operators, probe_kets(alphas, dim)
+    )
     if shots > 0:
         # parity bit is +1 with probability (1 + pi W / 2) / 2
         prob = np.clip((1 + values * np.pi / 2) / 2, 0.0, 1.0)

@@ -87,6 +87,17 @@ def test_simulate_shot_noise_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_simulate_rejects_non_cptp_kraus_file(tmp_path):
+    data = channel.kraus_to_json(channel.unitary_channel(np.eye(6, dtype=complex)))
+    data["operators"] = (1.05 * np.asarray(data["operators"])).tolist()
+    gate = tmp_path / "k.json"
+    gate.write_text(json.dumps(data))
+    out = tmp_path / "ds.json"
+    assert main(["simulate", "--gate", str(gate), "--dim", "6",
+                 "--out", str(out)]) == 4
+    assert not out.exists()
+
+
 def test_simulate_probe_corners(tmp_path):
     gate = write_kraus_json(channel.unitary_channel(np.eye(12, dtype=complex)),
                             tmp_path / "id.json")

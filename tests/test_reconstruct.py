@@ -8,6 +8,7 @@ import pytest
 from csqpt import gates, reconstruct as rec, tomography as tomo
 from csqpt.channel import (
     KrausSet,
+    apply,
     kraus_to_choi,
     random_channel,
     unitary_channel,
@@ -17,6 +18,7 @@ from csqpt.errors import (
     RetractionError,
     ValidationError,
 )
+from csqpt.fock import displacement, parity
 
 # small dims are used on purpose; coherent-probe truncation there is expected
 pytestmark = pytest.mark.filterwarnings("ignore::csqpt.errors.TruncationWarning")
@@ -68,7 +70,7 @@ def test_predict_identity_stack():
 
 
 def test_predict_matches_simulate_for_x_gate():
-    # density-matrix evolution vs pure-ket quadratic forms
+    # the Kraus-set and the stacked form through the shared forward model
     u = gates.compose_unitary(gates.x_gate_sequence(), 32)
     ks = unitary_channel(u)
     pg, wg = tomo.probe_grid(), tomo.wigner_grid()
@@ -85,6 +87,70 @@ def test_predict_bounded_by_parity():
         tomo.wigner_grid(5, 2.0),
     )
     assert np.abs(pred).max() <= 2 / np.pi + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_packed_forward_model_matches_dense_reference(seed):
+    # the packed-GEMM forward model and its gradient against the dense
+    # density-matrix and tensordot formulas, at random small sizes
+    rng = np.random.default_rng(100 + seed)
+    d, r = int(rng.integers(5, 9)), int(rng.integers(1, 4))
+    if seed == 4:
+        r = 3 * d  # a rank above the dimension, like a noisy gate's
+    n_p, n_b = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+    alphas = 0.6 * (rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p))
+    betas = 0.9 * (rng.standard_normal(n_b) + 1j * rng.standard_normal(n_b))
+    ks = random_channel(d, r, rng)
+    v = ks.operators.reshape(r * d, d)
+    kets = rec._probe_kets(alphas, d)
+    mops = tomo.displaced_parity_ops(betas, d)
+
+    ref = np.empty((n_p, n_b))
+    for i, ket in enumerate(kets):
+        out = apply(ks, np.outer(ket, ket.conj()))
+        for j, beta in enumerate(betas):
+            disp = displacement(beta, d)
+            m = disp @ parity(d) @ disp.conj().T
+            ref[i, j] = (2 / np.pi) * np.trace(m @ out).real
+    assert np.abs(rec._predict(v, kets, mops) - ref).max() <= 1e-12
+    ds = tomo.simulate_dataset(ks, tomo.ProbeGrid(alphas), tomo.WignerGrid(betas))
+    assert np.abs(ds.values - ref).max() <= 1e-12
+
+    resid = rng.standard_normal((n_p, n_b))
+    phi = (v @ kets.T).reshape(r, d, -1)  # phi[k, :, i] = K_k |alpha_i>
+    n = np.tensordot(resid, mops, axes=([1], [0]))  # N_i = sum_j resid_ij M_j
+    nphi = np.einsum("iab,kbi->kai", n, phi)
+    g_ref = 2.0 * np.einsum("kai,ic->kac", nphi, kets.conj()).reshape(r * d, d)
+    g = rec._l2_gradient(v, kets, mops, resid)
+    assert np.abs(g - g_ref).max() <= 1e-12
+    # a parity stack the cache does not hold is packed on the spot
+    assert np.array_equal(rec._l2_gradient(v, kets, np.array(mops), resid), g)
+
+
+def test_forward_model_caches_read_only_and_bounded():
+    rng = np.random.default_rng(16)
+    truth = random_channel(5, 2, rng)
+    ds = small_dataset(truth)
+    cfg = rec.ReconstructionConfig(rank=2, dim=5, max_iters=20, seed=2)
+    before, _ = rec.reconstruct(ds, cfg)
+    cached = (
+        tomo.probe_kets(ds.probes, 5),
+        tomo.displaced_parity_ops(ds.betas, 5),
+        tomo.parity_model(ds.betas, 5).packed,
+    )
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    after, _ = rec.reconstruct(ds, cfg)
+    assert np.array_equal(after.operators, before.operators)
+
+    for n in range(tomo.CACHE_ENTRIES + 2):
+        tomo.probe_kets([0.1 * n], 4)
+        tomo.parity_model([0.1j * n], 4)
+    assert len(tomo._PROBE_KET_CACHE) == tomo.CACHE_ENTRIES
+    assert len(tomo._PARITY_CACHE) == tomo.CACHE_ENTRIES
 
 
 def test_loss_at_ground_truth():
