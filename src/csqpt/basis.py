@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import apply, kraus_to_super
+from .channel import apply
 from .errors import NumericalConsistencyError, ValidationError
 from .fock import fock_state
 
@@ -132,9 +132,9 @@ def transfer_matrix(channel_ks, gm, rows=None):
         raise ValidationError("channel and basis dims differ")
     idx = list(range(d * d)) if rows is None else list(rows)
     mats = gm.matrices[idx]
-    # stack vec(B_i) as columns and sandwich the superoperator
-    q = mats.transpose(0, 2, 1).reshape(len(idx), d * d).T
-    lam = q.conj().T @ kraus_to_super(channel_ks) @ q
+    outs = np.stack([apply(channel_ks, b) for b in mats])
+    # Tr[B_i^dag X] is the dot product of the flattened conj(B_i) and X
+    lam = mats.reshape(len(idx), -1).conj() @ outs.reshape(len(idx), -1).T
     if np.abs(lam.imag).max() > 1e-8:
         raise NumericalConsistencyError("transfer matrix has imaginary residue")
     return TransferMatrix(lam.real, tuple(gm.labels[i] for i in idx))

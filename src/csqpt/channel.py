@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
+from ._cache import CACHE_ENTRIES, cached, read_only
 from .errors import (
     DimensionMismatchError,
     NotAChannelError,
@@ -90,8 +91,10 @@ def apply(channel, rho):
         raise DimensionMismatchError(
             f"state dim {rho.shape} does not match channel dim {d}"
         )
-    ops = channel.operators
-    return np.einsum("kab,bc,kdc->ad", ops, rho, ops.conj())
+    # sum_k (K_k rho) K_k^dag as one product of d x (rank*d) stacks
+    ops, r = channel.operators, channel.rank
+    left = (ops @ rho).transpose(1, 0, 2).reshape(d, r * d)
+    return left @ ops.transpose(1, 0, 2).reshape(d, r * d).conj().T
 
 
 def kraus_to_super(channel):
@@ -112,11 +115,6 @@ def super_to_choi(s):
     if d * d != n or s.shape != (n, n):
         raise ValidationError("superoperator must be d^2 x d^2")
     return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(n, n)
-
-
-def choi_to_super(choi):
-    """Inverse reshuffle; same index permutation as super_to_choi."""
-    return super_to_choi(choi)
 
 
 def kraus_to_choi(channel):
@@ -158,20 +156,6 @@ def choi_to_kraus(choi, tol=EIG_CUTOFF, rank_cut=None):
     return KrausSet(ops)
 
 
-def compose(after, before):
-    """Channel composition: ``compose(a, b)`` applies b first, then a.
-
-    Composition happens at the superoperator level and the Kraus operators
-    are re-extracted from the Choi matrix, which keeps the rank minimal.
-    """
-    if after.dim != before.dim:
-        raise DimensionMismatchError(
-            f"cannot compose channels of dim {after.dim} and {before.dim}"
-        )
-    s = kraus_to_super(after) @ kraus_to_super(before)
-    return choi_to_kraus(super_to_choi(s))
-
-
 @dataclass(frozen=True)
 class DecoherenceParams:
     """Cavity decay times in microseconds.
@@ -210,18 +194,21 @@ def decay_superoperator(params, duration, dim):
     """exp(duration * L) for the cavity Lindblad generator.
 
     Collapse operators: sqrt(1/T1) a (photon loss) and sqrt(2/T_phi) a^dag a
-    (pure dephasing).  Results are cached per (params, duration, dim).
+    (pure dephasing).  Results are read-only and cached per (params,
+    duration, dim); the cache keeps CACHE_ENTRIES of them.
     """
     if duration < 0:
         raise ValidationError("duration must be non-negative")
     key = (params.t1, params.t2, float(duration), dim)
-    if key in _DECAY_CACHE:
-        return _DECAY_CACHE[key]
+    return cached(
+        _DECAY_CACHE, key, lambda: read_only(_decay(params, duration, dim))
+    )
+
+
+def _decay(params, duration, dim):
     n2 = dim * dim
     if duration == 0 or (params.loss_rate == 0 and params.dephasing_rate == 0):
-        s = np.eye(n2, dtype=complex)
-        _DECAY_CACHE[key] = s
-        return s
+        return np.eye(n2, dtype=complex)
     a = destroy(dim)
     collapse = []
     if params.loss_rate > 0:
@@ -235,9 +222,7 @@ def decay_superoperator(params, duration, dim):
         lind += np.kron(c.conj(), c)
         lind -= 0.5 * np.kron(ident, cdc)
         lind -= 0.5 * np.kron(cdc.T, ident)
-    s = expm(duration * lind)
-    _DECAY_CACHE[key] = s
-    return s
+    return expm(duration * lind)
 
 
 def cavity_decay_channel(params, duration, dim):

@@ -6,12 +6,12 @@ W values on a rectangular beta grid for each coherent probe alpha, stored
 row-major with Re(beta) varying fastest.
 """
 
-import csv
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._cache import CACHE_ENTRIES, cached, read_only
 from .errors import DataQualityError, ValidationError
 from .fock import coherent_state, displacement, parity
 
@@ -61,15 +61,6 @@ def grid_axes(values):
     return re_axis, im_axis
 
 
-def _axis_spacing(axis):
-    if axis.size < 2:
-        raise DataQualityError("grid axis needs at least two points")
-    steps = np.diff(axis)
-    if np.abs(steps - steps[0]).max() > 1e-9:
-        raise DataQualityError("grid axis is not uniform")
-    return float(steps[0])
-
-
 @dataclass(frozen=True)
 class TomographyDataset:
     """Wigner values (n_probes, n_betas) for coherent probes through a channel."""
@@ -92,35 +83,16 @@ class TomographyDataset:
             raise DataQualityError("dataset contains non-finite values")
 
 
-# The forward-model caches keep this many most recently used entries each.
-CACHE_ENTRIES = 4
-
 _PROBE_KET_CACHE = {}
 _PARITY_CACHE = {}
-
-
-def _read_only(arr):
-    arr.flags.writeable = False
-    return arr
-
-
-def _cached(cache, key, build):
-    """cache[key], calling build() on a miss; evicts the least recently used."""
-    if key in cache:
-        cache[key] = value = cache.pop(key)
-        return value
-    value = cache[key] = build()
-    if len(cache) > CACHE_ENTRIES:
-        del cache[next(iter(cache))]
-    return value
 
 
 def probe_kets(alphas, dim):
     """Coherent kets |alpha_i> as rows (n_probes, dim), cached and read-only."""
     alphas = np.asarray(alphas, dtype=complex)
-    return _cached(
+    return cached(
         _PROBE_KET_CACHE, (dim, alphas.tobytes()),
-        lambda: _read_only(np.stack([coherent_state(a, dim) for a in alphas])),
+        lambda: read_only(np.stack([coherent_state(a, dim) for a in alphas])),
     )
 
 
@@ -164,7 +136,7 @@ class ParityModel:
         self._src[lower], self._sign[lower] = self._src[upper], 1.0
         self._src[lower + 1], self._sign[lower + 1] = self._src[upper + 1], -1.0
         flat = np.ascontiguousarray(ops).reshape(ops.shape[0], -1).view(float)
-        self.packed = _read_only(np.ascontiguousarray(flat.take(self._pack, axis=1).T))
+        self.packed = read_only(np.ascontiguousarray(flat.take(self._pack, axis=1).T))
 
     @classmethod
     def of(cls, ops):
@@ -214,9 +186,9 @@ def parity_model(betas, dim):
         for j, beta in enumerate(betas):
             d = displacement(beta, dim)
             ops[j] = (2 / np.pi) * (d @ p @ d.conj().T)
-        return ParityModel(_read_only(ops))
+        return ParityModel(read_only(ops))
 
-    return _cached(_PARITY_CACHE, (dim, betas.tobytes()), build)
+    return cached(_PARITY_CACHE, (dim, betas.tobytes()), build)
 
 
 def displaced_parity_ops(betas, dim):
@@ -263,22 +235,6 @@ def simulate_dataset(channel_ks, probes, grid, shots=0, seed=0):
         probes=alphas, betas=betas, values=values, dim=dim,
         shots=int(shots), seed=int(seed), normalized=False,
     )
-
-
-def normalize_dataset(ds):
-    """Scale each probe slice so its Riemann sum over the grid is 1.
-
-    The raw sum tau_i = sum_j W_ij * dA estimates the unit trace; slices
-    with tau below 0.5 indicate unusable data and raise DataQualityError.
-    """
-    re_axis, im_axis = grid_axes(ds.betas)
-    area = _axis_spacing(re_axis) * _axis_spacing(im_axis)
-    tau = ds.values.sum(axis=1) * area
-    if tau.min() <= 0.5:
-        raise DataQualityError(
-            f"probe normalization {tau.min():.3f} at or below the 0.5 quality gate"
-        )
-    return replace(ds, values=ds.values / tau[:, None], normalized=True)
 
 
 def subsample_grid(ds, stride=2):
@@ -351,16 +307,3 @@ def load_dataset(path):
         raise DataQualityError(f"cannot read dataset {path}: {exc}") from exc
     return dataset_from_json(data)
 
-
-def slice_to_csv(ds, probe_index, path):
-    """Write one probe's Wigner slice as CSV with columns beta_re, beta_im, w."""
-    if not 0 <= probe_index < ds.probes.size:
-        raise ValidationError(
-            f"probe_index {probe_index} out of range for {ds.probes.size} probes"
-        )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta_re", "beta_im", "w"])
-        for beta, value in zip(ds.betas, ds.values[probe_index]):
-            writer.writerow([repr(float(beta.real)), repr(float(beta.imag)),
-                             repr(float(value))])

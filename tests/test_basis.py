@@ -72,14 +72,15 @@ def test_transfer_matrix_identity_channel():
 
 
 def test_transfer_matrix_against_direct_traces():
-    # oracle: loop Tr[B_i E(B_j)] through channel.apply, no superoperator
+    # oracle: loop Tr[B_i E(B_j)] with E written out as the Kraus sum,
+    # independent of channel.apply, which transfer_matrix is built on
     code = gates.BinomialCode(6)
     gm = basis.gellmann_set(basis.logical_ordered_basis(code))
     ch = channel.random_channel(6, 3, np_rng)
     tm = basis.transfer_matrix(ch, gm)
     direct = np.empty((36, 36))
     for j in range(36):
-        out = channel.apply(ch, gm.matrices[j])
+        out = sum(k @ gm.matrices[j] @ k.conj().T for k in ch.operators)
         for i in range(36):
             direct[i, j] = np.trace(gm.matrices[i] @ out).real
     assert np.abs(tm.elements - direct).max() < 1e-10

@@ -129,6 +129,38 @@ def test_choi_fidelity_basics():
         metrics.process_fidelity_choi(ident, KrausSet(np.eye(3)[None]))
 
 
+def _dense_choi_fidelity(a, b, cut):
+    """The d^2 x d^2 formula: project both Choi matrices onto inputs
+    0..cut, normalize, and take (Tr sqrt(sqrt(Ca) Cb sqrt(Ca)))^2."""
+    d = a.dim
+    keep = np.zeros(d)
+    keep[: (d - 1 if cut is None else cut) + 1] = 1
+    proj = np.kron(np.diag(keep), np.eye(d))  # input factor comes first
+    ca = proj @ kraus_to_choi(a) @ proj
+    cb = proj @ kraus_to_choi(b) @ proj
+    ca /= np.trace(ca).real
+    cb /= np.trace(cb).real
+    w, v = np.linalg.eigh(ca)
+    sq = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+    inner = np.linalg.eigvalsh(sq @ cb @ sq)
+    # eigen-noise of the PSD product: sqrt turns O(eps^2) junk into O(eps)
+    inner[inner < 1e-14 * inner[-1]] = 0.0
+    return np.sqrt(inner).sum() ** 2
+
+
+def test_choi_fidelity_matches_dense_reference():
+    # the low-rank form against the dense Choi formula it replaces
+    rng = np.random.default_rng(2718)
+    for _ in range(12):
+        d = int(rng.integers(4, 9))
+        a = random_channel(d, int(rng.integers(1, 5)), rng)
+        b = random_channel(d, int(rng.integers(1, 5)), rng)
+        for cut in (None, 0, d // 2, d - 1):
+            got = metrics.process_fidelity_choi(a, b, subspace_cut=cut)
+            assert abs(got - _dense_choi_fidelity(a, b, cut)) <= 1e-12
+            assert abs(got - metrics.process_fidelity_choi(b, a, cut)) <= 1e-12
+
+
 def test_choi_fidelity_against_scipy_sqrtm():
     # independent matrix-square-root path for the subspace-projected form
     rng = np.random.default_rng(6)

@@ -84,50 +84,15 @@ def test_shot_noise_consistent_with_truth():
     assert np.abs(noisy.values - exact.values).max() < 6 * (2 / np.pi) / np.sqrt(2e5)
 
 
-def test_normalize_dataset():
-    # small probes keep each Gaussian well inside the beta grid
+def test_raw_probe_slices_integrate_to_one():
+    # W integrates to Tr[rho] = 1; small probes keep each Gaussian well
+    # inside the beta grid, so the raw Riemann sum of each slice is ~1
     ds = tomography.simulate_dataset(
         identity_channel(32), tomography.probe_grid(5, 0.5), tomography.wigner_grid()
     )
     area = (2 * 2.62 / 20) ** 2
     raw_tau = ds.values.sum(axis=1) * area
     assert np.abs(raw_tau - 1).max() < 0.01
-    norm = tomography.normalize_dataset(ds)
-    assert norm.normalized
-    tau = norm.values.sum(axis=1) * area
-    assert np.abs(tau - 1).max() < 1e-12
-    # normalization removes any per-probe scale factor
-    scaled = tomography.TomographyDataset(
-        probes=ds.probes, betas=ds.betas, values=0.9 * ds.values,
-        dim=ds.dim, shots=ds.shots, seed=ds.seed, normalized=False,
-    )
-    norm_scaled = tomography.normalize_dataset(scaled)
-    assert np.abs(norm_scaled.values - norm.values).max() < 1e-6
-
-
-def test_normalize_boundary_is_rejected():
-    # constant slice tuned so tau is exactly 0.5: at or below the gate fails
-    betas = tomography.wigner_grid(5, 1.0).betas
-    area = (2 * 1.0 / 4) ** 2
-    values = np.full((1, betas.size), 0.5 / (betas.size * area))
-    ds = tomography.TomographyDataset(
-        probes=np.array([0.0 + 0.0j]), betas=betas, values=values,
-        dim=8, shots=0, seed=0, normalized=False,
-    )
-    with pytest.raises(DataQualityError):
-        tomography.normalize_dataset(ds)
-
-
-def test_normalize_rejects_bad_slice():
-    ds = tomography.simulate_dataset(
-        identity_channel(16), tomography.probe_grid(3, 1.0), tomography.wigner_grid(5, 1.0)
-    )
-    bad = tomography.TomographyDataset(
-        probes=ds.probes, betas=ds.betas, values=np.zeros_like(ds.values),
-        dim=ds.dim, shots=0, seed=0, normalized=False,
-    )
-    with pytest.raises(DataQualityError):
-        tomography.normalize_dataset(bad)
 
 
 def test_subsample_grid():
@@ -201,23 +166,6 @@ def test_shape_validation():
             probes=np.array([0j]), betas=np.array([0j, 1j]),
             values=np.zeros((2, 2)), dim=4, shots=0, seed=0, normalized=False,
         )
-
-
-def test_slice_to_csv(tmp_path):
-    ds = tomography.simulate_dataset(
-        identity_channel(8), tomography.probe_grid(2, 0.5), tomography.wigner_grid(3, 1.0)
-    )
-    path = tmp_path / "slice.csv"
-    tomography.slice_to_csv(ds, 1, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "beta_re,beta_im,w"
-    assert len(lines) == 1 + ds.betas.size
-    got = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(got[:, 0], ds.betas.real)
-    assert np.array_equal(got[:, 1], ds.betas.imag)
-    assert np.array_equal(got[:, 2], ds.values[1])
-    with pytest.raises(ValidationError):
-        tomography.slice_to_csv(ds, 4, tmp_path / "oob.csv")
 
 
 def test_simulate_with_gate_channel():
