@@ -1,5 +1,5 @@
-"""The bounded, read-only caches shared by the forward model and the decay
-superoperator."""
+"""The bounded, read-only caches of the forward model (probe kets and
+displaced parity operators)."""
 
 # Each cache keeps this many most recently used entries.
 CACHE_ENTRIES = 4

@@ -11,18 +11,16 @@ Conventions, used consistently everywhere:
   identity for trace-preserving channels.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
-from ._cache import CACHE_ENTRIES, cached, read_only
 from .errors import (
     DimensionMismatchError,
     NotAChannelError,
     ValidationError,
 )
-from .fock import destroy
 
 # Frobenius defect below which a Kraus set counts as certified CPTP
 CPTP_TOL = 1e-6
@@ -107,16 +105,6 @@ def kraus_to_super(channel):
     return s
 
 
-def super_to_choi(s):
-    """Reshuffle a superoperator into the Choi matrix (involution)."""
-    s = np.asarray(s, dtype=complex)
-    n = s.shape[0]
-    d = int(round(np.sqrt(n)))
-    if d * d != n or s.shape != (n, n):
-        raise ValidationError("superoperator must be d^2 x d^2")
-    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(n, n)
-
-
 def kraus_to_choi(channel):
     """Choi matrix sum_i vec(K_i) vec(K_i)^dag, trace = dim."""
     ops = channel.operators
@@ -125,13 +113,12 @@ def kraus_to_choi(channel):
     return np.einsum("ka,kb->ab", vecs, vecs.conj())
 
 
-def choi_to_kraus(choi, tol=EIG_CUTOFF, rank_cut=None):
+def choi_to_kraus(choi):
     """Extract Kraus operators from a Choi matrix by eigendecomposition.
 
-    Eigenvalues below ``tol`` are dropped; ``rank_cut`` additionally caps the
-    number of kept operators (largest eigenvalues first).  Raises
-    NotAChannelError if the Choi matrix is not Hermitian positive
-    semidefinite within tolerance.
+    Eigenvalues at or below EIG_CUTOFF are dropped; the kept operators come
+    largest eigenvalue first.  Raises NotAChannelError if the Choi matrix is
+    not Hermitian positive semidefinite within tolerance.
     """
     choi = np.asarray(choi, dtype=complex)
     n = choi.shape[0]
@@ -146,14 +133,10 @@ def choi_to_kraus(choi, tol=EIG_CUTOFF, rank_cut=None):
         raise NotAChannelError(f"Choi matrix has negative eigenvalue {vals.min():.2e}")
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    keep = vals > tol
-    if rank_cut is not None:
-        keep[rank_cut:] = False
-    vals, vecs = vals[keep], vecs[:, keep]
-    ops = np.empty((vals.size, d, d), dtype=complex)
-    for i in range(vals.size):
-        ops[i] = np.sqrt(vals[i]) * vecs[:, i].reshape(d, d, order="F")
-    return KrausSet(ops)
+    keep = vals > EIG_CUTOFF
+    # column i of vecs is vec(K_i) / sqrt(val_i), stacked column-major
+    scaled = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, d, d)
+    return KrausSet(np.ascontiguousarray(scaled.transpose(0, 2, 1)))
 
 
 @dataclass(frozen=True)
@@ -187,48 +170,50 @@ class DecoherenceParams:
         return 0.0 if abs(rate) < 1e-15 else rate
 
 
-_DECAY_CACHE = {}
+def decay(params, duration, x):
+    """exp(duration * L) applied to the trailing d x d axes of ``x``.
 
-
-def decay_superoperator(params, duration, dim):
-    """exp(duration * L) for the cavity Lindblad generator.
-
-    Collapse operators: sqrt(1/T1) a (photon loss) and sqrt(2/T_phi) a^dag a
-    (pure dephasing).  Results are read-only and cached per (params,
-    duration, dim); the cache keeps CACHE_ENTRIES of them.
+    L is the cavity Lindblad generator with collapse operators sqrt(1/T1) a
+    (photon loss) and sqrt(2/T_phi) a^dag a (pure dephasing).  On the
+    truncated space both parts are exact and commute, so the map is a
+    Gaussian dephasing factor exp(-t (m-n)^2 / T_phi) on |m><n| followed by
+    bosonic amplitude damping:
+    |m><n| -> sum_l c_l(m) c_l(n) |m-l><n-l|,
+    c_l(n)^2 = C(n, l) eta^(n-l) (1-eta)^l, eta = exp(-t/T1).
     """
     if duration < 0:
         raise ValidationError("duration must be non-negative")
-    key = (params.t1, params.t2, float(duration), dim)
-    return cached(
-        _DECAY_CACHE, key, lambda: read_only(_decay(params, duration, dim))
-    )
+    x = np.asarray(x, dtype=complex)
+    d = x.shape[-1]
+    n = np.arange(d)
+    x = x * np.exp(-params.dephasing_rate * duration * (n[:, None] - n) ** 2)
+    eta = np.exp(-duration * params.loss_rate)
+    lost = -np.expm1(-duration * params.loss_rate)
+    out = np.zeros_like(x)
+    # without loss (T1 = inf or t = 0) only the l = 0 term is non-zero
+    for l in range(d if lost else 1):
+        comb = np.array([math.comb(m, l) for m in range(l, d)], dtype=float)
+        c = np.sqrt(comb * eta ** (n[: d - l]) * lost**l)
+        out[..., : d - l, : d - l] += np.outer(c, c) * x[..., l:, l:]
+    return out
 
 
-def _decay(params, duration, dim):
-    n2 = dim * dim
-    if duration == 0 or (params.loss_rate == 0 and params.dephasing_rate == 0):
-        return np.eye(n2, dtype=complex)
-    a = destroy(dim)
-    collapse = []
-    if params.loss_rate > 0:
-        collapse.append(np.sqrt(params.loss_rate) * a)
-    if params.dephasing_rate > 0:
-        collapse.append(np.sqrt(2.0 * params.dephasing_rate) * (a.conj().T @ a))
-    ident = np.eye(dim)
-    lind = np.zeros((n2, n2), dtype=complex)
-    for c in collapse:
-        cdc = c.conj().T @ c
-        lind += np.kron(c.conj(), c)
-        lind -= 0.5 * np.kron(ident, cdc)
-        lind -= 0.5 * np.kron(cdc.T, ident)
-    return expm(duration * lind)
+def _decayed_units(params, duration, dim):
+    """decay applied to each matrix unit: ``[a, b]`` is the image of |a><b|."""
+    units = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
+    return decay(params, duration, units)
+
+
+def decay_superoperator(params, duration, dim):
+    """exp(duration * L) as a d^2 x d^2 matrix acting on column-vec(rho)."""
+    images = _decayed_units(params, duration, dim)
+    return images.transpose(3, 2, 1, 0).reshape(dim * dim, dim * dim)
 
 
 def cavity_decay_channel(params, duration, dim):
     """Kraus set of the free cavity decay over ``duration``."""
-    s = decay_superoperator(params, duration, dim)
-    return choi_to_kraus(super_to_choi(s))
+    images = _decayed_units(params, duration, dim)
+    return choi_to_kraus(images.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim))
 
 
 def random_channel(dim, rank, rng):

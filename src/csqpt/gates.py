@@ -5,14 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    KrausSet,
-    choi_to_kraus,
-    decay_superoperator,
-    kraus_to_super,
-    super_to_choi,
-    unitary_channel,
-)
+from .channel import choi_to_kraus, decay, unitary_channel
 from .errors import ValidationError
 from .fock import displacement, fock_state, snap
 
@@ -126,13 +119,12 @@ def noisy_gate_process(sequence, params, dim):
     """
     if params is None:
         return unitary_channel(compose_unitary(sequence, dim))
-    s = np.eye(dim * dim, dtype=complex)
+    # images[a, b] is the image of the matrix unit |a><b|
+    images = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
     for step in sequence.steps:
         u = step_unitary(step, dim)
-        s = kraus_to_super(unitary_channel(u)) @ decay_superoperator(
-            params, step.duration, dim
-        ) @ s
-    return choi_to_kraus(super_to_choi(s))
+        images = u @ decay(params, step.duration, images) @ u.conj().T
+    return choi_to_kraus(images.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim))
 
 
 def sequence_to_json(sequence):

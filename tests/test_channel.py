@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csqpt import channel, fock
 from csqpt.errors import (
@@ -88,9 +90,13 @@ def test_choi_super_reshuffle_roundtrip():
     ch = channel.random_channel(d, 2, np_rng)
     s = channel.kraus_to_super(ch)
     choi = channel.kraus_to_choi(ch)
-    assert np.abs(channel.super_to_choi(s) - choi).max() < 1e-12
+
+    def reshuffle(m):
+        return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+
+    assert np.abs(reshuffle(s) - choi).max() < 1e-12
     # the reshuffle is an involution
-    assert np.abs(channel.super_to_choi(choi) - s).max() < 1e-12
+    assert np.abs(reshuffle(choi) - s).max() < 1e-12
 
 
 def test_choi_identity_channel():
@@ -175,16 +181,69 @@ def test_decay_infinite_times_is_identity():
     assert np.abs(s - np.eye(36)).max() == 0
 
 
-def test_decay_cache_reuse():
+def test_decay_rejects_negative_duration():
     params = channel.DecoherenceParams(t1=50.0, t2=80.0)
-    s1 = channel.decay_superoperator(params, 0.1, 6)
-    s2 = channel.decay_superoperator(params, 0.1, 6)
-    assert s1 is s2
-    with pytest.raises(ValueError):
-        s1[0, 0] = 0.0
-    for n in range(channel.CACHE_ENTRIES + 2):
-        channel.decay_superoperator(params, 0.2 + n, 6)
-        assert len(channel._DECAY_CACHE) <= channel.CACHE_ENTRIES
-    assert len(channel._DECAY_CACHE) == channel.CACHE_ENTRIES
-    # an evicted entry is rebuilt with the same values
-    assert np.array_equal(channel.decay_superoperator(params, 0.1, 6), s1)
+    with pytest.raises(ValidationError):
+        channel.decay(params, -0.1, np.eye(3, dtype=complex))
+
+
+def test_decay_matches_lindblad_expm(lindblad_expm):
+    for t1, t2 in ((np.inf, np.inf), (np.inf, 40.0), (60.0, 120.0), (35.0, 22.0)):
+        params = channel.DecoherenceParams(t1=t1, t2=t2)
+        for dim in range(2, 13):
+            for t in (0.0, 0.1, 2.5, 30.0):
+                want = lindblad_expm(params, t, dim)
+                got = channel.decay_superoperator(params, t, dim)
+                assert np.abs(got - want).max() <= 1e-12, (t1, t2, dim, t)
+
+
+def test_decay_acts_on_stacks():
+    params = channel.DecoherenceParams(t1=20.0, t2=30.0)
+    x = np_rng.standard_normal((3, 2, 5, 5)) + 1j * np_rng.standard_normal((3, 2, 5, 5))
+    stacked = channel.decay(params, 1.3, x)
+    for idx in np.ndindex(3, 2):
+        assert np.array_equal(stacked[idx], channel.decay(params, 1.3, x[idx]))
+
+
+# Hypothesis properties of the closed-form decay: T1 in [1, 1e3] or infinite,
+# T2 <= 2 T1 (clipped to the limit), durations in [0, 50].
+_times = st.floats(0.0, 50.0)
+_params = st.builds(
+    lambda t1, t2: channel.DecoherenceParams(t1=t1, t2=min(t2, 2.0 * t1)),
+    st.one_of(st.floats(1.0, 1e3), st.just(np.inf)),
+    st.one_of(st.floats(1.0, 1e3), st.just(np.inf)),
+)
+
+
+def _random_operator(dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 8), _params, _times, _times, st.integers(0, 2**32 - 1))
+def test_decay_semigroup(dim, params, s, t, seed):
+    x = _random_operator(dim, seed)
+    twice = channel.decay(params, s, channel.decay(params, t, x))
+    once = channel.decay(params, s + t, x)
+    assert np.abs(twice - once).max() <= 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 8), _params, _times, st.integers(0, 2**32 - 1))
+def test_decay_preserves_trace_and_hermiticity(dim, params, t, seed):
+    x = _random_operator(dim, seed)
+    out = channel.decay(params, t, x)
+    assert abs(np.trace(out) - np.trace(x)) <= 1e-12
+    adj = channel.decay(params, t, x.conj().T)
+    assert np.abs(adj - out.conj().T).max() <= 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 8), _params, _times)
+def test_decay_choi_is_psd(dim, params, t):
+    units = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
+    images = channel.decay(params, t, units)
+    choi = images.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    assert np.abs(choi - choi.conj().T).max() <= 1e-14
+    assert np.linalg.eigvalsh(choi).min() >= -1e-12
