@@ -20,6 +20,7 @@ from .channel import (
 from .gates import (
     BinomialCode,
     GateSequence,
+    SequenceChannel,
     ideal_logical_x,
     ideal_logical_x_unitary,
     noisy_gate_process,

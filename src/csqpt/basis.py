@@ -4,6 +4,7 @@ The Gell-Mann set is orthonormalized, ``Tr[B_i B_j] = delta_ij``, and the
 transfer matrix is ``Lambda_ij = Tr[B_i E(B_j)]``.  With this convention the
 identity channel maps to the identity matrix and every entry of a unitary
 channel's matrix lies in [-1, 1].
+A channel is anything with ``dim`` and a stack-wise ``apply``.
 """
 
 import io
@@ -12,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import apply
 from .errors import NumericalConsistencyError, ValidationError
 from .fock import fock_state
+
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                   [[1, 0], [0, -1]]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -121,18 +124,18 @@ class TransferMatrix:
         return buf.getvalue()
 
 
-def transfer_matrix(channel_ks, gm, rows=None):
+def transfer_matrix(channel, gm, rows=None):
     """Gell-Mann transfer matrix Lambda_ij = Tr[B_i E(B_j)].
 
     ``rows`` restricts both rows and columns to the given element indices
     (defaults to all dim^2).
     """
     d = gm.dim
-    if channel_ks.dim != d:
+    if channel.dim != d:
         raise ValidationError("channel and basis dims differ")
     idx = list(range(d * d)) if rows is None else list(rows)
     mats = gm.matrices[idx]
-    outs = np.stack([apply(channel_ks, b) for b in mats])
+    outs = channel.apply(mats)
     # Tr[B_i^dag X] is the dot product of the flattened conj(B_i) and X
     lam = mats.reshape(len(idx), -1).conj() @ outs.reshape(len(idx), -1).T
     if np.abs(lam.imag).max() > 1e-8:
@@ -140,39 +143,25 @@ def transfer_matrix(channel_ks, gm, rows=None):
     return TransferMatrix(lam.real, tuple(gm.labels[i] for i in idx))
 
 
-def logical_ptm(channel_ks, code):
+def logical_ptm(channel, code):
     """4x4 transfer block over the trace-normalized logical {I_L, X, Y, Z}.
 
     Unlike the full transfer matrix (whose identity element spans the whole
     space), the first element here is I_L/sqrt(2), so the (0, 0) entry
     reads 1 - leakage rather than 1.
     """
-    z, o = code.zero_l, code.one_l
-    zz, oo = np.outer(z, z.conj()), np.outer(o, o.conj())
-    zo, oz = np.outer(z, o.conj()), np.outer(o, z.conj())
-    ops = [
-        (zz + oo) / np.sqrt(2),
-        (zo + oz) / np.sqrt(2),
-        (-1j * zo + 1j * oz) / np.sqrt(2),
-        (zz - oo) / np.sqrt(2),
-    ]
-    lam = np.empty((4, 4))
-    outs = [apply(channel_ks, b) for b in ops]
-    for i, bi in enumerate(ops):
-        for j in range(4):
-            val = np.trace(bi @ outs[j])
-            lam[i, j] = val.real
+    # B_j = sum_ab sigma_j[a, b] |c_a><c_b| / sqrt(2), all Hermitian
+    ops = np.einsum("jab,abik->jik", PAULIS, code.units()) / np.sqrt(2)
+    lam = np.einsum("iab,jba->ij", ops, channel.apply(ops)).real
     return TransferMatrix(lam, ("I", "X", "Y", "Z"))
 
 
-def population_transfer_matrix(channel_ks, basis, n_keep=6):
+def population_transfer_matrix(channel, basis, n_keep=6):
     """P_ij = <b_i| E(|b_j><b_j|) |b_i> over the first ``n_keep`` vectors."""
-    if channel_ks.dim != basis.dim:
+    if channel.dim != basis.dim:
         raise ValidationError("channel and basis dims differ")
     n_keep = min(n_keep, basis.dim)
     v = basis.vectors[:, :n_keep]
-    p = np.empty((n_keep, n_keep))
-    for j in range(n_keep):
-        out = apply(channel_ks, np.outer(v[:, j], v[:, j].conj()))
-        p[:, j] = np.einsum("ai,ab,bi->i", v.conj(), out, v).real
+    outs = channel.apply(np.einsum("aj,bj->jab", v, v.conj()))
+    p = np.einsum("ai,jab,bi->ij", v.conj(), outs, v).real
     return TransferMatrix(p, tuple(basis.labels[:n_keep]))

@@ -51,6 +51,10 @@ class KrausSet:
     def rank(self):
         return self.operators.shape[0]
 
+    def apply(self, x):
+        """The Kraus action on one operator or a stack; see ``apply``."""
+        return apply(self, x)
+
 
 def cptp_defect(operators):
     """Frobenius norm of sum_i K_i^dag K_i - I."""
@@ -81,18 +85,31 @@ def unitary_channel(u):
     return KrausSet(u[None, :, :])
 
 
-def apply(channel, rho):
-    """Apply a KrausSet to a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    d = channel.dim
-    if rho.shape != (d, d):
+def operand(x, dim):
+    """``x`` as a complex operator or stack ending in (dim, dim), else raise."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[-2:] != (dim, dim):
         raise DimensionMismatchError(
-            f"state dim {rho.shape} does not match channel dim {d}"
+            f"operator shape {x.shape} does not end in the channel's ({dim}, {dim})"
         )
-    # sum_k (K_k rho) K_k^dag as one product of d x (rank*d) stacks
+    return x
+
+
+def apply(channel, x):
+    """sum_k K_k x K_k^dag on one operator or a stack of them.
+
+    A stack is looped over its leading axes, so no (n, rank, d, d)
+    intermediate is built.
+    """
+    d = channel.dim
+    x = operand(x, d)
+    # sum_k (K_k x) K_k^dag as one product of d x (rank*d) stacks
     ops, r = channel.operators, channel.rank
-    left = (ops @ rho).transpose(1, 0, 2).reshape(d, r * d)
-    return left @ ops.transpose(1, 0, 2).reshape(d, r * d).conj().T
+    right = ops.transpose(1, 0, 2).reshape(d, r * d).conj().T
+    out = np.empty_like(x)
+    for idx in np.ndindex(x.shape[:-2]):
+        out[idx] = (ops @ x[idx]).transpose(1, 0, 2).reshape(d, r * d) @ right
+    return out
 
 
 def kraus_to_super(channel):
@@ -198,22 +215,11 @@ def decay(params, duration, x):
     return out
 
 
-def _decayed_units(params, duration, dim):
-    """decay applied to each matrix unit: ``[a, b]`` is the image of |a><b|."""
-    units = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
-    return decay(params, duration, units)
-
-
 def decay_superoperator(params, duration, dim):
     """exp(duration * L) as a d^2 x d^2 matrix acting on column-vec(rho)."""
-    images = _decayed_units(params, duration, dim)
+    units = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
+    images = decay(params, duration, units)
     return images.transpose(3, 2, 1, 0).reshape(dim * dim, dim * dim)
-
-
-def cavity_decay_channel(params, duration, dim):
-    """Kraus set of the free cavity decay over ``duration``."""
-    images = _decayed_units(params, duration, dim)
-    return choi_to_kraus(images.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim))
 
 
 def random_channel(dim, rank, rng):

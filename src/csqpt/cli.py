@@ -160,12 +160,12 @@ def _read_json(path):
 
 
 def _gate_channel(spec, dim, noise=None):
-    """Resolve a gate spec to a KrausSet at the given truncation."""
+    """Resolve a gate spec to a SequenceChannel or (Kraus files) a KrausSet."""
     if spec == "x-gate":
-        return gates.noisy_gate_process(gates.x_gate_sequence(), noise, dim)
+        return gates.SequenceChannel(gates.x_gate_sequence(), noise, dim)
     data = _read_json(spec)
     if "steps" in data:
-        return gates.noisy_gate_process(gates.sequence_from_json(data), noise, dim)
+        return gates.SequenceChannel(gates.sequence_from_json(data), noise, dim)
     if "operators" in data:
         if noise is not None:
             raise ValidationError(

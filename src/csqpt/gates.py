@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import choi_to_kraus, decay, unitary_channel
+from .channel import choi_to_kraus, decay, operand, unitary_channel
 from .errors import ValidationError
 from .fock import displacement, fock_state, snap
 
@@ -51,6 +51,11 @@ class BinomialCode:
     def projector(self):
         z, o = self.zero_l, self.one_l
         return np.outer(z, z.conj()) + np.outer(o, o.conj())
+
+    def units(self):
+        """``[a, b]`` is |c_a><c_b| for the code words c = (0_L, 1_L): (2, 2, d, d)."""
+        c = np.stack([self.zero_l, self.one_l])
+        return np.einsum("ai,bj->abij", c, c.conj())
 
 
 @dataclass(frozen=True)
@@ -111,19 +116,44 @@ def ideal_logical_x_unitary(code):
     return ideal_logical_x(code) + np.eye(code.dim) - code.projector()
 
 
-def noisy_gate_process(sequence, params, dim):
-    """Kraus set of the sequence with cavity decoherence during each step.
-
-    Decay acts for each step's duration before that step's unitary.  With
-    ``params=None`` the composition is the pure unitary channel.
+@dataclass(frozen=True)
+class SequenceChannel:
+    """The gate sequence with cavity decay for each step's duration before
+    that step's unitary (``params=None``: unitaries only).  ``apply`` maps
+    just the operators it is given; Kraus operators are built only when
+    ``operators`` is read.
     """
+
+    sequence: GateSequence
+    params: object
+    dim: int
+
+    def apply(self, x):
+        """The channel on one operator or a stack of them."""
+        x = operand(x, self.dim)
+        for step in self.sequence.steps:
+            if self.params is not None:
+                x = decay(self.params, step.duration, x)
+            u = step_unitary(step, self.dim)
+            x = u @ x @ u.conj().T
+        return x
+
+    @property
+    def operators(self):
+        """Kraus operators of the channel, recomputed on each access."""
+        return noisy_gate_process(self.sequence, self.params, self.dim).operators
+
+
+def noisy_gate_process(sequence, params, dim):
+    """Kraus set of ``SequenceChannel(sequence, params, dim)``: rank 1 for
+    ``params=None``, else from the Choi matrix of the d^2 matrix-unit images
+    (eigenvalues at or below ``EIG_CUTOFF`` dropped)."""
     if params is None:
         return unitary_channel(compose_unitary(sequence, dim))
-    # images[a, b] is the image of the matrix unit |a><b|
-    images = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
-    for step in sequence.steps:
-        u = step_unitary(step, dim)
-        images = u @ decay(params, step.duration, images) @ u.conj().T
+    # images[a, b] is the image of the matrix unit |a><b|; the units are
+    # passed without a name so that apply can free them after the first step
+    images = SequenceChannel(sequence, params, dim).apply(
+        np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim))
     return choi_to_kraus(images.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim))
 
 

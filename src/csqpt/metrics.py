@@ -3,38 +3,34 @@
 Fidelity conventions for the logical qubit (d_L = 2):
 
 * process fidelity against the logical partial isometry U,
-  F_pro = sum_i |Tr[U^dag K_i]|^2 / 4;
+  F_pro = sum_i |Tr[U^dag K_i]|^2 / 4
+        = sum_ab <U c_a| E(|c_a><c_b|) |U c_b> / 4 over the code words c_a;
 * leakage L = 1 - Tr[P_L E(P_L/2)] with P_L the code projector;
 * average gate fidelity F_avg = (2 F_pro + 1 - L) / 3, cross-checked
   against the direct form (sum_i |Tr[U^dag K_i]|^2 + 2 Tr[P_L E(P_L/2)]) / 6.
+
+Channels are anything with ``dim`` and a stack-wise ``apply``; only the
+Monte Carlo estimate and the Choi fidelity read Kraus operators.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TransferMatrix, logical_ptm
-from .channel import apply
+from .basis import PAULIS, TransferMatrix, logical_ptm
+from .channel import DecoherenceParams
 from .errors import (
     DimensionMismatchError,
     NotAChannelError,
     NumericalConsistencyError,
     ValidationError,
 )
-from .channel import DecoherenceParams
-from .gates import ideal_logical_x, noisy_gate_process
+from .gates import SequenceChannel, ideal_logical_x
 
 # the two average-fidelity computations must agree this tightly
 FAVG_CONSISTENCY_TOL = 1e-12
 
 MC_BLOCK = 1024
-
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 @dataclass(frozen=True)
@@ -74,39 +70,38 @@ def _check_dims(channel, u, code):
         )
 
 
-def process_fidelity_kraus(channel, u, code):
-    """F_pro = sum_i |Tr[U^dag K_i]|^2 / 4 for a logical-subspace target U."""
-    _check_dims(channel, u, code)
-    traces = np.einsum("ab,kab->k", u.conj(), channel.operators)
-    return _unit_interval(float((np.abs(traces) ** 2).sum()) / 4.0, "f_pro")
-
-
 def leakage(channel, code):
     """Population leaving the code subspace, 1 - Tr[P_L E(P_L/2)]."""
-    if channel.dim != code.dim:
-        raise DimensionMismatchError(
-            f"channel dim {channel.dim} does not match code dim {code.dim}"
-        )
     p = code.projector()
-    kept = np.trace(p @ apply(channel, p / 2)).real
+    kept = np.trace(p @ channel.apply(p / 2)).real
     return _unit_interval(1.0 - float(kept), "leakage")
 
 
 def avg_gate_fidelity(channel, u, code):
     """FidelityReport combining process fidelity and leakage.
 
-    The combined form (2 F_pro + 1 - L)/3 and the direct trace form are
-    both computed and must agree to 1e-12; disagreement means the channel
-    or target violates the assumptions behind the identity.
+    ``u`` must act within the code space, u (I - P_L) = 0, as
+    ``ideal_logical_x`` does; otherwise ValidationError.  Both terms come
+    from one ``apply`` on the four code units.  The combined form
+    (2 F_pro + 1 - L)/3 and the direct trace form must agree to 1e-12;
+    disagreement means the channel violates the identity's assumptions.
     """
     _check_dims(channel, u, code)
-    f_pro = process_fidelity_kraus(channel, u, code)
-    leak = leakage(channel, code)
-    f_avg = (2.0 * f_pro + 1.0 - leak) / 3.0
     p = code.projector()
-    kept = np.trace(p @ apply(channel, p / 2)).real
-    traces = np.einsum("ab,kab->k", u.conj(), channel.operators)
-    direct = (float((np.abs(traces) ** 2).sum()) + 2.0 * float(kept)) / 6.0
+    off_code = np.linalg.norm(u - u @ p)
+    if off_code > 1e-8:
+        raise ValidationError(
+            f"target acts outside the code space: ||u(I-P)|| = {off_code:.2e}"
+        )
+    units = code.units()
+    images = channel.apply(units)
+    # sum_ab <U c_a| E(|c_a><c_b|) |U c_b> and Tr[P E(P/2)]
+    overlap = np.vdot(u @ units @ u.conj().T, images).real
+    kept = 0.5 * np.einsum("ij,aaji->", p, images).real
+    f_pro = _unit_interval(float(overlap) / 4.0, "f_pro")
+    leak = _unit_interval(1.0 - float(kept), "leakage")
+    f_avg = (2.0 * f_pro + 1.0 - leak) / 3.0
+    direct = (float(overlap) + 2.0 * float(kept)) / 6.0
     if abs(f_avg - direct) > FAVG_CONSISTENCY_TOL:
         raise NumericalConsistencyError(
             f"avg-fidelity forms disagree: {f_avg} vs {direct}"
@@ -201,7 +196,7 @@ def error_budget(seq, params, code):
     target = ideal_logical_x(code)
 
     def infidelity(p):
-        ch = noisy_gate_process(seq, p, dim)
+        ch = SequenceChannel(seq, p, dim)
         return 1.0 - avg_gate_fidelity(ch, target, code).f_avg
 
     baseline = infidelity(None)
@@ -231,13 +226,10 @@ def error_budget(seq, params, code):
     )
 
 
-def _cardinal_amplitudes():
-    s = 1 / np.sqrt(2)
-    return {
-        "z+": (1.0, 0.0), "z-": (0.0, 1.0),
-        "x+": (s, s), "x-": (s, -s),
-        "y+": (s, 1j * s), "y-": (s, -1j * s),
-    }
+# logical cardinal states x+, x-, y+, y-, z+, z- as (0_L, 1_L) amplitudes
+_CARDINALS = np.array(
+    [[1, 1], [1, -1], [1, 1j], [1, -1j], [np.sqrt(2), 0], [0, np.sqrt(2)]]
+) / np.sqrt(2)
 
 
 def _decoder_unitary(code):
@@ -260,41 +252,21 @@ def decoder_study(channel, code):
     Leakage hides from the decoded picture (its first row always reads
     trace preservation), while the direct PTM records it.
     """
-    if channel.dim != code.dim:
-        raise DimensionMismatchError(
-            f"channel dim {channel.dim} does not match code dim {code.dim}"
-        )
     d = code.dim
-    z, o = code.zero_l, code.one_l
     u = _decoder_unitary(code)
-    measured = {}
-    for name, (a, b) in _cardinal_amplitudes().items():
-        anc = np.array([a, b], dtype=complex)
-        psi = a * z + b * o
-        rho_cav = apply(channel, np.outer(psi, psi.conj()))
-        rho = np.kron(np.outer(anc, anc.conj()), rho_cav)
-        out = u @ rho @ u.conj().T
-        measured[name] = np.einsum("aibi->ab", out.reshape(2, d, 2, d))
-
-    lam = {
-        1: measured["x+"] - measured["x-"],
-        2: measured["y+"] - measured["y-"],
-        3: measured["z+"] - measured["z-"],
-    }
-    lam[0] = (
-        measured["x+"] + measured["x-"] + measured["y+"] + measured["y-"]
-        + measured["z+"] + measured["z-"]
-    ) / 3.0
-    r = np.empty((4, 4))
-    for i, sigma in enumerate(_PAULIS):
-        for j in range(4):
-            val = 0.5 * np.trace(sigma @ lam[j])
-            if abs(val.imag) > 1e-8:
-                raise NumericalConsistencyError(
-                    "decoded transfer matrix has imaginary residue"
-                )
-            r[i, j] = val.real
-    decoded = TransferMatrix(r, ("I", "X", "Y", "Z"))
+    images = channel.apply(code.units())
+    measured = []
+    for anc in _CARDINALS:
+        # E(|psi><psi|) for psi = sum_a anc_a c_a, by linearity
+        rho_cav = np.einsum("a,b,abij->ij", anc, anc.conj(), images)
+        out = u @ np.kron(np.outer(anc, anc.conj()), rho_cav) @ u.conj().T
+        measured.append(np.einsum("aibi->ab", out.reshape(2, d, 2, d)))
+    xp, xm, yp, ym, zp, zm = measured
+    lam = np.stack([sum(measured) / 3.0, xp - xm, yp - ym, zp - zm])
+    r = 0.5 * np.einsum("iab,jba->ij", PAULIS, lam)
+    if np.abs(r.imag).max() > 1e-8:
+        raise NumericalConsistencyError("decoded transfer matrix has imaginary residue")
+    decoded = TransferMatrix(r.real, ("I", "X", "Y", "Z"))
     return decoded, logical_ptm(channel, code)
 
 

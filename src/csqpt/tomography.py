@@ -220,9 +220,10 @@ def simulate_dataset(channel_ks, probes, grid, shots=0, seed=0):
     dim = channel_ks.dim
     if shots < 0:
         raise ValidationError("shots must be non-negative")
-    values = parity_model(betas, dim).wigner(
-        channel_ks.operators, probe_kets(alphas, dim)
-    )
+    # Kraus operators first: a SequenceChannel builds them on demand, and its
+    # d^2 scratch is freed before the parity operators are allocated
+    ops = channel_ks.operators
+    values = parity_model(betas, dim).wigner(ops, probe_kets(alphas, dim))
     if shots > 0:
         # parity bit is +1 with probability (1 + pi W / 2) / 2
         prob = np.clip((1 + values * np.pi / 2) / 2, 0.0, 1.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csqpt import channel, fock
+from csqpt import channel, fock, gates
 from csqpt.errors import (
     DimensionMismatchError,
     NotAChannelError,
@@ -37,18 +37,33 @@ def test_apply_matches_explicit_kraus_sum():
     # density matrix would hide
     d = 5
     x = np_rng.standard_normal((d, d)) + 1j * np_rng.standard_normal((d, d))
+    stack = (np_rng.standard_normal((3, 2, d, d))
+             + 1j * np_rng.standard_normal((3, 2, d, d)))
     for rank in (1, d + 2):
         ops = (np_rng.standard_normal((rank, d, d))
                + 1j * np_rng.standard_normal((rank, d, d)))
+        ks = channel.KrausSet(ops)
         want = sum(k @ x @ k.conj().T for k in ops)
-        got = channel.apply(channel.KrausSet(ops), x)
+        got = channel.apply(ks, x)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # a stack is mapped element by element, through the method too
+        got_stack = ks.apply(stack)
+        assert got_stack.shape == stack.shape
+        for idx in np.ndindex(3, 2):
+            want = sum(k @ stack[idx] @ k.conj().T for k in ops)
+            assert np.abs(got_stack[idx] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_apply_dim_mismatch():
     ch = channel.unitary_channel(np.eye(4, dtype=complex))
-    with pytest.raises(DimensionMismatchError):
-        channel.apply(ch, np.eye(5, dtype=complex))
+    seq = gates.x_gate_sequence()
+    params = channel.DecoherenceParams(t1=315.0, t2=478.0)
+    for apply in (lambda x: channel.apply(ch, x), ch.apply,
+                  gates.SequenceChannel(seq, params, 4).apply,
+                  gates.SequenceChannel(seq, None, 4).apply):
+        for bad in (np.eye(5), np.ones((2, 4, 5)), np.ones((3, 5, 4)), np.ones(4)):
+            with pytest.raises(DimensionMismatchError):
+                apply(bad.astype(complex))
 
 
 def test_random_channel_certified():
@@ -144,10 +159,8 @@ def test_decay_photon_loss_population():
     # single-photon population decays exactly as exp(-t/T1)
     params = channel.DecoherenceParams(t1=315.0, t2=630.0)
     t = 2.5
-    ch = channel.cavity_decay_channel(params, t, 8)
-    assert ch.certified
     rho = np.outer(fock.fock_state(1, 8), fock.fock_state(1, 8).conj())
-    out = channel.apply(ch, rho)
+    out = channel.decay(params, t, rho)
     assert abs(out[1, 1].real - np.exp(-t / 315.0)) < 1e-12
     assert abs(out[0, 0].real - (1 - np.exp(-t / 315.0))) < 1e-12
 
@@ -156,9 +169,8 @@ def test_decay_coherence_rate():
     # 0-1 coherence decays as exp(-t/T2) under loss plus dephasing
     params = channel.DecoherenceParams(t1=315.0, t2=478.0)
     t = 1.7
-    ch = channel.cavity_decay_channel(params, t, 8)
     plus = (fock.fock_state(0, 8) + fock.fock_state(1, 8)) / np.sqrt(2)
-    out = channel.apply(ch, np.outer(plus, plus.conj()))
+    out = channel.decay(params, t, np.outer(plus, plus.conj()))
     assert abs(out[0, 1] - 0.5 * np.exp(-t / 478.0)) < 1e-12
 
 
@@ -168,9 +180,8 @@ def test_decay_coherent_state_stays_coherent():
     t = 30.0
     dim = 30
     alpha = 1.2 - 0.4j
-    ch = channel.cavity_decay_channel(params, t, dim)
-    out = channel.apply(ch, np.outer(fock.coherent_state(alpha, dim),
-                                     fock.coherent_state(alpha, dim).conj()))
+    out = channel.decay(params, t, np.outer(fock.coherent_state(alpha, dim),
+                                            fock.coherent_state(alpha, dim).conj()))
     target = fock.coherent_state(alpha * np.exp(-t / 200.0), dim)
     assert abs(target.conj() @ out @ target - 1) < 1e-8
 

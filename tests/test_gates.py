@@ -91,13 +91,17 @@ def test_noisy_process_population_oracle(lindblad_expm):
     code = gates.BinomialCode(dim)
     rho0 = np.outer(code.zero_l, code.zero_l.conj())
     via_kraus = channel.apply(noisy, rho0)
+    via_action = gates.SequenceChannel(seq, params, dim).apply(rho0)
     vec = rho0.flatten(order="F")
     for step in seq.steps:
         vec = lindblad_expm(params, step.duration, dim) @ vec
         u = gates.step_unitary(step, dim)
         vec = np.kron(u.conj(), u) @ vec
     via_vec = vec.reshape(dim, dim, order="F")
+    # the Kraus form drops Choi eigenvalues below EIG_CUTOFF; the action
+    # form is exact up to rounding
     assert np.abs(via_kraus - via_vec).max() < 1e-9
+    assert np.abs(via_action - via_vec).max() <= 1e-12
 
 
 def test_sequence_json_roundtrip(tmp_path):

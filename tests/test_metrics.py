@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
-from csqpt import gates, metrics
+from csqpt import basis, channel, gates, metrics
 from csqpt.channel import (
     DecoherenceParams,
     KrausSet,
@@ -83,6 +83,23 @@ def test_fidelity_forms_agree_on_random_channels():
         assert abs(rep.f_avg - rep.f_avg_direct) < 1e-12
         assert 0 <= rep.f_pro <= 1 and 0 <= rep.leakage <= 1
         assert 0 <= rep.f_avg <= 1
+
+
+def test_complex_logical_target():
+    # a complex target (the bundled X is real) checks the image form of F_pro
+    # against the Kraus trace form sum_i |Tr[U^dag K_i]|^2 / 4
+    code8 = BinomialCode(8)
+    rng = np.random.default_rng(11)
+    w, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    c = np.stack([code8.zero_l, code8.one_l], axis=1)
+    target = c @ w @ c.conj().T
+    full = unitary_channel(target + np.eye(8) - code8.projector())
+    assert abs(metrics.avg_gate_fidelity(full, target, code8).f_avg - 1) < 1e-12
+    for rank in (1, 3):
+        ch = random_channel(8, rank, rng)
+        traces = np.einsum("ab,kab->k", target.conj(), ch.operators)
+        want = (np.abs(traces) ** 2).sum() / 4
+        assert abs(metrics.avg_gate_fidelity(ch, target, code8).f_pro - want) < 1e-12
 
 
 def test_monte_carlo_matches_closed_form():
@@ -208,13 +225,66 @@ def test_error_budget_measured_cavity_times(code, x_target):
     # photon loss is the dominant cavity mechanism for this gate
     assert vals["photon-loss"] > vals["pure-dephasing"]
     # near-additivity at weak decoherence
-    ch_all = gates.noisy_gate_process(seq, params, 32)
+    ch_all = gates.SequenceChannel(seq, params, 32)
     delta_all = (
         1 - metrics.avg_gate_fidelity(ch_all, x_target, code).f_avg
         - budget.baseline
     )
     total = sum(vals.values())
     assert abs(total - delta_all) <= 0.2 * delta_all
+
+
+def test_sequence_channel_matches_kraus_form():
+    # the action path against the Kraus set extracted from the Choi matrix
+    seq = gates.x_gate_sequence()
+    params = DecoherenceParams(315.0, 478.0)
+    code16 = BinomialCode(16)
+    action = gates.SequenceChannel(seq, params, 16)
+    kraus = gates.noisy_gate_process(seq, params, 16)
+    target = ideal_logical_x(code16)
+    ob = basis.logical_ordered_basis(code16)
+
+    def results(ch):
+        rep = metrics.avg_gate_fidelity(ch, target, code16)
+        decoded, direct = metrics.decoder_study(ch, code16)
+        return [
+            [rep.f_pro, rep.leakage, rep.f_avg, rep.f_avg_direct],
+            [metrics.leakage(ch, code16)],
+            basis.logical_ptm(ch, code16).elements,
+            basis.population_transfer_matrix(ch, ob).elements,
+            decoded.elements, direct.elements,
+        ]
+
+    for got, want in zip(results(action), results(kraus)):
+        assert np.abs(np.asarray(got) - np.asarray(want)).max() <= 1e-10
+
+
+def test_budget_and_decoder_need_no_kraus_operators(code, monkeypatch):
+    # the action path never extracts Kraus operators or diagonalizes, and
+    # propagates the four code units, never the d^2 matrix units
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Kraus extraction reached")
+
+    stack_sizes = []
+    decay = gates.decay
+
+    def recording_decay(params, duration, x):
+        stack_sizes.append(x.size // (x.shape[-1] * x.shape[-2]))
+        return decay(params, duration, x)
+
+    monkeypatch.setattr(gates, "choi_to_kraus", forbidden)
+    monkeypatch.setattr(channel, "choi_to_kraus", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(gates, "decay", recording_decay)
+    seq = gates.x_gate_sequence()
+    params = DecoherenceParams(315.0, 478.0)
+    budget = metrics.error_budget(seq, params, code)
+    assert dict(budget.contributions)["photon-loss"] > 0
+    decoded, direct = metrics.decoder_study(gates.SequenceChannel(seq, params, 32), code)
+    assert 0 < direct.elements[0, 0] < 1
+    assert stack_sizes and max(stack_sizes) == 4
+    with pytest.raises(AssertionError):
+        gates.noisy_gate_process(seq, params, 16)
 
 
 def test_decoder_study_ideal(code, ideal_x_channel):
@@ -252,6 +322,12 @@ def test_json_exports(code, x_target, ideal_x_channel):
     bdata = metrics.error_budget_to_json(budget)
     assert set(bdata) == {"baseline_infidelity", "contributions", "clipped", "scope"}
     assert set(bdata["contributions"]) == {"photon-loss", "pure-dephasing"}
+
+
+def test_full_space_target_rejected(code, ideal_x_channel):
+    # the image form of F_pro holds only for targets confined to the code
+    with pytest.raises(ValidationError):
+        metrics.avg_gate_fidelity(ideal_x_channel, ideal_logical_x_unitary(code), code)
 
 
 def test_dim_mismatch_errors(code):
