@@ -1,16 +1,21 @@
 """States and operators on a truncated Fock space.
 
 Kets are 1-D complex arrays of length ``dim``, operators are ``dim x dim``
-complex arrays.  Displacements are dense matrix exponentials of the
-truncated generator, so they are exactly unitary on the truncated space.
+complex arrays.  Displacements are the exponential of the truncated
+generator alpha a^dag - conj(alpha) a, so they are exactly unitary on the
+truncated space.  The exponential is evaluated in the generator's
+eigenbasis: the truncated a + a^dag is the Jacobi matrix of the Hermite
+polynomials, so its eigenvalues are sqrt(2) times the Gauss-Hermite nodes
+and its eigenvectors the normalized Hermite functions at those nodes
+(Golub and Welsch, Math. Comp. 23, 221 (1969)).
 """
 
 import warnings
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import DimensionMismatchError, TruncationWarning, ValidationError
+from ._cache import cached, read_only
+from .errors import TruncationWarning, ValidationError
 
 # tail mass above which coherent_state warns about truncation loss
 TAIL_WARN = 1e-6
@@ -19,12 +24,6 @@ TAIL_WARN = 1e-6
 def _check_dim(dim):
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValidationError(f"dim must be a positive integer, got {dim!r}")
-
-
-def destroy(dim):
-    """Annihilation operator a with a|n> = sqrt(n)|n-1>."""
-    _check_dim(dim)
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
 def fock_state(n, dim):
@@ -63,12 +62,45 @@ def coherent_state(alpha, dim):
     return amps / np.sqrt(kept)
 
 
-def displacement(alpha, dim):
-    """Displacement unitary D(alpha) = expm(alpha a^dag - conj(alpha) a)."""
+_QUADRATURE_CACHE = {}
+
+
+def _quadrature(dim):
+    """Eigenvalues lam and orthonormal eigenvectors W (columns) of the
+    truncated a + a^dag, read-only; the cache keeps CACHE_ENTRIES dims."""
+
+    def build():
+        lam = np.sqrt(2) * np.polynomial.hermite.hermgauss(dim)[0]
+        # the Hermite recurrence, one row per Fock level (w[-1] is still
+        # zero at n = 0), then each eigenvector normalized
+        w = np.zeros((dim, dim))
+        w[0] = 1.0
+        for n in range(dim - 1):
+            w[n + 1] = (lam * w[n] - np.sqrt(n) * w[n - 1]) / np.sqrt(n + 1)
+        w /= np.linalg.norm(w, axis=0)
+        return read_only(lam), read_only(w)
+
+    return cached(_QUADRATURE_CACHE, dim, build)
+
+
+def displacements(alphas, dim):
+    """Stack (m, dim, dim) of D(alpha) = exp(alpha a^dag - conj(alpha) a).
+
+    With alpha = r e^{i theta} the generator is i r Q diag(lam) Q^dag for
+    Q = diag(e^{i n (theta - pi/2)}) W, so D(alpha) = Q diag(e^{i r lam}) Q^dag.
+    """
     _check_dim(dim)
-    alpha = complex(alpha)
-    a = destroy(dim)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    lam, w = _quadrature(dim)
+    n = np.arange(dim)
+    q = np.exp(1j * np.multiply.outer(np.angle(alphas) - np.pi / 2, n))[:, :, None] * w
+    e = np.exp(1j * np.multiply.outer(np.abs(alphas), lam))
+    return (q * e[:, None, :]) @ q.conj().swapaxes(1, 2)
+
+
+def displacement(alpha, dim):
+    """Displacement unitary D(alpha) = exp(alpha a^dag - conj(alpha) a)."""
+    return displacements(alpha, dim)[0]
 
 
 def snap(thetas, dim):
@@ -90,49 +122,3 @@ def parity(dim):
     """Photon-number parity operator diag((-1)^n)."""
     _check_dim(dim)
     return np.diag((-1.0 + 0j) ** np.arange(dim))
-
-
-def embed(obj, dim_to):
-    """Zero-pad a ket or operator into a larger Fock space."""
-    obj = np.asarray(obj, dtype=complex)
-    d = obj.shape[0]
-    if dim_to < d:
-        raise DimensionMismatchError(f"cannot embed dim {d} into dim {dim_to}")
-    if obj.ndim == 1:
-        out = np.zeros(dim_to, dtype=complex)
-        out[:d] = obj
-        return out
-    if obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
-        out = np.zeros((dim_to, dim_to), dtype=complex)
-        out[:d, :d] = obj
-        return out
-    raise ValidationError("embed expects a ket or a square operator")
-
-
-def truncate(obj, dim_to, renormalize=False):
-    """Keep the leading ``dim_to`` Fock levels (top-left block).
-
-    With ``renormalize`` the result is rescaled to unit norm (kets) or unit
-    trace (density matrices).
-    """
-    obj = np.asarray(obj, dtype=complex)
-    d = obj.shape[0]
-    if dim_to > d:
-        raise DimensionMismatchError(f"cannot truncate dim {d} to dim {dim_to}")
-    if obj.ndim == 1:
-        out = obj[:dim_to].copy()
-        if renormalize:
-            norm = np.linalg.norm(out)
-            if norm == 0:
-                raise ValidationError("cannot renormalize a zero ket")
-            out /= norm
-        return out
-    if obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
-        out = obj[:dim_to, :dim_to].copy()
-        if renormalize:
-            tr = np.trace(out).real
-            if tr <= 0:
-                raise ValidationError("cannot renormalize a traceless block")
-            out /= tr
-        return out
-    raise ValidationError("truncate expects a ket or a square operator")

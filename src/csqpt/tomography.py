@@ -13,7 +13,7 @@ import numpy as np
 
 from ._cache import CACHE_ENTRIES, cached, read_only
 from .errors import DataQualityError, ValidationError
-from .fock import coherent_state, displacement, parity
+from .fock import coherent_state, displacement, displacements, parity
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
 
@@ -181,11 +181,8 @@ def parity_model(betas, dim):
     betas = np.asarray(betas, dtype=complex)
 
     def build():
-        p = parity(dim)
-        ops = np.empty((betas.size, dim, dim), dtype=complex)
-        for j, beta in enumerate(betas):
-            d = displacement(beta, dim)
-            ops[j] = (2 / np.pi) * (d @ p @ d.conj().T)
+        d = displacements(betas, dim)
+        ops = (2 / np.pi) * (d * (-1.0) ** np.arange(dim)) @ d.conj().swapaxes(1, 2)
         return ParityModel(read_only(ops))
 
     return cached(_PARITY_CACHE, (dim, betas.tobytes()), build)

@@ -313,3 +313,22 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "decode-study" in proc.stdout
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # numpy is the only runtime dependency: a simulate and a noisy budget run
+    # in a fresh interpreter must leave no scipy module loaded
+    ds, budget = str(tmp_path / "ds.json"), str(tmp_path / "budget.csv")
+    code = (
+        "import sys\n"
+        "from csqpt.cli import main\n"
+        f"assert main(['simulate', '--dim', '12', '--probe-grid', '3,0.8',"
+        f" '--wigner-grid', '5,1.5', '--shots', '10', '--out', {ds!r}]) == 0\n"
+        f"assert main(['budget', '--dim', '12', '--out', {budget!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, CSQPT_THREADS="1")
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.stats import poisson
 
 from csqpt import fock
-from csqpt.errors import DimensionMismatchError, TruncationWarning, ValidationError
+from csqpt._cache import CACHE_ENTRIES
+from csqpt.errors import TruncationWarning, ValidationError
 
 np_rng = np.random.default_rng(20260813)
 
@@ -64,6 +68,50 @@ def test_displacement_unitary_and_vacuum():
     assert np.abs(ket - ref).max() < 1e-8
 
 
+def _expm_displacement(alpha, dim):
+    # oracle: scipy's expm of the truncated generator, sharing no code with
+    # the quadrature path
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 64), st.floats(0, 3), st.floats(-np.pi, np.pi))
+@example(1, 0.0, 0.0)
+@example(1, 3.0, 1.0)
+@example(64, 0.0, 0.0)
+@example(64, 3.0, np.pi / 4)
+def test_displacement_matches_expm(dim, r, theta):
+    # fast path vs slow oracle: both are the truncated exponential, <= 1e-13
+    alpha = r * np.exp(1j * theta)
+    d = fock.displacement(alpha, dim)
+    assert np.abs(d - _expm_displacement(alpha, dim)).max() <= 1e-13
+    assert np.abs(d.conj().T @ d - np.eye(dim)).max() <= 1e-13
+
+
+def test_displacements_stack():
+    # one (m, d, d) array equal to the single displacements
+    alphas = [0.0, 1.2j, -0.7 + 0.3j]
+    stack = fock.displacements(alphas, 12)
+    assert stack.shape == (3, 12, 12)
+    for alpha, d in zip(alphas, stack):
+        assert np.abs(d - _expm_displacement(alpha, 12)).max() <= 1e-13
+
+
+def test_quadrature_cache_read_only_and_bounded():
+    lam, w = fock._quadrature(9)
+    for arr in (lam, w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # a returned displacement is the caller's own array
+    d = fock.displacement(0.4j, 9)
+    d[:] = 0
+    assert np.abs(fock.displacement(0.4j, 9) - _expm_displacement(0.4j, 9)).max() <= 1e-13
+    for dim in range(2, 2 + CACHE_ENTRIES + 2):
+        fock.displacement(0.1, dim)
+    assert len(fock._QUADRATURE_CACHE) == CACHE_ENTRIES
+
+
 def test_displacement_inverse():
     alpha = 0.8 - 0.5j
     D = fock.displacement(alpha, 24)
@@ -106,25 +154,12 @@ def test_parity():
     assert np.abs(ket - fock.coherent_state(-0.6 - 0.3j, 40)).max() < 1e-12
 
 
-def test_embed_truncate_roundtrip():
-    ket = fock.coherent_state(0.5, 12)
-    assert np.abs(fock.truncate(fock.embed(ket, 20), 12) - ket).max() == 0
-    op = fock.displacement(0.4, 12)
-    assert np.abs(fock.truncate(fock.embed(op, 20), 12) - op).max() == 0
-    with pytest.raises(DimensionMismatchError):
-        fock.embed(ket, 8)
-    with pytest.raises(DimensionMismatchError):
-        fock.truncate(ket, 16)
-
-
 def test_truncated_coherent_trace_is_poisson_mass():
     # trace of the 6-level block of |alpha><alpha| at alpha=1.5 equals the
     # Poisson(2.25) mass through n=5, up to the dim-32 renormalization
     ket = fock.coherent_state(1.5, 32)
     rho = np.outer(ket, ket.conj())
-    block = fock.truncate(rho, 6)
+    block = rho[:6, :6]
     expected = poisson.cdf(5, 2.25) / poisson.cdf(31, 2.25)
     assert abs(np.trace(block).real - expected) < 1e-12
     assert abs(np.trace(block).real - 0.97263) < 5e-5
-    renorm = fock.truncate(rho, 6, renormalize=True)
-    assert abs(np.trace(renorm).real - 1.0) < 1e-14

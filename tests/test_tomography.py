@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from csqpt import channel, fock, gates, tomography
 from csqpt.errors import DataQualityError, ValidationError
@@ -33,6 +34,26 @@ def test_wigner_point_values():
     for n in range(5):
         rho = np.outer(fock.fock_state(n, 24), fock.fock_state(n, 24).conj())
         assert abs(tomography.wigner_value(rho, 0.0) - (-1) ** n * 2 / np.pi) < 1e-12
+
+
+def test_parity_stack_matches_expm_build():
+    # fast path vs slow oracle: the batched quadrature stack against one
+    # scipy expm per beta, (2/pi) D P D^dag, on the contract grid, <= 1e-13
+    dim = 32
+    betas = tomography.wigner_grid().betas
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    p = np.diag((-1.0) ** np.arange(dim))
+    ref = np.empty((betas.size, dim, dim), dtype=complex)
+    for j, beta in enumerate(betas):
+        d = expm(beta * a.conj().T - np.conj(beta) * a)
+        ref[j] = (2 / np.pi) * (d @ p @ d.conj().T)
+    ops = tomography.parity_model(betas, dim).ops
+    assert np.abs(ops - ref).max() <= 1e-13
+    # beta = 0 and dim 1 give the bare parity (2/pi) diag((-1)^n)
+    zero = tomography.parity_model(np.zeros(1), dim).ops[0]
+    assert np.abs(zero - (2 / np.pi) * p).max() <= 1e-13
+    one = tomography.parity_model(betas[:3], 1).ops
+    assert np.abs(one - 2 / np.pi).max() <= 1e-15
 
 
 def test_wigner_coherent_gaussian():
