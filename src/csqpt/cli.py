@@ -243,8 +243,15 @@ def cmd_reconstruct(args):
         f" total={report.total:.3e} grad_norm={report.grad_norm:.3e}"
     )
     if not report.converged:
+        why = {
+            "max_iters": f"reached the cap of {rcfg.max_iters} iterations",
+            "line_search_floor": (
+                f"line search hit the step floor after {report.iters_used}"
+                " iterations"
+            ),
+        }[report.stop_reason]
         print(
-            f"warning: no convergence within {rcfg.max_iters} iterations"
+            f"warning: no convergence: {why}"
             f" (grad_norm {report.grad_norm:.3e} > {rcfg.grad_tol:.1e})",
             file=sys.stderr,
         )

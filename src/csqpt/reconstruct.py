@@ -6,6 +6,19 @@ constraint V^dag V = I, so the feasible set is a complex Stiefel manifold
 and the optimizer is projected gradient descent: Wirtinger gradient,
 tangent-space projection, Armijo backtracking, polar retraction.
 
+The retraction of a tangent step xi at an isometry V has a closed form.
+V^dag xi is skew-Hermitian, so (V - t xi)^dag (V - t xi) = I + t^2 xi^dag xi
+and the polar factor of V - t xi is (V - t xi)(I + t^2 xi^dag xi)^(-1/2)
+(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+2008).  One d x d ``eigh`` of xi^dag xi per iteration serves every trial
+step of the line search, each then one (r*d) x d by d x d product, and the
+retraction is never rank-deficient.  The public ``retract`` takes arbitrary
+matrices and keeps the SVD polar factor with its rank check.
+
+A fit stops for one of ``STOP_REASONS``: the projected gradient norm fell
+to ``grad_tol``, the line search found no decrease above the step floor
+``MIN_STEP``, or ``max_iters`` steps were taken.
+
 The loss is L = l2 + gamma * l1 with l2 the squared Wigner residual and l1
 the sum of |Re| and |Im| over the stack.  For a shot-noise dataset
 (``shots`` > 0) each squared residual is weighted by the inverse of that
@@ -50,6 +63,9 @@ INIT_MODES = ("identity-perturbed", "random-isometry")
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 MIN_STEP = 1e-14
+
+# why a fit stopped; only "grad_tol" counts as converged
+STOP_REASONS = ("grad_tol", "line_search_floor", "max_iters")
 
 
 @dataclass(frozen=True)
@@ -121,6 +137,21 @@ class LossReport:
     iters_used: int
     history: tuple
     converged: bool = True
+    stop_reason: str = None  # one of STOP_REASONS; None without a fit
+
+    def __post_init__(self):
+        if self.stop_reason is None:
+            return
+        if self.stop_reason not in STOP_REASONS:
+            raise ValidationError(
+                f"stop_reason must be one of {STOP_REASONS}, "
+                f"not {self.stop_reason!r}"
+            )
+        if self.converged != (self.stop_reason == "grad_tol"):
+            raise ValidationError(
+                f"converged={self.converged} contradicts "
+                f"stop_reason {self.stop_reason!r}"
+            )
 
 
 def stack_kraus(operators):
@@ -282,6 +313,17 @@ def _polar(w):
     return u @ vh
 
 
+def _retraction_along(v, xi):
+    """t -> polar factor of v - t xi, for a tangent xi at the isometry v.
+
+    Closed form (v - t xi)(I + t^2 xi^dag xi)^(-1/2) through one eigh of
+    xi^dag xi; each t then costs one (r*d) x d by d x d product.
+    """
+    lam, q = np.linalg.eigh(xi.conj().T @ xi)
+    vq, xq, qh = v @ q, xi @ q, q.conj().T
+    return lambda t: ((vq - t * xq) / np.sqrt(1.0 + t * t * lam)) @ qh
+
+
 def retract(matrix):
     """Nearest isometry V (V^dag V)^(-1/2) via the polar decomposition."""
     w = np.asarray(matrix, dtype=complex)
@@ -312,9 +354,13 @@ def reconstruct(ds, cfg):
     for a shot-noise dataset, see the module docstring) by projected
     gradient descent on the stacked-isometry manifold with
     monotone Armijo backtracking (the accepted trial step doubles as the
-    next iteration's first trial).  Stops when the projected gradient norm
-    falls to cfg.grad_tol or after cfg.max_iters accepted steps; in the
-    latter case the report carries converged=False.
+    next iteration's first trial).  Every trial point is the closed-form
+    polar retraction of the tangent step, from one d x d ``eigh`` per
+    iteration.  ``report.stop_reason`` says why the fit stopped:
+    "grad_tol" (the projected gradient norm fell to cfg.grad_tol, the only
+    case with converged=True), "line_search_floor" (no trial step above
+    ``MIN_STEP`` decreased the loss) or "max_iters" (cfg.max_iters steps
+    were accepted).
 
     Returns (KrausSet, LossReport).  The returned set is re-certified CPTP;
     NotAChannelError if that fails is a hard error.
@@ -325,50 +371,43 @@ def reconstruct(ds, cfg):
     l2, l1, total, wresid = _loss_terms(v, kets, mops, y, cfg.gamma, weights)
     history = [total]
     step = cfg.step_size
-    grad_norm = np.inf
-    converged = False
+    stop_reason = "max_iters"
 
-    for _ in range(cfg.max_iters):
+    # one pass more than max_iters, to report the gradient at the last point
+    for it in range(cfg.max_iters + 1):
         xi = _project(v, _gradient(v, kets, mops, wresid, cfg.gamma))
         grad_norm = float(np.linalg.norm(xi))
         if grad_norm <= cfg.grad_tol:
-            converged = True
+            stop_reason = "grad_tol"
+            break
+        if it == cfg.max_iters:
             break
         # Armijo backtracking along -xi; slope of L at t=0 is -2||xi||^2
         decrease_rate = 2.0 * grad_norm**2
+        along = _retraction_along(v, xi)
         t = step
-        accepted = False
         while t > MIN_STEP:
-            try:
-                v_new = _polar(v - t * xi)
-            except RetractionError:
-                t *= ARMIJO_FACTOR
-                continue
+            v_new = along(t)
             l2_new, l1_new, total_new, wresid_new = _loss_terms(
                 v_new, kets, mops, y, cfg.gamma, weights
             )
             if total_new <= total - ARMIJO_SLOPE * t * decrease_rate:
-                accepted = True
                 break
             t *= ARMIJO_FACTOR
-        if not accepted:
-            # line search hit the step floor: no further monotone progress
+        else:
+            # no monotone progress above the step floor
+            stop_reason = "line_search_floor"
             break
         v, l2, l1, total, wresid = v_new, l2_new, l1_new, total_new, wresid_new
         history.append(total)
         step = t / ARMIJO_FACTOR  # carry over, one factor more ambitious
-    else:
-        # max_iters exhausted; report the gradient at the final point
-        xi = _project(v, _gradient(v, kets, mops, wresid, cfg.gamma))
-        grad_norm = float(np.linalg.norm(xi))
-        converged = grad_norm <= cfg.grad_tol
 
     point = retract(v)
     ks = require_certified(KrausSet(point.kraus()))
     report = LossReport(
         l2=l2, l1=l1, total=total, grad_norm=grad_norm,
         iters_used=len(history) - 1, history=tuple(history),
-        converged=converged,
+        converged=stop_reason == "grad_tol", stop_reason=stop_reason,
     )
     return ks, report
 
@@ -396,7 +435,7 @@ def result_to_json(ks, report, cfg):
         "loss": {
             "l2": report.l2, "l1": report.l1, "total": report.total,
             "grad_norm": report.grad_norm, "iters_used": report.iters_used,
-            "converged": report.converged,
+            "converged": report.converged, "stop_reason": report.stop_reason,
         },
         "history": list(report.history),
     }
@@ -415,6 +454,7 @@ def result_from_json(data):
             iters_used=int(lo["iters_used"]),
             history=tuple(float(t) for t in data["history"]),
             converged=bool(lo["converged"]),
+            stop_reason=lo.get("stop_reason"),  # absent from older v1 files
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed result JSON: {exc}") from exc

@@ -190,7 +190,18 @@ def test_reconstruct_nonconvergence_warns_but_exits_zero(tmp_path, capsys):
                  "--iters", "3", "--out", str(out)]) == 0
     _, report, _ = reconstruct.load_result(str(out))
     assert not report.converged
-    assert "warning: no convergence" in capsys.readouterr().err
+    assert report.stop_reason == "max_iters"
+    err = capsys.readouterr().err
+    assert "warning: no convergence: reached the cap of 3 iterations" in err
+
+    # a step below the floor stops at once, and the warning says so
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"step_size": 1e-15}))
+    assert main(["reconstruct", "--config", str(cfg_path), "--data", ds_path,
+                 "--rank", "1", "--dim", "6", "--out", str(out)]) == 0
+    assert reconstruct.load_result(str(out))[1].stop_reason == "line_search_floor"
+    err = capsys.readouterr().err
+    assert "line search hit the step floor after 0 iterations" in err
 
 
 def test_analyze_ideal_x_emits(tmp_path, capsys):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csqpt import gates, reconstruct as rec, tomography as tomo
 from csqpt.channel import (
@@ -248,6 +250,44 @@ def test_weighted_gradient_matches_finite_differences():
     assert exact.l2 == float((resid * resid).sum())
 
 
+def random_isometry(rng, r, d):
+    return rec.retract(
+        rng.standard_normal((r * d, d)) + 1j * rng.standard_normal((r * d, d))
+    ).matrix
+
+
+def random_tangent(rng, v):
+    z = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+    return rec._project(v, z)
+
+
+@pytest.mark.parametrize("shots", [0, 50])
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.integers(4, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_gradient_matches_finite_differences_random_sizes(shots, d, r, seed):
+    # unweighted (exact data) and variance-weighted (shot data) loss
+    rng = np.random.default_rng(seed)
+    truth = random_channel(d, r, rng)
+    ds = tomo.simulate_dataset(
+        truth, tomo.probe_grid(3, 1.0), tomo.wigner_grid(3, 1.2),
+        shots=shots, seed=seed,
+    )
+    w = shot_weights(ds) if shots else 1.0
+    pt = rec.IsometryPoint(random_isometry(rng, r, d))
+    h = 1e-5
+    assume(min(np.abs(pt.matrix.real).min(), np.abs(pt.matrix.imag).min()) > 10 * h)
+    gamma = 4e-4
+    g = rec.euclidean_gradient(pt, ds, gamma)
+    kets = rec._probe_kets(ds.probes, d)
+    mops = tomo.displaced_parity_ops(ds.betas, d)
+
+    def total(m):
+        resid = rec._predict(m, kets, mops) - ds.values
+        return float((w * resid**2).sum()) + gamma * rec._l1_parts(m)
+
+    assert fd_wirtinger_mismatch(total, g, pt.matrix, h) <= 1e-5
+
+
 def test_gradient_stationary_at_truth():
     rng = np.random.default_rng(9)
     truth = random_channel(6, 2, rng)
@@ -301,6 +341,97 @@ def test_retraction_properties():
     moved = rec.retract(v + delta).matrix
     err = np.linalg.norm(moved - (v + delta))
     assert err < 10 * np.linalg.norm(delta) ** 2
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.integers(2, 8), st.integers(1, 3), st.floats(0.0, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_tangent_retraction_matches_svd_polar(d, r, t, seed):
+    rng = np.random.default_rng(seed)
+    v = random_isometry(rng, r, d)
+    xi = random_tangent(rng, v)
+    moved = rec._retraction_along(v, xi)(t)
+    assert np.abs(moved - rec._polar(v - t * xi)).max() <= 1e-12
+    assert np.abs(moved.conj().T @ moved - np.eye(d)).max() <= 1e-12
+
+
+def test_tangent_retraction_drift():
+    # chained closed-form retractions assume an exact isometry; the defect
+    # they leave must stay at rounding level over a long fit
+    rng = np.random.default_rng(17)
+    d = 8
+    v = random_isometry(rng, 2, d)
+    for _ in range(5000):
+        xi = random_tangent(rng, v)
+        v = rec._retraction_along(v, xi)(0.1)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-11
+
+
+def test_fit_linear_algebra_counts(monkeypatch):
+    # a fit makes two SVDs (initial_point, final retract) whatever its length,
+    # and at most one eigh per iteration for all of its trial steps
+    rng = np.random.default_rng(18)
+    truth = random_channel(5, 2, rng)
+    ds = small_dataset(truth)
+    cfg = rec.ReconstructionConfig(
+        rank=2, dim=5, gamma=1e-4, max_iters=10, grad_tol=0.0, seed=6,
+    )
+    rec.reconstruct(ds, replace(cfg, max_iters=0))  # fill the model caches
+    counts = {}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    for iters in (3, 10):
+        counts.clear()
+        _, rep = rec.reconstruct(ds, replace(cfg, max_iters=iters))
+        assert rep.iters_used == iters
+        assert counts.get("svd", 0) == 2
+        assert counts.get("eigh", 0) <= iters
+
+
+def test_stop_reasons(tmp_path):
+    ident = KrausSet(np.eye(6)[None])
+    ds = small_dataset(ident)
+    cfg = rec.ReconstructionConfig(
+        rank=1, dim=6, gamma=0.0, max_iters=500, grad_tol=1e-3, seed=1,
+    )
+    cases = {
+        "grad_tol": cfg,
+        "max_iters": replace(cfg, max_iters=2, grad_tol=0.0),
+        "line_search_floor": replace(cfg, step_size=rec.MIN_STEP / 2),
+    }
+    iters = {}
+    for reason, c in cases.items():
+        ks, rep = rec.reconstruct(ds, c)
+        assert ks.certified
+        assert rep.stop_reason == reason
+        assert rep.converged == (reason == "grad_tol")
+        iters[reason] = rep.iters_used
+        path = tmp_path / f"{reason}.json"
+        rec.save_result(ks, rep, c, path)
+        assert rec.load_result(path)[1].stop_reason == reason
+    assert 0 < iters["grad_tol"] < 500
+    assert iters["line_search_floor"] == 0  # stopped before any step
+
+    # a v1 file written before stop_reason existed still loads
+    data = rec.result_to_json(ks, rep, c)
+    del data["loss"]["stop_reason"]
+    assert rec.result_from_json(data)[1].stop_reason is None
+    with pytest.raises(ValidationError):
+        replace(rep, stop_reason="tired")
+    with pytest.raises(ValidationError):
+        replace(rep, converged=True)
 
 
 def test_reconstruct_identity_channel():
