@@ -8,16 +8,21 @@ against the direct logical Pauli transfer matrix.
 
 Conventions shared by all subcommands:
 
+- each option is one row of ``OPTIONS``, which gives its config key,
+  flag, type, default and help; ``init``, ``step_size`` and ``grad_tol``
+  of ``reconstruct`` are config-only, and ``--data`` and ``--result``
+  must be given as flags;
 - settings resolve as flags over ``--config`` JSON file over built-in
-  defaults, and every run prints the resolved configuration and seed
-  before doing any work; identical resolved configurations produce
-  identical output files;
+  defaults, and every value passes through its option's type; every run
+  prints the converted configuration and seed before doing any work, and
+  identical resolved configurations produce identical output files;
 - structured artifacts are JSON carrying a ``schema`` field, matrices
   are CSV with labeled headers;
 - a gate is specified as the builtin name ``x-gate``, a path to a gate
   sequence JSON file ({"steps": [...]}), or a path to a Kraus JSON file;
-- exit codes: 0 success (warnings included), 2 usage, 3 unreadable or
-  invalid data, 4 numerical failure.
+- exit codes: 0 success (warnings included), 2 usage (a malformed number
+  given as a flag included), 3 unreadable or invalid data (any config
+  value that does not convert included), 4 numerical failure.
 
 The environment variable ``CSQPT_THREADS`` caps the BLAS thread count.
 It takes effect when the package is imported before numpy, which is
@@ -49,106 +54,138 @@ NUMERIC_EXIT = 4
 EMIT_CHOICES = ("gtm", "ptm", "poptm", "fidelity", "sweep")
 SWEEP_CUTS = tuple(range(2, 11))
 
-SIMULATE_DEFAULTS = {
-    "gate": "x-gate",
-    "dim": 32,
-    "shots": 0,
-    "seed": 0,
-    "probe_grid": "5,1.5",
-    "wigner_grid": "21,2.62",
-    "noise": None,
-    "out": "dataset.json",
-}
-# init, step_size and grad_tol have no dedicated flags but may be set
-# through the --config file; they mirror ReconstructionConfig fields.
-RECONSTRUCT_DEFAULTS = {
-    "data": None,
-    "rank": 4,
-    "dim": 32,
-    "gamma": 4e-4,
-    "iters": 2000,
-    "seed": 0,
-    "init": "identity-perturbed",
-    "step_size": 0.1,
-    "grad_tol": 1e-6,
-    "out": "result.json",
-}
-ANALYZE_DEFAULTS = {
-    "result": None,
-    "target": "x-gate",
-    "emit": None,
-    "out_dir": ".",
-}
-BUDGET_DEFAULTS = {
-    "dim": 32,
-    "noise": "315,478",
-    "out": "budget.csv",
-}
-DECODE_DEFAULTS = {
-    "gate": "x-gate",
-    "dim": 32,
-    "noise": None,
-    "out_dir": ".",
+
+# Value types: each turns a flag string or a --config JSON value into what
+# the command runs with, raising ValueError or TypeError when it cannot.
+def integer(value):
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def real(value):
+    if isinstance(value, bool):
+        raise ValueError("not a number")
+    return float(value)
+
+
+def string(value):
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
+def _pair(value):
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or len(parts) != 2:
+        raise ValueError("expected two values 'a,b'")
+    return parts
+
+
+def grid_spec(value):
+    """'n,extent' or [n, extent] -> (n, extent)."""
+    n, extent = _pair(value)
+    return integer(n), real(extent)
+
+
+def decay_times(value):
+    """'T1,T2' or [T1, T2] in microseconds, inf allowed -> DecoherenceParams."""
+    t1, t2 = _pair(value)
+    return DecoherenceParams(t1=real(t1), t2=real(t2))
+
+
+def emit_kinds(value):
+    kinds = [value] if isinstance(value, str) else list(value)
+    unknown = sorted(set(kinds) - set(EMIT_CHOICES))
+    if unknown:
+        raise ValueError(f"unknown emit kinds {unknown}")
+    return kinds
+
+
+# Every option of every subcommand, once: (config key, type, default, help).
+# The flag is --key with "_" spelled "-"; a row with help None is a
+# config-only key, and a REQUIRED row is a flag that must be given.
+REQUIRED = object()
+_FIT = reconstruct.ReconstructionConfig()
+DIM = ("dim", integer, _FIT.dim, "Fock truncation")
+GATE = ("gate", string, "x-gate", "x-gate | sequence JSON | Kraus JSON")
+NOISE = ("noise", decay_times, None, "T1,T2 in microseconds; inf allowed")
+OPTIONS = {
+    "simulate": (
+        GATE, DIM,
+        ("shots", integer, 0, "shots per Wigner point; 0 = exact"),
+        ("seed", integer, 0, "shot-noise seed"),
+        ("probe_grid", grid_spec, "5,1.5", "n,alpha_max"),
+        ("wigner_grid", grid_spec, "21,2.62", "n,beta_max"),
+        NOISE,
+        ("out", string, "dataset.json", "output dataset path"),
+    ),
+    "reconstruct": (
+        ("data", string, REQUIRED, "dataset JSON path"),
+        ("rank", integer, _FIT.rank, "number of Kraus operators"),
+        DIM,
+        ("gamma", real, _FIT.gamma, "L1 weight"),
+        ("iters", integer, _FIT.max_iters, "iteration cap"),
+        ("seed", integer, _FIT.seed, "init seed"),
+        ("init", string, _FIT.init, None),
+        ("step_size", real, _FIT.step_size, None),
+        ("grad_tol", real, _FIT.grad_tol, None),
+        ("out", string, "result.json", "output result path"),
+    ),
+    "analyze": (
+        ("result", string, REQUIRED, "result JSON path"),
+        ("target", string, "x-gate", "target gate spec"),
+        ("emit", emit_kinds, None, "artifact to emit; repeatable; none emits all"),
+        ("out_dir", string, ".", "output directory"),
+    ),
+    "budget": (
+        DIM,
+        ("noise", decay_times, "315,478", "T1,T2 in microseconds; inf allowed"),
+        ("out", string, "budget.csv", "output CSV path"),
+    ),
+    "decode-study": (GATE, DIM, NOISE, ("out_dir", string, ".", "output directory")),
 }
 
 
-def _resolve(args, defaults):
-    """Merge flag values over --config file values over defaults."""
+def _resolve(args):
+    """Typed settings of one run: flag over --config file over default.
+
+    Every value passes through its row's type; one that does not convert,
+    or a null where the default is not None, raises ValidationError.
+    """
+    rows = OPTIONS[args.command]
     from_file = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
+    if args.config:
         try:
-            with open(config_path) as fh:
+            with open(args.config) as fh:
                 from_file = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {config_path}: {exc}") from exc
+            raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(from_file, dict):
             raise ValidationError("config file must hold a JSON object")
-        unknown = sorted(set(from_file) - set(defaults))
+        unknown = sorted(set(from_file) - {row[0] for row in rows})
         if unknown:
             raise ValidationError(f"unknown config keys {unknown}")
     resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        resolved[key] = flag if flag is not None else from_file.get(key, default)
+    for key, kind, default, _ in rows:
+        value = getattr(args, key, None)
+        if value is None:
+            value = from_file.get(key, default)
+        if value is None and default is not None:
+            raise ValidationError(f"{key} must not be null")
+        try:
+            resolved[key] = None if value is None else kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad {key} {value!r}: {exc}") from exc
     return resolved
 
 
 def _print_header(command, resolved):
     print(f"command: {command}")
-    print("config:", json.dumps(resolved, sort_keys=True))
+    # vars prints a DecoherenceParams as {"t1": ..., "t2": ...}
+    print("config:", json.dumps(resolved, sort_keys=True, default=vars))
     seed = resolved.get("seed", "none")
     print(f"seed: {seed}")
-
-
-def _parse_grid(value, what):
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        parts = value
-    else:
-        parts = str(value).split(",")
-    if len(parts) != 2:
-        raise ValidationError(f"{what} must be 'n,extent', got {value!r}")
-    try:
-        return int(parts[0]), float(parts[1])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad {what} {value!r}: {exc}") from exc
-
-
-def _parse_noise(value):
-    """'T1,T2' (microseconds; inf allowed) -> DecoherenceParams or None."""
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        parts = value
-    else:
-        parts = str(value).split(",")
-    if len(parts) != 2:
-        raise ValidationError(f"noise must be 'T1,T2', got {value!r}")
-    try:
-        t1, t2 = float(parts[0]), float(parts[1])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad noise spec {value!r}: {exc}") from exc
-    return DecoherenceParams(t1=t1, t2=t2)
 
 
 def _read_json(path):
@@ -205,14 +242,12 @@ def _resolve_target(spec, code):
     return p @ u @ p, u
 
 
-def cmd_simulate(args):
-    cfg = _resolve(args, SIMULATE_DEFAULTS)
-    _print_header("simulate", cfg)
-    probes = tomography.probe_grid(*_parse_grid(cfg["probe_grid"], "probe grid"))
-    grid = tomography.wigner_grid(*_parse_grid(cfg["wigner_grid"], "wigner grid"))
-    channel = _gate_channel(cfg["gate"], int(cfg["dim"]), _parse_noise(cfg["noise"]))
+def cmd_simulate(cfg):
+    probes = tomography.probe_grid(*cfg["probe_grid"])
+    grid = tomography.wigner_grid(*cfg["wigner_grid"])
+    channel = _gate_channel(cfg["gate"], cfg["dim"], cfg["noise"])
     ds = tomography.simulate_dataset(
-        channel, probes, grid, shots=int(cfg["shots"]), seed=int(cfg["seed"])
+        channel, probes, grid, shots=cfg["shots"], seed=cfg["seed"]
     )
     tomography.save_dataset(ds, cfg["out"])
     print(
@@ -222,20 +257,10 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_reconstruct(args):
-    cfg = _resolve(args, RECONSTRUCT_DEFAULTS)
-    _print_header("reconstruct", cfg)
+def cmd_reconstruct(cfg):
     ds = tomography.load_dataset(cfg["data"])
-    rcfg = reconstruct.ReconstructionConfig(
-        rank=int(cfg["rank"]),
-        dim=int(cfg["dim"]),
-        gamma=float(cfg["gamma"]),
-        max_iters=int(cfg["iters"]),
-        step_size=float(cfg["step_size"]),
-        grad_tol=float(cfg["grad_tol"]),
-        seed=int(cfg["seed"]),
-        init=cfg["init"],
-    )
+    fit = {k: v for k, v in cfg.items() if k not in ("data", "iters", "out")}
+    rcfg = reconstruct.ReconstructionConfig(max_iters=cfg["iters"], **fit)
     ks, report = reconstruct.reconstruct(ds, rcfg)
     reconstruct.save_result(ks, report, rcfg, cfg["out"])
     print(
@@ -264,13 +289,8 @@ def _write_text(path, text):
     print(f"wrote {path}")
 
 
-def cmd_analyze(args):
-    cfg = _resolve(args, ANALYZE_DEFAULTS)
-    _print_header("analyze", cfg)
-    emits = tuple(cfg["emit"] or EMIT_CHOICES)
-    unknown = sorted(set(emits) - set(EMIT_CHOICES))
-    if unknown:
-        raise ValidationError(f"unknown emit kinds {unknown}")
+def cmd_analyze(cfg):
+    emits = cfg["emit"] or EMIT_CHOICES
     ks, report, rcfg = reconstruct.load_result(cfg["result"])
     code = gates.BinomialCode(ks.dim)
     target_logical, target_full = _resolve_target(cfg["target"], code)
@@ -306,14 +326,9 @@ def cmd_analyze(args):
     return 0
 
 
-def cmd_budget(args):
-    cfg = _resolve(args, BUDGET_DEFAULTS)
-    _print_header("budget", cfg)
-    params = _parse_noise(cfg["noise"])
-    if params is None:
-        raise ValidationError("budget requires --noise T1,T2 (inf,inf allowed)")
-    code = gates.BinomialCode(int(cfg["dim"]))
-    budget = metrics.error_budget(gates.x_gate_sequence(), params, code)
+def cmd_budget(cfg):
+    code = gates.BinomialCode(cfg["dim"])
+    budget = metrics.error_budget(gates.x_gate_sequence(), cfg["noise"], code)
     lines = ["channel,contribution"]
     lines += [f"{label},{repr(float(x))}" for label, x in budget.contributions]
     _write_text(cfg["out"], "\n".join(lines) + "\n")
@@ -323,12 +338,9 @@ def cmd_budget(args):
     return 0
 
 
-def cmd_decode_study(args):
-    cfg = _resolve(args, DECODE_DEFAULTS)
-    _print_header("decode-study", cfg)
-    dim = int(cfg["dim"])
-    channel = _gate_channel(cfg["gate"], dim, _parse_noise(cfg["noise"]))
-    code = gates.BinomialCode(dim)
+def cmd_decode_study(cfg):
+    channel = _gate_channel(cfg["gate"], cfg["dim"], cfg["noise"])
+    code = gates.BinomialCode(cfg["dim"])
     decoded, direct = metrics.decoder_study(channel, code)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -340,73 +352,53 @@ def cmd_decode_study(args):
     return 0
 
 
+COMMANDS = {
+    "simulate": (cmd_simulate, "simulate a Wigner tomography dataset"),
+    "reconstruct": (cmd_reconstruct, "fit Kraus operators to a dataset"),
+    "analyze": (cmd_analyze, "transfer matrices, fidelity, truncation sweep"),
+    "budget": (cmd_budget, "decoherence error budget of the composed gate"),
+    "decode-study": (
+        cmd_decode_study, "decoded vs direct logical Pauli transfer matrix"
+    ),
+}
+
+
 def build_parser():
+    """One --config flag per subcommand plus one flag per OPTIONS row."""
     parser = argparse.ArgumentParser(
         prog="csqpt",
         description="Coherent-state process tomography of bosonic logical gates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="simulate a Wigner tomography dataset")
-    sp.add_argument("--config", help="JSON file with defaults; flags override")
-    sp.add_argument("--gate", help="x-gate | sequence JSON | Kraus JSON (default x-gate)")
-    sp.add_argument("--dim", type=int, help="Fock truncation (default 32)")
-    sp.add_argument("--shots", type=int, help="shots per Wigner point; 0 = exact (default 0)")
-    sp.add_argument("--seed", type=int, help="shot-noise seed (default 0)")
-    sp.add_argument("--probe-grid", dest="probe_grid", help="n,alpha_max (default 5,1.5)")
-    sp.add_argument("--wigner-grid", dest="wigner_grid", help="n,beta_max (default 21,2.62)")
-    sp.add_argument("--noise", help="T1,T2 in microseconds; inf allowed")
-    sp.add_argument("--out", help="output dataset path (default dataset.json)")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("reconstruct", help="fit Kraus operators to a dataset")
-    sp.add_argument("--config", help="JSON file with defaults; flags override")
-    sp.add_argument("--data", required=True, help="dataset JSON path")
-    sp.add_argument("--rank", type=int, help="number of Kraus operators (default 4)")
-    sp.add_argument("--dim", type=int, help="Fock truncation (default 32)")
-    sp.add_argument("--gamma", type=float, help="L1 weight (default 4e-4)")
-    sp.add_argument("--iters", type=int, help="iteration cap (default 2000)")
-    sp.add_argument("--seed", type=int, help="init seed (default 0)")
-    sp.add_argument("--out", help="output result path (default result.json)")
-    sp.set_defaults(func=cmd_reconstruct)
-
-    sp = sub.add_parser("analyze", help="transfer matrices, fidelity, truncation sweep")
-    sp.add_argument("--config", help="JSON file with defaults; flags override")
-    sp.add_argument("--result", required=True, help="result JSON path")
-    sp.add_argument("--target", help="target gate spec (default x-gate)")
-    sp.add_argument(
-        "--emit",
-        action="append",
-        choices=EMIT_CHOICES,
-        help="artifact to emit; repeatable (default: all)",
-    )
-    sp.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("budget", help="decoherence error budget of the composed gate")
-    sp.add_argument("--config", help="JSON file with defaults; flags override")
-    sp.add_argument("--dim", type=int, help="Fock truncation (default 32)")
-    sp.add_argument("--noise", help="T1,T2 in microseconds (default 315,478)")
-    sp.add_argument("--out", help="output CSV path (default budget.csv)")
-    sp.set_defaults(func=cmd_budget)
-
-    sp = sub.add_parser(
-        "decode-study", help="decoded vs direct logical Pauli transfer matrix"
-    )
-    sp.add_argument("--config", help="JSON file with defaults; flags override")
-    sp.add_argument("--gate", help="x-gate | sequence JSON | Kraus JSON (default x-gate)")
-    sp.add_argument("--dim", type=int, help="Fock truncation (default 32)")
-    sp.add_argument("--noise", help="T1,T2 in microseconds")
-    sp.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-    sp.set_defaults(func=cmd_decode_study)
-
+    for command, (func, about) in COMMANDS.items():
+        sp = sub.add_parser(command, help=about)
+        sp.set_defaults(func=func)
+        sp.add_argument("--config", help="JSON file with defaults; flags override")
+        for key, kind, default, text in OPTIONS[command]:
+            if text is None:
+                continue
+            flag = {"dest": key, "help": text}
+            if default is REQUIRED:
+                flag["required"] = True
+            else:
+                shown = "none" if default is None else default
+                flag["help"] += f" (default {shown})"
+            # a malformed number is a usage error (exit 2); composite values
+            # such as grids and noise are checked by _resolve (exit 3)
+            if kind in (integer, real):
+                flag["type"] = kind
+            if kind is emit_kinds:
+                flag.update(action="append", choices=EMIT_CHOICES)
+            sp.add_argument("--" + key.replace("_", "-"), **flag)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve(args)
+        _print_header(args.command, cfg)
+        return args.func(cfg)
     except (NotAChannelError, NumericalConsistencyError, RetractionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT

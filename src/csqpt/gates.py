@@ -1,6 +1,5 @@
 """Binomial-code definitions and the SNAP/displacement gate sequence."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,20 +156,6 @@ def noisy_gate_process(sequence, params, dim):
     return choi_to_kraus(images.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim))
 
 
-def sequence_to_json(sequence):
-    """JSON-serializable dict for a GateSequence."""
-    steps = []
-    for step in sequence.steps:
-        if step.kind == "displace":
-            alpha = complex(step.param)
-            entry = {"type": "displace", "alpha": [alpha.real, alpha.imag]}
-        else:
-            entry = {"type": "snap", "thetas": [float(t) for t in step.param]}
-        entry["duration"] = step.duration
-        steps.append(entry)
-    return {"steps": steps}
-
-
 def sequence_from_json(data):
     if "steps" not in data:
         raise ValidationError("sequence JSON must contain 'steps'")
@@ -186,8 +171,3 @@ def sequence_from_json(data):
         else:
             raise ValidationError(f"unknown step type {kind!r}")
     return GateSequence(tuple(steps))
-
-
-def load_sequence(path):
-    with open(path) as fh:
-        return sequence_from_json(json.load(fh))

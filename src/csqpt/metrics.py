@@ -276,12 +276,3 @@ def fidelity_report_to_json(report):
         "f_avg": report.f_avg, "f_avg_direct": report.f_avg_direct,
         "dim_logical": report.dim_logical,
     }
-
-
-def error_budget_to_json(budget):
-    return {
-        "baseline_infidelity": budget.baseline,
-        "contributions": {label: val for label, val in budget.contributions},
-        "clipped": list(budget.clipped),
-        "scope": budget.scope,
-    }

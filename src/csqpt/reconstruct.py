@@ -84,13 +84,13 @@ class ReconstructionConfig:
             raise ValidationError("rank must be at least 1")
         if self.dim < 2:
             raise ValidationError("dim must be at least 2")
-        if self.gamma < 0:
-            raise ValidationError("gamma must be non-negative")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValidationError("gamma must be finite and non-negative")
         if self.max_iters < 0:
             raise ValidationError("max_iters must be non-negative")
-        if self.step_size <= 0:
-            raise ValidationError("step_size must be positive")
-        if self.grad_tol < 0:
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ValidationError("step_size must be finite and positive")
+        if not self.grad_tol >= 0:  # NaN included
             raise ValidationError("grad_tol must be non-negative")
         if self.init not in INIT_MODES:
             raise ValidationError(f"init must be one of {INIT_MODES}")

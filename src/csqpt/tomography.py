@@ -71,7 +71,6 @@ class TomographyDataset:
     dim: int
     shots: int
     seed: int
-    normalized: bool
 
     def __post_init__(self):
         if self.values.shape != (self.probes.size, self.betas.size):
@@ -231,7 +230,7 @@ def simulate_dataset(channel_ks, probes, grid, shots=0, seed=0):
                 values[i, j] = (2 / np.pi) * (2 * k / shots - 1)
     return TomographyDataset(
         probes=alphas, betas=betas, values=values, dim=dim,
-        shots=int(shots), seed=int(seed), normalized=False,
+        shots=int(shots), seed=int(seed),
     )
 
 
@@ -239,23 +238,18 @@ def subsample_grid(ds, stride=2):
     """Keep every stride-th beta along each grid axis (anchored at index 0)."""
     if stride < 1:
         raise ValidationError("stride must be >= 1")
-    re_axis, im_axis = grid_axes(ds.betas)
-    n_re = len(range(0, re_axis.size, stride))
-    n_im = len(range(0, im_axis.size, stride))
+    re_axis, im_axis = grid_axes(ds.betas)  # row-major, Re fastest
+    shape = (im_axis.size, re_axis.size)
+    betas = ds.betas.reshape(shape)[::stride, ::stride]
+    n_im, n_re = betas.shape
     if n_re < 3 or n_im < 3:
         raise ValidationError(
             f"subsampled grid would be {n_re}x{n_im}; need at least 3x3"
         )
-    keep_re = np.zeros(re_axis.size, dtype=bool)
-    keep_re[::stride] = True
-    keep_im = np.zeros(im_axis.size, dtype=bool)
-    keep_im[::stride] = True
-    re_idx = {v: k for k, v in enumerate(re_axis)}
-    im_idx = {v: k for k, v in enumerate(im_axis)}
-    mask = np.array([
-        keep_re[re_idx[b.real]] and keep_im[im_idx[b.imag]] for b in ds.betas
-    ])
-    return replace(ds, betas=ds.betas[mask], values=ds.values[:, mask])
+    values = ds.values.reshape(-1, *shape)[:, ::stride, ::stride]
+    return replace(
+        ds, betas=betas.reshape(-1), values=values.reshape(ds.probes.size, -1)
+    )
 
 
 def _pairs(arr):
@@ -268,7 +262,7 @@ def dataset_to_json(ds):
         "dim": ds.dim,
         "shots": ds.shots,
         "seed": ds.seed,
-        "normalized": ds.normalized,
+        "normalized": False,  # read by older csqpt releases
         "probes": _pairs(ds.probes),
         "betas": _pairs(ds.betas),
         "values": [[float(v) for v in row] for row in ds.values],
@@ -282,10 +276,15 @@ def dataset_from_json(data):
         probes = np.array([complex(re, im) for re, im in data["probes"]])
         betas = np.array([complex(re, im) for re, im in data["betas"]])
         values = np.asarray(data["values"], dtype=float)
+        if data["normalized"]:
+            # only normalize_dataset of older csqpt releases wrote true
+            raise DataQualityError(
+                "dataset holds rescaled (normalized) values, not raw Wigner data"
+            )
         return TomographyDataset(
             probes=probes, betas=betas, values=values,
             dim=int(data["dim"]), shots=int(data["shots"]),
-            seed=int(data["seed"]), normalized=bool(data["normalized"]),
+            seed=int(data["seed"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataQualityError(f"malformed dataset JSON: {exc}") from exc

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from csqpt import channel, gates, metrics, reconstruct, tomography
-from csqpt.cli import main
+from csqpt.cli import EMIT_CHOICES, build_parser, main
 
 pytestmark = pytest.mark.filterwarnings("ignore::csqpt.errors.TruncationWarning")
 
@@ -316,6 +317,136 @@ def test_config_file_merge(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"shotz": 5}))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.json")]) == 3
+
+
+def simulate_flags(tmp_path, skip=()):
+    """Flags for a small identity-gate simulate run, minus the keys in skip."""
+    gate = write_kraus_json(channel.unitary_channel(np.eye(6, dtype=complex)),
+                            tmp_path / "id.json")
+    flags = {"gate": gate, "dim": "6", "probe_grid": "3,0.8", "wigner_grid": "3,1.0"}
+    argv = ["simulate"]
+    for key, value in flags.items():
+        if key not in skip:
+            argv += ["--" + key.replace("_", "-"), value]
+    return argv
+
+
+MALFORMED = [
+    ("simulate", {"dim": "abc"}),
+    ("simulate", {"dim": None}),
+    ("simulate", {"dim": True}),
+    ("simulate", {"seed": "x"}),
+    ("simulate", {"shots": 1.7}),
+    ("simulate", {"probe_grid": [3]}),
+    ("simulate", {"noise": "a,b"}),
+    ("reconstruct", {"gamma": "x"}),
+    ("reconstruct", {"iters": 2.5}),
+    ("reconstruct", {"step_size": None}),
+]
+
+
+@pytest.mark.parametrize("command, bad", MALFORMED,
+                         ids=[f"{c}-{json.dumps(b)}" for c, b in MALFORMED])
+def test_malformed_config_value_is_data_error(tmp_path, capsys, command, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    if command == "simulate":
+        argv = simulate_flags(tmp_path, skip=bad)
+    else:
+        argv = ["reconstruct", "--data", small_dataset(tmp_path), "--rank", "1",
+                "--dim", "6"]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 3
+    (key,) = bad
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith((f"error: bad {key} ", f"error: {key} must not be null"))
+    assert not out.exists()
+
+
+def test_config_values_convert_like_flags(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"shots": "5", "noise": None}))
+    out = tmp_path / "ds.json"
+    assert main(simulate_flags(tmp_path) + ["--config", str(cfg_path),
+                                            "--out", str(out)]) == 0
+    assert tomography.load_dataset(str(out)).shots == 5
+    assert '"shots": 5,' in capsys.readouterr().out
+
+    res = write_ideal_x_result(8, tmp_path / "res.json")
+    cfg_path.write_text(json.dumps({"emit": "ptm"}))
+    out_dir = tmp_path / "reports"
+    assert main(["analyze", "--config", str(cfg_path), "--result", res,
+                 "--out-dir", str(out_dir)]) == 0
+    assert os.listdir(out_dir) == ["ptm.csv"]
+
+
+def test_malformed_number_flag_is_usage_error(tmp_path):
+    for argv in (["simulate", "--dim", "abc"], ["simulate", "--shots", "1.5"],
+                 ["reconstruct", "--data", "d.json", "--gamma", "x"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(tmp_path / "x.json")])
+        assert err.value.code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+# Every flag of every subcommand with the default its help names (None:
+# a required flag); --config and --help come on top.
+FLAGS = {
+    "simulate": {"--gate": "x-gate", "--dim": "32", "--shots": "0", "--seed": "0",
+                 "--probe-grid": "5,1.5", "--wigner-grid": "21,2.62",
+                 "--noise": "none", "--out": "dataset.json"},
+    "reconstruct": {"--data": None, "--rank": "4", "--dim": "32", "--gamma": "0.0004",
+                    "--iters": "2000", "--seed": "0", "--out": "result.json"},
+    "analyze": {"--result": None, "--target": "x-gate", "--emit": "none",
+                "--out-dir": "."},
+    "budget": {"--dim": "32", "--noise": "315,478", "--out": "budget.csv"},
+    "decode-study": {"--gate": "x-gate", "--dim": "32", "--noise": "none",
+                     "--out-dir": "."},
+}
+
+
+def test_flags_and_their_defaults_are_pinned():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert list(commands) == list(FLAGS)
+    for command, flags in FLAGS.items():
+        actions = {a.option_strings[-1]: a for a in commands[command]._actions}
+        assert set(actions) == {"--help", "--config", *flags}
+        for flag, default in flags.items():
+            if default is None:
+                assert actions[flag].required
+            else:
+                assert f"(default {default})" in actions[flag].help
+    emit = {a.option_strings[-1]: a for a in commands["analyze"]._actions}["--emit"]
+    assert tuple(emit.choices) == EMIT_CHOICES
+    assert parser.parse_args(["analyze", "--result", "r", "--emit", "ptm",
+                              "--emit", "gtm"]).emit == ["ptm", "gtm"]
+
+
+def test_reconstruct_defaults_are_the_library_defaults(tmp_path, capsys):
+    # the data file is missing, so the run stops after printing its config
+    assert main(["reconstruct", "--data", str(tmp_path / "missing.json")]) == 3
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("config: "))
+    resolved = json.loads(line[len("config: "):])
+    expected = dataclasses.asdict(reconstruct.ReconstructionConfig())
+    expected["iters"] = expected.pop("max_iters")
+    assert {k: v for k, v in resolved.items() if k not in ("data", "out")} == expected
+
+
+def test_reconstruct_rejects_normalized_dataset(tmp_path, capsys):
+    data = json.loads(open(small_dataset(tmp_path)).read())
+    assert data["normalized"] is False
+    data["normalized"] = True
+    ds_path = tmp_path / "normalized.json"
+    ds_path.write_text(json.dumps(data))
+    out = tmp_path / "res.json"
+    assert main(["reconstruct", "--data", str(ds_path), "--rank", "1", "--dim", "6",
+                 "--out", str(out)]) == 3
+    assert "normalized" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point():

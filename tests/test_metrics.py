@@ -316,12 +316,6 @@ def test_json_exports(code, x_target, ideal_x_channel):
     rep = metrics.avg_gate_fidelity(ideal_x_channel, x_target, code)
     data = metrics.fidelity_report_to_json(rep)
     assert set(data) == {"f_pro", "leakage", "f_avg", "f_avg_direct", "dim_logical"}
-    budget = metrics.error_budget(
-        gates.x_gate_sequence(), DecoherenceParams(np.inf, np.inf), code
-    )
-    bdata = metrics.error_budget_to_json(budget)
-    assert set(bdata) == {"baseline_infidelity", "contributions", "clipped", "scope"}
-    assert set(bdata["contributions"]) == {"photon-loss", "pure-dephasing"}
 
 
 def test_full_space_target_rejected(code, ideal_x_channel):

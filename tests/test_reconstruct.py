@@ -51,6 +51,11 @@ def test_config_validation():
         rec.ReconstructionConfig(step_size=0.0)
     with pytest.raises(ValidationError):
         rec.ReconstructionConfig(init="warm")
+    # non-finite values would pass a sign check and break the fit
+    for bad in ({"gamma": np.inf}, {"gamma": np.nan}, {"step_size": np.inf},
+                {"step_size": np.nan}, {"grad_tol": np.nan}):
+        with pytest.raises(ValidationError):
+            rec.ReconstructionConfig(**bad)
 
 
 def test_isometry_point_validation():
@@ -307,7 +312,7 @@ def test_gradient_linear_in_data():
     def grad_for(values):
         scaled = tomo.TomographyDataset(
             probes=ds.probes, betas=ds.betas, values=values,
-            dim=ds.dim, shots=0, seed=0, normalized=False,
+            dim=ds.dim, shots=0, seed=0,
         )
         return rec.euclidean_gradient(pt, scaled, 0.0)
 

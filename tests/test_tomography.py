@@ -80,7 +80,7 @@ def test_exact_dataset_matches_gaussian():
         np.abs(ds.betas)[None, :] <= 1.5 + 1e-9
     )
     assert np.abs(ds.values - expected)[mask].max() < 1e-6
-    assert ds.shots == 0 and not ds.normalized
+    assert ds.shots == 0
 
 
 def test_shot_noise_reproducible_and_quantized():
@@ -158,7 +158,7 @@ def test_dataset_json_roundtrip(tmp_path):
     assert np.array_equal(back.values, ds.values)
     assert np.array_equal(back.probes, ds.probes)
     assert np.array_equal(back.betas, ds.betas)
-    assert (back.dim, back.shots, back.seed, back.normalized) == (16, 500, 42, False)
+    assert (back.dim, back.shots, back.seed) == (16, 500, 42)
     # serialization is deterministic
     a = json.dumps(tomography.dataset_to_json(ds))
     b = json.dumps(tomography.dataset_to_json(back))
@@ -185,7 +185,7 @@ def test_shape_validation():
     with pytest.raises(DataQualityError):
         tomography.TomographyDataset(
             probes=np.array([0j]), betas=np.array([0j, 1j]),
-            values=np.zeros((2, 2)), dim=4, shots=0, seed=0, normalized=False,
+            values=np.zeros((2, 2)), dim=4, shots=0, seed=0,
         )
 
 
