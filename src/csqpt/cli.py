@@ -22,7 +22,10 @@ Conventions shared by all subcommands:
   sequence JSON file ({"steps": [...]}), or a path to a Kraus JSON file;
 - exit codes: 0 success (warnings included), 2 usage (a malformed number
   given as a flag included), 3 unreadable or invalid data (any config
-  value that does not convert included), 4 numerical failure.
+  value that does not convert included), 4 numerical failure;
+- a closed stdout (a reader such as ``head`` that has gone) is not an
+  error: the rest of the run's stdout is discarded, its files are still
+  written and it exits with the code it would have had.
 
 The environment variable ``CSQPT_THREADS`` caps the BLAS thread count.
 It takes effect when the package is imported before numpy, which is
@@ -180,12 +183,22 @@ def _resolve(args):
     return resolved
 
 
+def _say(*parts):
+    """Print a line to stdout; once its reader has gone, discard the rest."""
+    try:
+        print(*parts, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_header(command, resolved):
-    print(f"command: {command}")
+    _say(f"command: {command}")
     # vars prints a DecoherenceParams as {"t1": ..., "t2": ...}
-    print("config:", json.dumps(resolved, sort_keys=True, default=vars))
+    _say("config:", json.dumps(resolved, sort_keys=True, default=vars))
     seed = resolved.get("seed", "none")
-    print(f"seed: {seed}")
+    _say(f"seed: {seed}")
 
 
 def _read_json(path):
@@ -250,7 +263,7 @@ def cmd_simulate(cfg):
         channel, probes, grid, shots=cfg["shots"], seed=cfg["seed"]
     )
     tomography.save_dataset(ds, cfg["out"])
-    print(
+    _say(
         f"wrote {cfg['out']}: n_probes={ds.probes.size} n_betas={ds.betas.size}"
         f" mean|W|={float(np.abs(ds.values).mean()):.6f}"
     )
@@ -263,7 +276,7 @@ def cmd_reconstruct(cfg):
     rcfg = reconstruct.ReconstructionConfig(max_iters=cfg["iters"], **fit)
     ks, report = reconstruct.reconstruct(ds, rcfg)
     reconstruct.save_result(ks, report, rcfg, cfg["out"])
-    print(
+    _say(
         f"wrote {cfg['out']}: iters={report.iters_used} l2={report.l2:.3e}"
         f" total={report.total:.3e} grad_norm={report.grad_norm:.3e}"
     )
@@ -286,7 +299,7 @@ def cmd_reconstruct(cfg):
 def _write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)
-    print(f"wrote {path}")
+    _say(f"wrote {path}")
 
 
 def cmd_analyze(cfg):
@@ -317,7 +330,7 @@ def cmd_analyze(cfg):
             os.path.join(out_dir, "fidelity.json"),
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         )
-        print(f"f_avg={fid.f_avg:.6f} f_pro={fid.f_pro:.6f} leakage={fid.leakage:.6f}")
+        _say(f"f_avg={fid.f_avg:.6f} f_pro={fid.f_pro:.6f} leakage={fid.leakage:.6f}")
     if "sweep" in emits:
         cuts = [c for c in SWEEP_CUTS if c < ks.dim]
         table = metrics.truncation_sweep(ks, unitary_channel(target_full), cuts)
@@ -332,9 +345,9 @@ def cmd_budget(cfg):
     lines = ["channel,contribution"]
     lines += [f"{label},{repr(float(x))}" for label, x in budget.contributions]
     _write_text(cfg["out"], "\n".join(lines) + "\n")
-    print(f"baseline infidelity: {budget.baseline:.6f}")
+    _say(f"baseline infidelity: {budget.baseline:.6f}")
     if budget.clipped:
-        print(f"clipped to zero: {', '.join(budget.clipped)}")
+        _say(f"clipped to zero: {', '.join(budget.clipped)}")
     return 0
 
 
@@ -347,8 +360,8 @@ def cmd_decode_study(cfg):
     _write_text(os.path.join(out_dir, "decoded_ptm.csv"), decoded.to_csv())
     _write_text(os.path.join(out_dir, "direct_ptm.csv"), direct.to_csv())
     deficit = 1.0 - float(direct.elements[0, 0])
-    print(f"decoded trace row: {[round(float(x), 6) for x in decoded.elements[0]]}")
-    print(f"direct trace-block deficit: {deficit:.6f}")
+    _say(f"decoded trace row: {[round(float(x), 6) for x in decoded.elements[0]]}")
+    _say(f"direct trace-block deficit: {deficit:.6f}")
     return 0
 
 

@@ -15,6 +15,12 @@ step of the line search, each then one (r*d) x d by d x d product, and the
 retraction is never rank-deficient.  The public ``retract`` takes arbitrary
 matrices and keeps the SVD polar factor with its rank check.
 
+The line search starts each iteration from the step the previous one
+accepted (``cfg.step_size`` at first) and shrinks it by ``ARMIJO_FACTOR``
+until the Armijo test passes.  The step grows by 1/``ARMIJO_FACTOR`` only
+after ``GROW_AFTER`` iterations in a row accepted their first trial, so
+most iterations cost one forward pass; the loss history never rises.
+
 A fit stops for one of ``STOP_REASONS``: the projected gradient norm fell
 to ``grad_tol``, the line search found no decrease above the step floor
 ``MIN_STEP``, or ``max_iters`` steps were taken.
@@ -62,6 +68,8 @@ INIT_MODES = ("identity-perturbed", "random-isometry")
 
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
+# first trials accepted in a row before the next one tries a larger step
+GROW_AFTER = 3
 MIN_STEP = 1e-14
 
 # why a fit stopped; only "grad_tol" counts as converged
@@ -353,10 +361,11 @@ def reconstruct(ds, cfg):
     Minimises the loss that ``loss`` reports (variance-weighted residuals
     for a shot-noise dataset, see the module docstring) by projected
     gradient descent on the stacked-isometry manifold with
-    monotone Armijo backtracking (the accepted trial step doubles as the
-    next iteration's first trial).  Every trial point is the closed-form
-    polar retraction of the tangent step, from one d x d ``eigh`` per
-    iteration.  ``report.stop_reason`` says why the fit stopped:
+    monotone Armijo backtracking.  The next iteration's first trial is the
+    accepted step, grown by 1/ARMIJO_FACTOR once GROW_AFTER iterations in
+    a row have accepted their first trial.  Every trial point is the
+    closed-form polar retraction of the tangent step, from one d x d
+    ``eigh`` per iteration.  ``report.stop_reason`` says why the fit stopped:
     "grad_tol" (the projected gradient norm fell to cfg.grad_tol, the only
     case with converged=True), "line_search_floor" (no trial step above
     ``MIN_STEP`` decreased the loss) or "max_iters" (cfg.max_iters steps
@@ -371,6 +380,7 @@ def reconstruct(ds, cfg):
     l2, l1, total, wresid = _loss_terms(v, kets, mops, y, cfg.gamma, weights)
     history = [total]
     step = cfg.step_size
+    accepted_first = 0  # iterations in a row whose first trial was accepted
     stop_reason = "max_iters"
 
     # one pass more than max_iters, to report the gradient at the last point
@@ -400,7 +410,11 @@ def reconstruct(ds, cfg):
             break
         v, l2, l1, total, wresid = v_new, l2_new, l1_new, total_new, wresid_new
         history.append(total)
-        step = t / ARMIJO_FACTOR  # carry over, one factor more ambitious
+        # carry the accepted step over; grow it after a run of first trials
+        accepted_first = accepted_first + 1 if t == step else 0
+        step = t
+        if accepted_first == GROW_AFTER:
+            step, accepted_first = t / ARMIJO_FACTOR, 0
 
     point = retract(v)
     ks = require_certified(KrausSet(point.kraus()))

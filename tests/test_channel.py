@@ -132,6 +132,21 @@ def test_kraus_choi_kraus_roundtrip():
         assert dist < 1e-9
 
 
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_kraus_choi_round_trips_random_sizes(dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    ch = channel.random_channel(dim, rank, rng)
+    choi = channel.kraus_to_choi(ch)
+    back = channel.choi_to_kraus(choi)
+    # Kraus -> Choi -> Kraus keeps the rank and the channel (its action) ...
+    assert back.rank == rank and back.certified
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    assert np.abs(back.apply(z) - ch.apply(z)).max() <= 1e-10
+    # ... and Choi -> Kraus -> Choi returns the Choi matrix
+    assert np.abs(channel.kraus_to_choi(back) - choi).max() <= 1e-10
+
+
 def test_choi_to_kraus_rejects_negative():
     bad = -np.eye(4, dtype=complex)
     with pytest.raises(NotAChannelError):

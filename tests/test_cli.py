@@ -457,6 +457,26 @@ def test_console_entry_point():
     assert "simulate" in proc.stdout and "decode-study" in proc.stdout
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_not_an_error(tmp_path, unbuffered):
+    # `csqpt budget ... | head -1`: the reader leaves after the first line;
+    # the run must still write its file, print no error and exit 0
+    out = tmp_path / "b.csv"
+    env = dict(os.environ, CSQPT_THREADS="1", PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "csqpt", "budget", "--dim", "12",
+         "--noise", "inf,inf", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"command: budget\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode().lower()
+    proc.stderr.close()
+    assert proc.wait() == 0, err
+    assert "error" not in err and "broken pipe" not in err
+    assert out.read_text().startswith("channel,contribution\n")
+
+
 def test_commands_do_not_import_scipy(tmp_path):
     # numpy is the only runtime dependency: a simulate and a noisy budget run
     # in a fresh interpreter must leave no scipy module loaded

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 
 from csqpt import basis, channel, gates, metrics
@@ -195,6 +197,38 @@ def test_choi_fidelity_against_scipy_sqrtm():
     want = np.abs(np.trace(sqrtm(sq @ cb @ sq))) ** 2
     # sqrtm itself is only ~1e-8 accurate on these rank-deficient matrices
     assert abs(got - want) < 1e-7
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3),
+       st.one_of(st.none(), st.integers(0, 5)), st.integers(0, 2**32 - 1))
+def test_choi_fidelity_bounds_and_symmetry(dim, rank_a, rank_b, cut, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_channel(dim, rank_a, rng), random_channel(dim, rank_b, rng)
+    cut = None if cut is None else min(cut, dim - 1)
+    f_ab, f_ba, f_aa = (
+        metrics.process_fidelity_choi(x, y, subspace_cut=cut)
+        for x, y in ((a, b), (b, a), (a, a))
+    )
+    assert 0.0 <= f_ab <= 1.0
+    assert abs(f_ba - f_ab) <= 1e-12
+    assert abs(f_aa - 1.0) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(5, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_avg_gate_fidelity_bounds(dim, rank, seed):
+    # a random channel against a random logical unitary on the code space
+    rng = np.random.default_rng(seed)
+    code = BinomialCode(dim)
+    words = np.stack([code.zero_l, code.one_l], axis=1)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    w, _ = np.linalg.qr(z)
+    rep = metrics.avg_gate_fidelity(
+        random_channel(dim, rank, rng), words @ w @ words.conj().T, code
+    )
+    for value in (rep.f_avg, rep.f_pro, rep.leakage):
+        assert 0.0 <= value <= 1.0
 
 
 def test_truncation_sweep_self_and_order(code, ideal_x_channel):

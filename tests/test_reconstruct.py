@@ -405,6 +405,37 @@ def test_fit_linear_algebra_counts(monkeypatch):
         assert counts.get("eigh", 0) <= iters
 
 
+def test_line_search_evaluations_per_step(monkeypatch):
+    # the first trial of an iteration is the step accepted last time (grown
+    # only after GROW_AFTER first-trial acceptances in a row), so most
+    # iterations cost one forward pass; doubling the step every iteration
+    # made almost every one cost two (1.99 per step on this fit)
+    rng = np.random.default_rng(19)
+    truth = random_channel(6, 2, rng)
+    ds = small_dataset(truth)
+    cfg = rec.ReconstructionConfig(
+        rank=2, dim=6, gamma=1e-4, max_iters=200, grad_tol=0.0, seed=7,
+    )
+    calls = []
+    real = rec._loss_terms
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rec, "_loss_terms", counting)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        _, rep = rec.reconstruct(ds, cfg)
+        counts.append(len(calls))
+    assert rep.iters_used == 200
+    assert counts[0] == counts[1]  # deterministic, rerun for rerun
+    # one evaluation at the start, then the trials of the accepted steps
+    assert (counts[0] - 1) / rep.iters_used <= 1.5
+    assert np.all(np.diff(rep.history) <= 0)
+
+
 def test_stop_reasons(tmp_path):
     ident = KrausSet(np.eye(6)[None])
     ds = small_dataset(ident)
