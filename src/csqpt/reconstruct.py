@@ -12,7 +12,9 @@ and the polar factor of V - t xi is (V - t xi)(I + t^2 xi^dag xi)^(-1/2)
 (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
 2008).  One d x d ``eigh`` of xi^dag xi per iteration serves every trial
 step of the line search, each then one (r*d) x d by d x d product, and the
-retraction is never rank-deficient.  The public ``retract`` takes arbitrary
+retraction is never rank-deficient.  The form assumes V^dag V = I exactly,
+so each accepted point gets one Newton-Schulz step, which keeps every
+iterate an isometry to rounding.  The public ``retract`` takes arbitrary
 matrices and keeps the SVD polar factor with its rank check.
 
 The line search starts each iteration from the step the previous one
@@ -100,6 +102,8 @@ class ReconstructionConfig:
             raise ValidationError("step_size must be finite and positive")
         if not self.grad_tol >= 0:  # NaN included
             raise ValidationError("grad_tol must be non-negative")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if self.init not in INIT_MODES:
             raise ValidationError(f"init must be one of {INIT_MODES}")
 
@@ -365,11 +369,13 @@ def reconstruct(ds, cfg):
     accepted step, grown by 1/ARMIJO_FACTOR once GROW_AFTER iterations in
     a row have accepted their first trial.  Every trial point is the
     closed-form polar retraction of the tangent step, from one d x d
-    ``eigh`` per iteration.  ``report.stop_reason`` says why the fit stopped:
-    "grad_tol" (the projected gradient norm fell to cfg.grad_tol, the only
-    case with converged=True), "line_search_floor" (no trial step above
-    ``MIN_STEP`` decreased the loss) or "max_iters" (cfg.max_iters steps
-    were accepted).
+    ``eigh`` per iteration, and each accepted point takes one Newton-Schulz
+    step back to an exact isometry, so the report's loss is, to rounding,
+    that of the returned set.  ``report.stop_reason`` says why the fit
+    stopped: "grad_tol" (the projected gradient norm fell to cfg.grad_tol,
+    the only case with converged=True), "line_search_floor" (no trial step
+    above ``MIN_STEP`` decreased the loss) or "max_iters" (cfg.max_iters
+    steps were accepted).
 
     Returns (KrausSet, LossReport).  The returned set is re-certified CPTP;
     NotAChannelError if that fails is a hard error.
@@ -408,7 +414,10 @@ def reconstruct(ds, cfg):
             # no monotone progress above the step floor
             stop_reason = "line_search_floor"
             break
-        v, l2, l1, total, wresid = v_new, l2_new, l1_new, total_new, wresid_new
+        # one Newton-Schulz step x (3I - x^dag x) / 2 squares the isometry
+        # defect, which the closed form would grow; its loss moves by rounding
+        v = 1.5 * v_new - 0.5 * (v_new @ (v_new.conj().T @ v_new))
+        l2, l1, total, wresid = l2_new, l1_new, total_new, wresid_new
         history.append(total)
         # carry the accepted step over; grow it after a run of first trials
         accepted_first = accepted_first + 1 if t == step else 0

@@ -208,14 +208,17 @@ def simulate_dataset(channel_ks, probes, grid, shots=0, seed=0):
     Exact values come from ``ParityModel.wigner`` on the channel's Kraus
     stack, the forward model ``reconstruct`` fits with; any rank works.
     With ``shots`` > 0 each (probe, beta) value is replaced by the estimate
-    from a binomial parity-bit sample of that size, drawn from an
-    independent substream seeded by (seed, probe index, beta index).
+    from a binomial parity-bit sample of that size.  All counts come from
+    one ``np.random.default_rng(seed)`` stream in one draw, in row-major
+    (probe, beta) order, so a seed fixes the dataset byte for byte.
     """
     alphas = np.asarray(probes.alphas, dtype=complex)
     betas = np.asarray(grid.betas, dtype=complex)
     dim = channel_ks.dim
     if shots < 0:
         raise ValidationError("shots must be non-negative")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     # Kraus operators first: a SequenceChannel builds them on demand, and its
     # d^2 scratch is freed before the parity operators are allocated
     ops = channel_ks.operators
@@ -223,11 +226,8 @@ def simulate_dataset(channel_ks, probes, grid, shots=0, seed=0):
     if shots > 0:
         # parity bit is +1 with probability (1 + pi W / 2) / 2
         prob = np.clip((1 + values * np.pi / 2) / 2, 0.0, 1.0)
-        for i in range(alphas.size):
-            for j in range(betas.size):
-                rng = np.random.default_rng([seed, i, j])
-                k = rng.binomial(shots, prob[i, j])
-                values[i, j] = (2 / np.pi) * (2 * k / shots - 1)
+        k = np.random.default_rng(seed).binomial(shots, prob)
+        values = (2 / np.pi) * (2 * k / shots - 1)
     return TomographyDataset(
         probes=alphas, betas=betas, values=values, dim=dim,
         shots=int(shots), seed=int(seed),

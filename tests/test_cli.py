@@ -139,6 +139,11 @@ def test_simulate_bad_inputs(tmp_path):
     not_a_gate.write_text("{\"foo\": 1}")
     assert main(["simulate", "--gate", str(not_a_gate),
                  "--out", str(tmp_path / "x.json")]) == 3
+    # a negative seed is refused, also where no shot is drawn
+    for shots in ("10", "0"):
+        assert main(["simulate", "--gate", gate, "--dim", "6", "--shots", shots,
+                     "--seed", "-1", "--out", str(tmp_path / "x.json")]) == 3
+    assert not (tmp_path / "x.json").exists()
 
 
 def small_dataset(tmp_path, dim=6, shots=0):
@@ -446,6 +451,11 @@ def test_reconstruct_rejects_normalized_dataset(tmp_path, capsys):
     assert main(["reconstruct", "--data", str(ds_path), "--rank", "1", "--dim", "6",
                  "--out", str(out)]) == 3
     assert "normalized" in capsys.readouterr().err
+    assert not out.exists()
+    # so is a negative init seed, with an error line and no traceback
+    assert main(["reconstruct", "--data", small_dataset(tmp_path), "--rank", "1",
+                 "--dim", "6", "--seed", "-1", "--out", str(out)]) == 3
+    assert "error: seed must be non-negative" in capsys.readouterr().err
     assert not out.exists()
 
 

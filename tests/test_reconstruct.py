@@ -53,7 +53,7 @@ def test_config_validation():
         rec.ReconstructionConfig(init="warm")
     # non-finite values would pass a sign check and break the fit
     for bad in ({"gamma": np.inf}, {"gamma": np.nan}, {"step_size": np.inf},
-                {"step_size": np.nan}, {"grad_tol": np.nan}):
+                {"step_size": np.nan}, {"grad_tol": np.nan}, {"seed": -1}):
         with pytest.raises(ValidationError):
             rec.ReconstructionConfig(**bad)
 
@@ -372,6 +372,28 @@ def test_tangent_retraction_drift():
         xi = random_tangent(rng, v)
         v = rec._retraction_along(v, xi)(0.1)
     assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-11
+
+
+def test_fit_iterates_stay_on_manifold(monkeypatch):
+    # a rank-2 fit that cannot match its rank-3 truth: the gradient's large
+    # normal part grows any isometry defect the closed-form retraction is
+    # left with, until the fit stops at the step floor with the loss of a
+    # stack that is not a channel
+    truth = random_channel(8, 3, np.random.default_rng(0))
+    ds = small_dataset(truth, n_probe=5, n_beta=11, b_max=2.0)
+    cfg = rec.ReconstructionConfig(rank=2, dim=8)
+    defects = []
+    real_terms = rec._loss_terms
+
+    def recording(v, *args, **kwargs):
+        defects.append(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
+        return real_terms(v, *args, **kwargs)
+
+    monkeypatch.setattr(rec, "_loss_terms", recording)
+    ks, report = rec.reconstruct(ds, cfg)
+    assert len(defects) > cfg.max_iters and max(defects) <= 1e-12
+    returned = rec.loss(rec.stack_kraus(ks.operators), ds, cfg.gamma).total
+    assert report.total == pytest.approx(returned, rel=1e-12)
 
 
 def test_fit_linear_algebra_counts(monkeypatch):

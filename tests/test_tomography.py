@@ -105,6 +105,28 @@ def test_shot_noise_consistent_with_truth():
     assert np.abs(noisy.values - exact.values).max() < 6 * (2 / np.pi) / np.sqrt(2e5)
 
 
+@pytest.mark.filterwarnings("ignore::csqpt.errors.TruncationWarning")
+def test_shot_noise_distribution():
+    # standardised residuals z of 11,025 binomial estimates: mean 0, variance
+    # 1 and no correlation between beta neighbours, each bound about five
+    # standard errors; a probability table read in the wrong order or one
+    # draw reused across points breaks at least one of them
+    shots = 100
+    ch = channel.unitary_channel(gates.compose_unitary(gates.x_gate_sequence(), 12))
+    pg, wg = tomography.probe_grid(5, 1.0), tomography.wigner_grid(21, 2.0)
+    exact = tomography.simulate_dataset(ch, pg, wg).values
+    noisy = tomography.simulate_dataset(ch, pg, wg, shots=shots, seed=1).values
+    p = np.clip((1 + exact * np.pi / 2) / 2, 0.0, 1.0)
+    keep = p * (1 - p) > 0.01
+    sigma = (2 / np.pi) * np.sqrt(4 * np.where(keep, p * (1 - p), 1.0) / shots)
+    z = (noisy - exact) / sigma
+    assert keep.sum() > 10000
+    assert abs(z[keep].mean()) < 0.05
+    assert abs(z[keep].var() - 1) < 0.07
+    both = keep[:, :-1] & keep[:, 1:]
+    assert abs(np.corrcoef(z[:, :-1][both], z[:, 1:][both])[0, 1]) < 0.05
+
+
 def test_raw_probe_slices_integrate_to_one():
     # W integrates to Tr[rho] = 1; small probes keep each Gaussian well
     # inside the beta grid, so the raw Riemann sum of each slice is ~1
