@@ -61,47 +61,65 @@ class GellMannSet:
 
     Element 0 is I/sqrt(dim); elements 1-3 are the logical-block X, Y, Z.
     ``supports`` records which ordered-basis vectors each element touches.
+    Element i is V C V^dag for the basis vectors V (columns) and a
+    coefficient matrix C given by ``keys[i] = (k, l)`` and ``phases[i]``:
+    phase/sqrt(2) at C[k, l] and its conjugate at C[l, k] when k < l
+    (phase 1 for sym, -1j for asym); diag(1, ..., 1, -m, 0, ...) over
+    sqrt(m(m+1)) when k = l = m > 0; I/sqrt(dim) when k = l = 0.  Labels
+    and supports cover every element, but ``elements`` builds only the
+    matrices asked for; ``matrices`` builds all dim^2 of them.
     """
 
-    matrices: np.ndarray
+    vectors: np.ndarray
     labels: tuple
     supports: tuple
+    keys: np.ndarray
+    phases: np.ndarray
 
     @property
     def dim(self):
-        return self.matrices.shape[1]
+        return self.vectors.shape[0]
+
+    @property
+    def matrices(self):
+        return self.elements(range(len(self.labels)))
+
+    def elements(self, idx):
+        """The (len(idx), dim, dim) stack of elements ``idx``."""
+        idx = np.asarray(idx, dtype=np.intp).reshape(-1)
+        d = self.dim
+        k, l = self.keys[idx].T
+        c = np.zeros((idx.size, d, d), dtype=complex)
+        off = np.flatnonzero(k < l)
+        c[off, k[off], l[off]] = self.phases[idx[off]] / np.sqrt(2)
+        c[off, l[off], k[off]] = self.phases[idx[off]].conj() / np.sqrt(2)
+        on = np.flatnonzero(k == l)
+        m, j = k[on, None], np.arange(d)
+        c[on[:, None], j, j] = np.where(
+            m == 0, 1 / np.sqrt(d),
+            ((j < m) - m * (j == m)) / np.sqrt(np.maximum(m * (m + 1), 1)),
+        )
+        return self.vectors @ c @ self.vectors.conj().T
 
 
 def gellmann_set(basis):
-    v = basis.vectors
     d = basis.dim
-    outer = lambda k, l: np.outer(v[:, k], v[:, l].conj())
-
-    sym, sym_lab, sym_sup = [], [], []
-    asym, asym_lab, asym_sup = [], [], []
-    for k in range(d):
-        for l in range(k + 1, d):
-            sym.append((outer(k, l) + outer(l, k)) / np.sqrt(2))
-            sym_lab.append(f"sym({k},{l})")
-            sym_sup.append((k, l))
-            asym.append((-1j * outer(k, l) + 1j * outer(l, k)) / np.sqrt(2))
-            asym_lab.append(f"asym({k},{l})")
-            asym_sup.append((k, l))
-    diag, diag_lab, diag_sup = [], [], []
-    for m in range(1, d):
-        mat = sum(outer(j, j) for j in range(m)) - m * outer(m, m)
-        diag.append(mat / np.sqrt(m * (m + 1)))
-        diag_lab.append(f"diag({m})")
-        diag_sup.append(tuple(range(m + 1)))
-
-    # logical-block X, Y, Z come first; the rest keep their family order
-    mats = [np.eye(d, dtype=complex) / np.sqrt(d), sym[0], asym[0], diag[0]]
-    labels = ["I", "X", "Y", "Z"]
-    supports = [tuple(range(d)), (0, 1), (0, 1), (0, 1)]
-    mats += sym[1:] + asym[1:] + diag[1:]
-    labels += sym_lab[1:] + asym_lab[1:] + diag_lab[1:]
-    supports += sym_sup[1:] + asym_sup[1:] + diag_sup[1:]
-    return GellMannSet(np.stack(mats), tuple(labels), tuple(supports))
+    # logical-block X, Y, Z come first; the rest keep their family order:
+    # sym(k, l) and asym(k, l) over the row-major pairs k < l, then diag(m)
+    pairs = np.stack(np.triu_indices(d, 1), axis=1)[1:]
+    diag = np.arange(2, d)
+    keys = np.concatenate([[[0, 0], [0, 1], [0, 1], [1, 1]], pairs, pairs,
+                           np.stack([diag, diag], axis=1)])
+    phases = np.concatenate([[1, 1, -1j, 1], np.ones(len(pairs)),
+                             np.full(len(pairs), -1j), np.ones(diag.size)])
+    pairs, diag = [tuple(p) for p in pairs.tolist()], diag.tolist()
+    labels = (("I", "X", "Y", "Z")
+              + tuple(f"sym({k},{l})" for k, l in pairs)
+              + tuple(f"asym({k},{l})" for k, l in pairs)
+              + tuple(f"diag({m})" for m in diag))
+    supports = ((tuple(range(d)), (0, 1), (0, 1), (0, 1)) + 2 * tuple(pairs)
+                + tuple(tuple(range(m + 1)) for m in diag))
+    return GellMannSet(basis.vectors, labels, supports, keys, phases)
 
 
 def display_indices(gm, n_vectors=6):
@@ -134,7 +152,7 @@ def transfer_matrix(channel, gm, rows=None):
     if channel.dim != d:
         raise ValidationError("channel and basis dims differ")
     idx = list(range(d * d)) if rows is None else list(rows)
-    mats = gm.matrices[idx]
+    mats = gm.elements(idx)
     outs = channel.apply(mats)
     # Tr[B_i^dag X] is the dot product of the flattened conj(B_i) and X
     lam = mats.reshape(len(idx), -1).conj() @ outs.reshape(len(idx), -1).T

@@ -7,13 +7,15 @@ row-major with Re(beta) varying fastest.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._cache import CACHE_ENTRIES, cached, read_only
 from .errors import DataQualityError, ValidationError
-from .fock import coherent_state, displacement, displacements, parity
+from .fock import _quadrature, coherent_state, displacement, parity
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
 
@@ -80,6 +82,15 @@ class TomographyDataset:
             )
         if not np.all(np.isfinite(self.values)):
             raise DataQualityError("dataset contains non-finite values")
+        for name, low in (("dim", 1), ("shots", 0), ("seed", 0)):
+            value = getattr(self, name)
+            whole = isinstance(value, numbers.Integral) or (
+                isinstance(value, float) and value.is_integer())
+            if isinstance(value, bool) or not whole or value < low:
+                raise DataQualityError(
+                    f"dataset {name} must be an integer >= {low}, got {value!r}"
+                )
+            object.__setattr__(self, name, int(value))
 
 
 _PROBE_KET_CACHE = {}
@@ -102,51 +113,73 @@ def _images(operators, kets):
     return (kets @ operators.reshape(-1, dim).T).reshape(n, -1, dim)
 
 
+def _slots(dim):
+    """Where the d^2 real coordinates of a Hermitian d x d matrix sit in the
+    real view (.., 2 d^2) of the complex matrix, Re(z_ab) at 2(a d + b) and
+    Im(z_ab) after it: ``pack`` lists the diagonal's, then Re and Im of the
+    strict upper triangle's (row-major); ``src`` and ``sign`` give, for each
+    slot, the coordinate it reads and its sign, the lower triangle mirroring
+    the upper with Im negated and the diagonal's Im slots reading zero."""
+    iu, ju = np.triu_indices(dim, 1)
+    upper, lower = 2 * (iu * dim + ju), 2 * (ju * dim + iu)
+    diag = 2 * np.arange(dim) * (dim + 1)
+    pack = np.concatenate([diag, upper, upper + 1])
+    src = np.zeros(2 * dim * dim, dtype=np.intp)
+    sign = np.zeros(2 * dim * dim)
+    src[pack], sign[pack] = np.arange(dim * dim), 1.0
+    src[lower], sign[lower] = src[upper], 1.0
+    src[lower + 1], sign[lower + 1] = src[upper + 1], -1.0
+    return pack, src, sign
+
+
 class ParityModel:
     """The forward model W_ij = Tr[M_j E(|alpha_i><alpha_i|)] of one grid.
 
     M_j = (2/pi) D(beta_j) P D^dag(beta_j) is Hermitian, so it has d^2 real
     coordinates: the diagonal, then Re and Im of the strict upper triangle
     (row-major).  ``packed`` (d^2, n_betas) holds them column by column and
-    ``ops`` (n_betas, d, d) is the dense stack.  For a Kraus set,
-    rho_i = sum_k K_k |alpha_i><alpha_i| K_k^dag is one batched product of
-    the probe images K_k |alpha_i>, its coordinates (off-diagonal ones
-    doubled) form row i of X, and W = X packed is a single real GEMM.  The
-    gradient's N_i = sum_j c_ij M_j is the transposed GEMM, unpacked to
-    Hermitian d x d by one gather and applied to the images in one batched
-    product.
+    is the model's one representation.  ``ops`` (n_betas, d, d), the dense
+    read-only stack, is unpacked from it on first read and then kept.  For
+    a Kraus set, rho_i = sum_k K_k |alpha_i><alpha_i| K_k^dag is one
+    batched product of the probe images K_k |alpha_i>, its coordinates
+    (off-diagonal ones doubled) form row i of X, and W = X packed is a
+    single real GEMM.  The gradient's N_i = sum_j c_ij M_j is the
+    transposed GEMM, unpacked to Hermitian d x d by one gather and applied
+    to the images in one batched product.
     """
 
-    def __init__(self, ops):
-        self.ops = ops
-        dim = ops.shape[-1]
-        iu, ju = np.triu_indices(dim, 1)
-        upper, lower = 2 * (iu * dim + ju), 2 * (ju * dim + iu)
-        diag = 2 * np.arange(dim) * (dim + 1)
-        # the coordinates' slots in the real view (.., 2 d^2) of a complex
-        # d x d matrix, where Re(z_ab) sits at 2(a d + b) and Im(z_ab) after it
-        self._pack = np.concatenate([diag, upper, upper + 1])
-        self._scale = np.concatenate([np.ones(dim), np.full(2 * iu.size, 2.0)])
-        # the reverse gather: the coordinate each slot reads, and its sign;
-        # the lower triangle mirrors the upper with Im negated
-        self._src = np.zeros(2 * dim * dim, dtype=np.intp)
-        self._sign = np.zeros(2 * dim * dim)
-        self._src[self._pack], self._sign[self._pack] = np.arange(dim * dim), 1.0
-        self._src[lower], self._sign[lower] = self._src[upper], 1.0
-        self._src[lower + 1], self._sign[lower + 1] = self._src[upper + 1], -1.0
-        flat = np.ascontiguousarray(ops).reshape(ops.shape[0], -1).view(float)
-        self.packed = read_only(np.ascontiguousarray(flat.take(self._pack, axis=1).T))
+    def __init__(self, packed):
+        self.packed = read_only(packed)
+        self.dim = dim = math.isqrt(packed.shape[0])
+        self._pack, self._src, self._sign = _slots(dim)
+        self._scale = np.concatenate([np.ones(dim), np.full(dim * dim - dim, 2.0)])
+        self._ops = None
+
+    @property
+    def ops(self):
+        if self._ops is None:
+            self._ops = read_only(self._unpack(self.packed.T))
+        return self._ops
+
+    def _unpack(self, coords):
+        """Hermitian (n, d, d) matrices from coordinate rows (n, d^2)."""
+        slots = coords.take(self._src, axis=1) * self._sign
+        return slots.view(complex).reshape(-1, self.dim, self.dim)
 
     @classmethod
     def of(cls, ops):
         """The model of a parity stack: ``ops`` itself if it is a model, the
-        cached model whose ``ops`` is that very array, else a new one."""
+        cached model whose ``ops`` is that very array, else a new one
+        packed from the stack."""
         if isinstance(ops, cls):
             return ops
         for model in _PARITY_CACHE.values():
-            if model.ops is ops:
+            if model._ops is ops:
                 return model
-        return cls(np.asarray(ops, dtype=complex))
+        ops = np.ascontiguousarray(ops, dtype=complex)
+        flat = ops.reshape(ops.shape[0], -1).view(float)
+        pack = _slots(ops.shape[-1])[0]
+        return cls(np.ascontiguousarray(flat.take(pack, axis=1).T))
 
     def wigner(self, operators, kets):
         """W (n_probes, n_betas) of the Kraus stack ``operators``, of shape
@@ -163,9 +196,7 @@ class ParityModel:
         Operator k of it is sum_i N_i K_k |alpha_i><alpha_i| with the
         Hermitian N_i = sum_j coeffs_ij M_j.
         """
-        dim = kets.shape[1]
-        slots = (coeffs @ self.packed.T).take(self._src, axis=1) * self._sign
-        n = slots.view(complex).reshape(-1, dim, dim)
+        n = self._unpack(coeffs @ self.packed.T)
         # row k of nk[i] is (N_i K_k |alpha_i>)^T
         nk = _images(operators, kets) @ n.swapaxes(1, 2)
         g = nk.reshape(kets.shape[0], -1).T @ kets.conj()
@@ -175,21 +206,54 @@ class ParityModel:
 def parity_model(betas, dim):
     """ParityModel of (2/pi) D(beta) P D^dag(beta), cached per (betas, dim).
 
+    The packed coordinates are built in closed form, with no d x d matrix.
+    P anticommutes with the generator beta a^dag - conj(beta) a, truncated
+    or not, so P D^dag(beta) = D(beta) P and D(beta) P D^dag(beta) =
+    D(2 beta) P (Royer, Phys. Rev. A 15, 449 (1977)), exactly for the
+    truncated displacement too.  In the eigenbasis (lam, W) of the
+    truncated a + a^dag (see ``fock.displacements``), with
+    beta = r e^{i theta}, element (m, n) of M is
+    (2/pi) (-1)^n e^{i (m - n)(theta - pi/2)} s_mn with
+    s_mn = sum_k W_mk W_nk e^{2 i r lam_k}.  The nodes lam come in +-
+    pairs whose Hermite functions differ by (-1)^n, so s_mn is a real
+    cos-sum when m + n is even and i times a sin-sum when it is odd: two
+    real GEMMs over the upper triangle.
+
     Its arrays are read-only; the cache keeps CACHE_ENTRIES grids.
     """
     betas = np.asarray(betas, dtype=complex)
 
     def build():
-        d = displacements(betas, dim)
-        ops = (2 / np.pi) * (d * (-1.0) ** np.arange(dim)) @ d.conj().swapaxes(1, 2)
-        return ParityModel(read_only(ops))
+        lam, w = _quadrature(dim)
+        iu, ju = np.triu_indices(dim, 1)
+        # (m, n >= m): the diagonal, then the strict upper triangle (row-major)
+        m = np.concatenate([np.arange(dim), iu])
+        n = np.concatenate([np.arange(dim), ju])
+        k = n - m
+        odd = k % 2 == 1
+        arg = 2 * np.multiply.outer(lam, np.abs(betas))
+        # rows s_mn (real part of the upper triangle), then its Im rows
+        packed = np.empty((dim * dim, betas.size))
+        s, im = packed[: m.size], packed[m.size :]
+        s[~odd] = (w[m[~odd]] * w[n[~odd]]) @ np.cos(arg)
+        s[odd] = (w[m[odd]] * w[n[odd]]) @ np.sin(arg)
+        s *= ((2 / np.pi) * (-1.0) ** n)[:, None]
+        # times the phase e^{-i k phi}, and i for odd k, with phi = theta - pi/2:
+        # its Re and Im tabulated per k = 0 .. d-1, then gathered per element
+        kphi = np.multiply.outer(np.arange(dim), np.angle(betas) - np.pi / 2)
+        cos, sin = np.cos(kphi), np.sin(kphi)
+        odd_k = (np.arange(dim) % 2 == 1)[:, None]
+        k = k[dim:]
+        np.multiply(s[dim:], np.where(odd_k, cos, -sin)[k], out=im)
+        s[dim:] *= np.where(odd_k, sin, cos)[k]
+        return ParityModel(packed)
 
     return cached(_PARITY_CACHE, (dim, betas.tobytes()), build)
 
 
 def displaced_parity_ops(betas, dim):
     """(2/pi) D(beta) P D^dag(beta) for each beta: the read-only stack of
-    the cached ``parity_model``."""
+    the cached ``parity_model``, unpacked on first read."""
     return parity_model(betas, dim).ops
 
 
@@ -283,8 +347,7 @@ def dataset_from_json(data):
             )
         return TomographyDataset(
             probes=probes, betas=betas, values=values,
-            dim=int(data["dim"]), shots=int(data["shots"]),
-            seed=int(data["seed"]),
+            dim=data["dim"], shots=data["shots"], seed=data["seed"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataQualityError(f"malformed dataset JSON: {exc}") from exc

@@ -61,6 +61,18 @@ def test_display_indices_cover_first_six_block():
     assert idx[:4] == [0, 1, 2, 3]
     for i in idx[1:]:
         assert max(gm.supports[i]) < 6
+    # labels for all 100 elements, in family order: sym, asym, diag
+    pairs = [(k, l) for k in range(10) for l in range(k + 1, 10)][1:]
+    assert gm.labels == (("I", "X", "Y", "Z")
+                         + tuple(f"sym({k},{l})" for k, l in pairs)
+                         + tuple(f"asym({k},{l})" for k, l in pairs)
+                         + tuple(f"diag({m})" for m in range(2, 10)))
+    # the rows-only build equals the same rows and columns of the full one
+    ch = channel.random_channel(10, 3, np_rng)
+    full = basis.transfer_matrix(ch, gm)
+    sub = basis.transfer_matrix(ch, gm, rows=idx)
+    assert np.abs(sub.elements - full.elements[np.ix_(idx, idx)]).max() <= 1e-12
+    assert sub.labels == tuple(full.labels[i] for i in idx)
 
 
 def test_transfer_matrix_identity_channel():

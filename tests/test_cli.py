@@ -452,6 +452,13 @@ def test_reconstruct_rejects_normalized_dataset(tmp_path, capsys):
                  "--out", str(out)]) == 3
     assert "normalized" in capsys.readouterr().err
     assert not out.exists()
+    # so is a hand-written dataset with negative shots and seed
+    data.update(normalized=False, shots=-5, seed=-3)
+    ds_path.write_text(json.dumps(data))
+    assert main(["reconstruct", "--data", str(ds_path), "--rank", "1", "--dim", "6",
+                 "--out", str(out)]) == 3
+    assert "shots must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
     # so is a negative init seed, with an error line and no traceback
     assert main(["reconstruct", "--data", small_dataset(tmp_path), "--rank", "1",
                  "--dim", "6", "--seed", "-1", "--out", str(out)]) == 3

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from csqpt import channel, fock, gates, tomography
+from csqpt import basis, channel, fock, gates, tomography
 from csqpt.errors import DataQualityError, ValidationError
 
 np_rng = np.random.default_rng(5511)
@@ -54,6 +55,29 @@ def test_parity_stack_matches_expm_build():
     assert np.abs(zero - (2 / np.pi) * p).max() <= 1e-13
     one = tomography.parity_model(betas[:3], 1).ops
     assert np.abs(one - 2 / np.pi).max() <= 1e-15
+
+
+def test_cold_builds_allocate_no_dense_stacks():
+    # tracemalloc peaks of two cold builds the CLI makes: the packed parity
+    # model of the contract grid (a dense (441, 32, 32) stack alone would be
+    # 7.2 MB) and the 36 display rows of the dim-32 Gell-Mann transfer
+    # matrix (all 1024 elements alone would be 16.8 MB)
+    betas = tomography.wigner_grid().betas * (1 + 1e-12)  # not in the cache
+    ob = basis.logical_ordered_basis(gates.BinomialCode(32))
+    ch = channel.random_channel(32, 4, np_rng)
+    tracemalloc.start()
+    try:
+        tomography.parity_model(betas, 32)
+        parity_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]  # the cached model
+        tracemalloc.reset_peak()
+        gm = basis.gellmann_set(ob)
+        basis.transfer_matrix(ch, gm, rows=basis.display_indices(gm))
+        gtm_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert parity_peak <= 12e6
+    assert gtm_peak <= 8e6
 
 
 def test_wigner_coherent_gaussian():
@@ -198,9 +222,20 @@ def test_dataset_json_rejects_malformed():
             tomography.wigner_grid(3, 1.0),
         )
     )
-    bad = dict(good, values=[[float("nan")] * 9] * 4)
-    with pytest.raises(DataQualityError):
-        tomography.dataset_from_json(bad)
+    assert tomography.dataset_from_json(dict(good, shots=10.0)).shots == 10
+    for bad in (
+        dict(good, values=[[float("nan")] * 9] * 4),
+        dict(good, shots=-5, seed=-3),
+        dict(good, shots=-5),
+        dict(good, seed=-3),
+        dict(good, shots=2.5),
+        dict(good, seed=0.5),
+        dict(good, shots=True),
+        dict(good, shots="10"),
+        dict(good, dim=0),
+    ):
+        with pytest.raises(DataQualityError):
+            tomography.dataset_from_json(bad)
 
 
 def test_shape_validation():
