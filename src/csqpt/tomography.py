@@ -232,7 +232,8 @@ def parity_model(betas, dim):
         k = n - m
         odd = k % 2 == 1
         arg = 2 * np.multiply.outer(lam, np.abs(betas))
-        # rows s_mn (real part of the upper triangle), then its Im rows
+        # the first m.size rows hold s_mn, then Re of M_mn once the phase is
+        # applied; the last ones Im of M_mn over the strict upper triangle
         packed = np.empty((dim * dim, betas.size))
         s, im = packed[: m.size], packed[m.size :]
         s[~odd] = (w[m[~odd]] * w[n[~odd]]) @ np.cos(arg)

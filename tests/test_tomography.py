@@ -64,7 +64,7 @@ def test_cold_builds_allocate_no_dense_stacks():
     # matrix (all 1024 elements alone would be 16.8 MB)
     betas = tomography.wigner_grid().betas * (1 + 1e-12)  # not in the cache
     ob = basis.logical_ordered_basis(gates.BinomialCode(32))
-    ch = channel.random_channel(32, 4, np_rng)
+    ch = channel.random_channel(32, 4, np.random.default_rng(32))
     tracemalloc.start()
     try:
         tomography.parity_model(betas, 32)
