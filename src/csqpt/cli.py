@@ -236,21 +236,16 @@ def _resolve_target(spec, code):
     """
     if spec == "x-gate":
         return gates.ideal_logical_x(code), gates.ideal_logical_x_unitary(code)
-    data = _read_json(spec)
-    if "steps" in data:
-        u = gates.compose_unitary(gates.sequence_from_json(data), code.dim)
-    elif "operators" in data:
-        ks = kraus_from_json(data)
-        if ks.rank != 1:
-            raise ValidationError("target Kraus file must have rank 1 (a unitary)")
-        u = ks.operators[0]
-        if u.shape[0] != code.dim:
-            raise ValidationError(f"target dim {u.shape[0]} does not match {code.dim}")
+    ch = _gate_channel(spec, code.dim)
+    if isinstance(ch, gates.SequenceChannel):
+        u = gates.compose_unitary(ch.sequence, code.dim)
+    elif ch.rank != 1:
+        raise ValidationError("target Kraus file must have rank 1 (a unitary)")
+    else:
+        u = ch.operators[0]
         defect = np.linalg.norm(u.conj().T @ u - np.eye(code.dim))
         if defect > 1e-8:
             raise ValidationError(f"target operator is not unitary (defect {defect:.2e})")
-    else:
-        raise ValidationError(f"{spec}: neither a sequence nor a Kraus JSON file")
     p = code.projector()
     return p @ u @ p, u
 

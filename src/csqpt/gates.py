@@ -119,8 +119,8 @@ def ideal_logical_x_unitary(code):
 class SequenceChannel:
     """The gate sequence with cavity decay for each step's duration before
     that step's unitary (``params=None``: unitaries only).  ``apply`` maps
-    just the operators it is given; Kraus operators are built only when
-    ``operators`` is read.
+    just the operators it is given; ``noisy_gate_process`` gives the Kraus
+    operators of the same channel.
     """
 
     sequence: GateSequence
@@ -136,11 +136,6 @@ class SequenceChannel:
             u = step_unitary(step, self.dim)
             x = u @ x @ u.conj().T
         return x
-
-    @property
-    def operators(self):
-        """Kraus operators of the channel, recomputed on each access."""
-        return noisy_gate_process(self.sequence, self.params, self.dim).operators
 
 
 def noisy_gate_process(sequence, params, dim):

@@ -148,7 +148,7 @@ class LossReport:
     grad_norm: float
     iters_used: int
     history: tuple
-    converged: bool = True
+    converged: bool = False  # True only for a fit stopped by grad_tol
     stop_reason: str = None  # one of STOP_REASONS; None without a fit
 
     def __post_init__(self):
@@ -191,11 +191,12 @@ def _predict(v, kets, mops):
 def predict_wigner(point, probes, grid):
     """Wigner predictions of the channel encoded by an isometry point.
 
-    The forward model ``simulate_dataset`` shares (``ParityModel.wigner``):
-    the output states rho_i come from the probe images K_k |alpha_i> in one
-    batched product, are packed into d^2 real coordinates and meet the
-    packed parity operators in one real GEMM.  Probe kets and parity
-    operators are built once per (grid, dim) and cached.
+    ``ParityModel.wigner``: the output states rho_i come from the probe
+    images K_k |alpha_i> in one batched product, and ``ParityModel.expect``,
+    which ``simulate_dataset`` also calls, packs them into d^2 real
+    coordinates that meet the packed parity operators in one real GEMM.
+    Probe kets and parity operators are built once per (grid, dim) and
+    cached.
     """
     kets = probe_kets(_as_alphas(probes), point.dim)
     model = parity_model(_as_betas(grid), point.dim)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._cache import CACHE_ENTRIES, cached, read_only
 from .errors import DataQualityError, ValidationError
-from .fock import _quadrature, coherent_state, displacement, parity
+from .fock import _quadrature, coherent_state
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
 
@@ -139,13 +139,13 @@ class ParityModel:
     coordinates: the diagonal, then Re and Im of the strict upper triangle
     (row-major).  ``packed`` (d^2, n_betas) holds them column by column and
     is the model's one representation.  ``ops`` (n_betas, d, d), the dense
-    read-only stack, is unpacked from it on first read and then kept.  For
-    a Kraus set, rho_i = sum_k K_k |alpha_i><alpha_i| K_k^dag is one
-    batched product of the probe images K_k |alpha_i>, its coordinates
-    (off-diagonal ones doubled) form row i of X, and W = X packed is a
-    single real GEMM.  The gradient's N_i = sum_j c_ij M_j is the
-    transposed GEMM, unpacked to Hermitian d x d by one gather and applied
-    to the images in one batched product.
+    read-only stack, is unpacked from it on first read and then kept.
+    ``expect`` packs output states rho_i into the rows of X (off-diagonal
+    coordinates doubled), and W = X packed is one real GEMM; ``wigner``
+    forms rho_i = sum_k K_k |alpha_i><alpha_i| K_k^dag of a Kraus set in
+    one batched product of the probe images K_k |alpha_i>.  The gradient's
+    N_i = sum_j c_ij M_j is the transposed GEMM, unpacked to Hermitian
+    d x d by one gather and applied to the images in one batched product.
     """
 
     def __init__(self, packed):
@@ -185,7 +185,12 @@ class ParityModel:
         """W (n_probes, n_betas) of the Kraus stack ``operators``, of shape
         (rank, dim, dim) or (rank*dim, dim), on the probe kets (rows)."""
         a = _images(operators, kets)
-        rho = a.swapaxes(1, 2) @ a.conj()
+        return self.expect(a.swapaxes(1, 2) @ a.conj())
+
+    def expect(self, rho):
+        """W (n, n_betas), W_ij = Tr[M_j rho_i], of a Hermitian stack
+        (n, dim, dim); only its diagonal and upper triangle are read."""
+        rho = np.ascontiguousarray(rho, dtype=complex)
         x = rho.reshape(rho.shape[0], -1).view(float).take(self._pack, axis=1)
         x *= self._scale
         return x @ self.packed
@@ -203,10 +208,10 @@ class ParityModel:
         return g.reshape(operators.shape)
 
 
-def parity_model(betas, dim):
-    """ParityModel of (2/pi) D(beta) P D^dag(beta), cached per (betas, dim).
+def _packed_parity(betas, dim):
+    """``ParityModel.packed`` (d^2, n_betas) of M = (2/pi) D(beta) P D^dag(beta),
+    built in closed form with no d x d matrix and not cached.
 
-    The packed coordinates are built in closed form, with no d x d matrix.
     P anticommutes with the generator beta a^dag - conj(beta) a, truncated
     or not, so P D^dag(beta) = D(beta) P and D(beta) P D^dag(beta) =
     D(2 beta) P (Royer, Phys. Rev. A 15, 449 (1977)), exactly for the
@@ -218,38 +223,39 @@ def parity_model(betas, dim):
     pairs whose Hermite functions differ by (-1)^n, so s_mn is a real
     cos-sum when m + n is even and i times a sin-sum when it is odd: two
     real GEMMs over the upper triangle.
-
-    Its arrays are read-only; the cache keeps CACHE_ENTRIES grids.
     """
+    lam, w = _quadrature(dim)
+    iu, ju = np.triu_indices(dim, 1)
+    # (m, n >= m): the diagonal, then the strict upper triangle (row-major)
+    m = np.concatenate([np.arange(dim), iu])
+    n = np.concatenate([np.arange(dim), ju])
+    k = n - m
+    odd = k % 2 == 1
+    arg = 2 * np.multiply.outer(lam, np.abs(betas))
+    # the first m.size rows hold s_mn, then Re of M_mn once the phase is
+    # applied; the last ones Im of M_mn over the strict upper triangle
+    packed = np.empty((dim * dim, betas.size))
+    s, im = packed[: m.size], packed[m.size :]
+    s[~odd] = (w[m[~odd]] * w[n[~odd]]) @ np.cos(arg)
+    s[odd] = (w[m[odd]] * w[n[odd]]) @ np.sin(arg)
+    s *= ((2 / np.pi) * (-1.0) ** n)[:, None]
+    # times the phase e^{-i k phi}, and i for odd k, with phi = theta - pi/2:
+    # its Re and Im tabulated per k = 0 .. d-1, then gathered per element
+    kphi = np.multiply.outer(np.arange(dim), np.angle(betas) - np.pi / 2)
+    cos, sin = np.cos(kphi), np.sin(kphi)
+    odd_k = (np.arange(dim) % 2 == 1)[:, None]
+    k = k[dim:]
+    np.multiply(s[dim:], np.where(odd_k, cos, -sin)[k], out=im)
+    s[dim:] *= np.where(odd_k, sin, cos)[k]
+    return packed
+
+
+def parity_model(betas, dim):
+    """The ParityModel of ``_packed_parity(betas, dim)``, read-only and
+    cached per (betas, dim); the cache keeps CACHE_ENTRIES grids."""
     betas = np.asarray(betas, dtype=complex)
-
-    def build():
-        lam, w = _quadrature(dim)
-        iu, ju = np.triu_indices(dim, 1)
-        # (m, n >= m): the diagonal, then the strict upper triangle (row-major)
-        m = np.concatenate([np.arange(dim), iu])
-        n = np.concatenate([np.arange(dim), ju])
-        k = n - m
-        odd = k % 2 == 1
-        arg = 2 * np.multiply.outer(lam, np.abs(betas))
-        # the first m.size rows hold s_mn, then Re of M_mn once the phase is
-        # applied; the last ones Im of M_mn over the strict upper triangle
-        packed = np.empty((dim * dim, betas.size))
-        s, im = packed[: m.size], packed[m.size :]
-        s[~odd] = (w[m[~odd]] * w[n[~odd]]) @ np.cos(arg)
-        s[odd] = (w[m[odd]] * w[n[odd]]) @ np.sin(arg)
-        s *= ((2 / np.pi) * (-1.0) ** n)[:, None]
-        # times the phase e^{-i k phi}, and i for odd k, with phi = theta - pi/2:
-        # its Re and Im tabulated per k = 0 .. d-1, then gathered per element
-        kphi = np.multiply.outer(np.arange(dim), np.angle(betas) - np.pi / 2)
-        cos, sin = np.cos(kphi), np.sin(kphi)
-        odd_k = (np.arange(dim) % 2 == 1)[:, None]
-        k = k[dim:]
-        np.multiply(s[dim:], np.where(odd_k, cos, -sin)[k], out=im)
-        s[dim:] *= np.where(odd_k, sin, cos)[k]
-        return ParityModel(packed)
-
-    return cached(_PARITY_CACHE, (dim, betas.tobytes()), build)
+    key = (dim, betas.tobytes())
+    return cached(_PARITY_CACHE, key, lambda: ParityModel(_packed_parity(betas, dim)))
 
 
 def displaced_parity_ops(betas, dim):
@@ -259,43 +265,43 @@ def displaced_parity_ops(betas, dim):
 
 
 def wigner_value(rho, beta):
-    """W(beta) = (2/pi) Tr[D^dag(beta) rho D(beta) P]."""
+    """W(beta) = (2/pi) Tr[D^dag(beta) rho D(beta) P], the real part for a
+    non-Hermitian ``rho``.  The one-point model is built uncached, so a
+    one-off beta never evicts a fit's grid from the parity cache."""
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    d = displacement(beta, dim)
-    val = (2 / np.pi) * np.trace(d.conj().T @ rho @ d @ parity(dim))
-    return float(val.real)
+    model = ParityModel(_packed_parity(np.array([beta], dtype=complex), rho.shape[0]))
+    return float(model.expect((rho + rho.conj().T)[None] / 2)[0, 0])
 
 
-def simulate_dataset(channel_ks, probes, grid, shots=0, seed=0):
+def simulate_dataset(channel, probes, grid, shots=0, seed=0):
     """Wigner dataset of the channel on the probe/measurement grids.
 
-    Exact values come from ``ParityModel.wigner`` on the channel's Kraus
-    stack, the forward model ``reconstruct`` fits with; any rank works.
-    With ``shots`` > 0 each (probe, beta) value is replaced by the estimate
-    from a binomial parity-bit sample of that size.  All counts come from
-    one ``np.random.default_rng(seed)`` stream in one draw, in row-major
+    ``channel`` is anything with ``dim`` and ``apply``.  Exact values are
+    ``ParityModel.expect`` of the output states E(|alpha_i><alpha_i|), the
+    forward model ``reconstruct`` fits with.  With ``shots`` > 0 each
+    (probe, beta) value is replaced by the estimate from a binomial
+    parity-bit sample of that size.  All counts come from one
+    ``np.random.default_rng(seed)`` stream in one draw, in row-major
     (probe, beta) order, so a seed fixes the dataset byte for byte.
+    ``shots`` and ``seed`` must be integers >= 0.
     """
+    for name, value in (("shots", shots), ("seed", seed)):
+        whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if not whole or value < 0:
+            raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
     alphas = np.asarray(probes.alphas, dtype=complex)
     betas = np.asarray(grid.betas, dtype=complex)
-    dim = channel_ks.dim
-    if shots < 0:
-        raise ValidationError("shots must be non-negative")
-    if seed < 0:
-        raise ValidationError("seed must be non-negative")
-    # Kraus operators first: a SequenceChannel builds them on demand, and its
-    # d^2 scratch is freed before the parity operators are allocated
-    ops = channel_ks.operators
-    values = parity_model(betas, dim).wigner(ops, probe_kets(alphas, dim))
+    dim = channel.dim
+    kets = probe_kets(alphas, dim)
+    rho = channel.apply(kets[:, :, None] * kets[:, None, :].conj())
+    values = parity_model(betas, dim).expect(rho)
     if shots > 0:
         # parity bit is +1 with probability (1 + pi W / 2) / 2
         prob = np.clip((1 + values * np.pi / 2) / 2, 0.0, 1.0)
         k = np.random.default_rng(seed).binomial(shots, prob)
         values = (2 / np.pi) * (2 * k / shots - 1)
     return TomographyDataset(
-        probes=alphas, betas=betas, values=values, dim=dim,
-        shots=int(shots), seed=int(seed),
+        probes=alphas, betas=betas, values=values, dim=dim, shots=shots, seed=seed,
     )
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from csqpt import channel, gates, metrics, reconstruct, tomography
 from csqpt.cli import EMIT_CHOICES, build_parser, main
+from csqpt.errors import ValidationError
 
 pytestmark = pytest.mark.filterwarnings("ignore::csqpt.errors.TruncationWarning")
 
@@ -144,6 +145,13 @@ def test_simulate_bad_inputs(tmp_path):
         assert main(["simulate", "--gate", gate, "--dim", "6", "--shots", shots,
                      "--seed", "-1", "--out", str(tmp_path / "x.json")]) == 3
     assert not (tmp_path / "x.json").exists()
+    # so is any count that is not a whole number >= 0, also from the library
+    ident = channel.unitary_channel(np.eye(6, dtype=complex))
+    pg, wg = tomography.probe_grid(2, 0.5), tomography.wigner_grid(3, 1.0)
+    for bad in (dict(shots=-1), dict(seed=-1), dict(shots=2.5), dict(shots=True),
+                dict(seed=1.5), dict(seed=True), dict(shots=10, seed=0.5)):
+        with pytest.raises(ValidationError):
+            tomography.simulate_dataset(ident, pg, wg, **bad)
 
 
 def small_dataset(tmp_path, dim=6, shots=0):

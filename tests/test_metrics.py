@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 
-from csqpt import basis, channel, gates, metrics
+from csqpt import basis, channel, gates, metrics, tomography
 from csqpt.channel import (
     DecoherenceParams,
     KrausSet,
@@ -277,6 +277,7 @@ def test_sequence_channel_matches_kraus_form():
     kraus = gates.noisy_gate_process(seq, params, 16)
     target = ideal_logical_x(code16)
     ob = basis.logical_ordered_basis(code16)
+    pg, wg = tomography.probe_grid(3, 1.0), tomography.wigner_grid(5, 2.0)
 
     def results(ch):
         rep = metrics.avg_gate_fidelity(ch, target, code16)
@@ -287,6 +288,7 @@ def test_sequence_channel_matches_kraus_form():
             basis.logical_ptm(ch, code16).elements,
             basis.population_transfer_matrix(ch, ob).elements,
             decoded.elements, direct.elements,
+            tomography.simulate_dataset(ch, pg, wg).values,
         ]
 
     for got, want in zip(results(action), results(kraus)):
@@ -295,7 +297,8 @@ def test_sequence_channel_matches_kraus_form():
 
 def test_budget_and_decoder_need_no_kraus_operators(code, monkeypatch):
     # the action path never extracts Kraus operators or diagonalizes, and
-    # propagates the four code units, never the d^2 matrix units
+    # propagates the four code units or probe projectors, never the d^2
+    # matrix units
     def forbidden(*args, **kwargs):
         raise AssertionError("Kraus extraction reached")
 
@@ -314,8 +317,13 @@ def test_budget_and_decoder_need_no_kraus_operators(code, monkeypatch):
     params = DecoherenceParams(315.0, 478.0)
     budget = metrics.error_budget(seq, params, code)
     assert dict(budget.contributions)["photon-loss"] > 0
-    decoded, direct = metrics.decoder_study(gates.SequenceChannel(seq, params, 32), code)
+    noisy = gates.SequenceChannel(seq, params, 32)
+    decoded, direct = metrics.decoder_study(noisy, code)
     assert 0 < direct.elements[0, 0] < 1
+    # simulate maps only the 2 x 2 probe projectors
+    ds = tomography.simulate_dataset(
+        noisy, tomography.probe_grid(2, 0.5), tomography.wigner_grid(3, 1.0))
+    assert np.abs(ds.values).max() <= 2 / np.pi
     assert stack_sizes and max(stack_sizes) == 4
     with pytest.raises(AssertionError):
         gates.noisy_gate_process(seq, params, 16)

@@ -120,6 +120,8 @@ def test_packed_forward_model_matches_dense_reference(seed):
             m = disp @ parity(d) @ disp.conj().T
             ref[i, j] = (2 / np.pi) * np.trace(m @ out).real
     assert np.abs(rec._predict(v, kets, mops) - ref).max() <= 1e-12
+    # out is the last probe's output state
+    assert abs(tomo.wigner_value(out, betas[-1]) - ref[-1, -1]) <= 1e-12
     ds = tomo.simulate_dataset(ks, tomo.ProbeGrid(alphas), tomo.WignerGrid(betas))
     assert np.abs(ds.values - ref).max() <= 1e-12
 
@@ -158,6 +160,10 @@ def test_forward_model_caches_read_only_and_bounded():
         tomo.parity_model([0.1j * n], 4)
     assert len(tomo._PROBE_KET_CACHE) == tomo.CACHE_ENTRIES
     assert len(tomo._PARITY_CACHE) == tomo.CACHE_ENTRIES
+    # a one-off wigner_value leaves the parity cache as it was
+    keys = list(tomo._PARITY_CACHE)
+    tomo.wigner_value(np.eye(4) / 4, 0.3 + 0.2j)
+    assert list(tomo._PARITY_CACHE) == keys
 
 
 def test_loss_at_ground_truth():
@@ -168,6 +174,8 @@ def test_loss_at_ground_truth():
     rep = rec.loss(pt, ds, 0.0)
     assert rep.total <= 1e-16 * ds.values.size
     assert rep.total == rep.l2
+    # no fit ran, so nothing converged and nothing stopped
+    assert not rep.converged and rep.stop_reason is None
 
 
 def test_loss_l1_accounting():
