@@ -118,9 +118,9 @@ def ideal_logical_x_unitary(code):
 @dataclass(frozen=True)
 class SequenceChannel:
     """The gate sequence with cavity decay for each step's duration before
-    that step's unitary (``params=None``: unitaries only).  ``apply`` maps
-    just the operators it is given; ``noisy_gate_process`` gives the Kraus
-    operators of the same channel.
+    that step's unitary (``params=None``: unitaries only, applied as their
+    one product U x U^dag).  ``apply`` maps just the operators it is given;
+    ``noisy_gate_process`` gives the Kraus operators of the same channel.
     """
 
     sequence: GateSequence
@@ -130,9 +130,11 @@ class SequenceChannel:
     def apply(self, x):
         """The channel on one operator or a stack of them."""
         x = operand(x, self.dim)
+        if self.params is None:
+            u = compose_unitary(self.sequence, self.dim)
+            return u @ x @ u.conj().T
         for step in self.sequence.steps:
-            if self.params is not None:
-                x = decay(self.params, step.duration, x)
+            x = decay(self.params, step.duration, x)
             u = step_unitary(step, self.dim)
             x = u @ x @ u.conj().T
         return x

@@ -35,8 +35,10 @@ squares); exact datasets are fitted unweighted.
 
 Predictions come from ``tomography.ParityModel``, the forward model that
 also simulates datasets: the probes' output states, packed into d^2 real
-coordinates, times the cached packed parity operators in one real GEMM.
-The l2 gradient runs the transposed GEMM to form N_i = sum_j r_ij M_j and
+coordinates, times the cached packed parity operators of the grid's
+mirror orbits {beta, -beta, conj beta, -conj beta} in four real block
+GEMMs, whose sign combinations give every beta's column.  The l2
+gradient runs the transposed GEMMs to form N_i = sum_j r_ij M_j and
 applies it to the probe images K_k |alpha_i> in one batched product.
 
 Gradient convention: for a real loss L the array returned by
@@ -194,7 +196,8 @@ def predict_wigner(point, probes, grid):
     ``ParityModel.wigner``: the output states rho_i come from the probe
     images K_k |alpha_i> in one batched product, and ``ParityModel.expect``,
     which ``simulate_dataset`` also calls, packs them into d^2 real
-    coordinates that meet the packed parity operators in one real GEMM.
+    coordinates that meet the packed parity operators of the grid's
+    orbits in four real block GEMMs.
     Probe kets and parity operators are built once per (grid, dim) and
     cached.
     """

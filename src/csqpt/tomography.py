@@ -31,9 +31,10 @@ class WignerGrid:
 
 
 def _square_grid(n, extent):
-    if n < 1 or extent <= 0:
-        raise ValidationError("grid needs n >= 1 and a positive extent")
+    if n < 1 or not 0 < extent < np.inf:  # NaN included
+        raise ValidationError("grid needs n >= 1 and a finite positive extent")
     axis = np.linspace(-extent, extent, n)
+    axis = (axis - axis[::-1]) / 2  # -axis is axis[::-1] exactly
     re, im = np.meshgrid(axis, axis, indexing="xy")  # Re varies fastest
     return (re + 1j * im).reshape(-1)
 
@@ -80,8 +81,9 @@ class TomographyDataset:
                 f"values shape {self.values.shape} does not match "
                 f"{self.probes.size} probes x {self.betas.size} betas"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise DataQualityError("dataset contains non-finite values")
+        for name in ("probes", "betas", "values"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DataQualityError(f"dataset contains non-finite {name}")
         for name, low in (("dim", 1), ("shots", 0), ("seed", 0)):
             value = getattr(self, name)
             whole = isinstance(value, numbers.Integral) or (
@@ -113,17 +115,40 @@ def _images(operators, kets):
     return (kets @ operators.reshape(-1, dim).T).reshape(n, -1, dim)
 
 
+# _SIGNS[b, q] is the sign coordinate block b takes at orbit member q.
+# Block b has bit 0 set for k = n - m odd and bit 1 for the Im parts; member
+# q has bit 0 set for -beta and bit 1 for a conjugation.  As M(-beta)_mn =
+# (-1)^k M(beta)_mn and M(conj beta) = conj M(beta), it is the 4 x 4
+# Sylvester-Hadamard matrix (-1)^popcount(b & q).
+_SIGNS = np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+def _blocks(dim):
+    """(order, bounds): ``order`` sorts the d^2 real coordinates of a
+    Hermitian d x d matrix, listed as the diagonal, then Re and Im of the
+    strict upper triangle (row-major), into the four blocks of ``_SIGNS``,
+    keeping their order within a block: Re for even k (the diagonal
+    first), Re for odd k, Im for even k, Im for odd k.  Block b is
+    coordinates bounds[b]:bounds[b + 1]."""
+    iu, ju = np.triu_indices(dim, 1)
+    odd = (ju - iu) % 2
+    block = np.concatenate([np.zeros(dim, dtype=np.intp), odd, 2 + odd])
+    order = np.argsort(block, kind="stable")
+    return order, np.searchsorted(block[order], np.arange(5))
+
+
 def _slots(dim):
-    """Where the d^2 real coordinates of a Hermitian d x d matrix sit in the
-    real view (.., 2 d^2) of the complex matrix, Re(z_ab) at 2(a d + b) and
-    Im(z_ab) after it: ``pack`` lists the diagonal's, then Re and Im of the
-    strict upper triangle's (row-major); ``src`` and ``sign`` give, for each
-    slot, the coordinate it reads and its sign, the lower triangle mirroring
-    the upper with Im negated and the diagonal's Im slots reading zero."""
+    """Where the d^2 real coordinates of a Hermitian d x d matrix, in the
+    block order of ``_blocks``, sit in the real view (.., 2 d^2) of the
+    complex matrix, Re(z_ab) at 2(a d + b) and Im(z_ab) after it: ``pack``
+    lists each coordinate's slot; ``src`` and ``sign`` give, for each
+    slot, the coordinate it reads and its sign, the lower triangle
+    mirroring the upper with Im negated and the diagonal's Im slots
+    reading zero."""
     iu, ju = np.triu_indices(dim, 1)
     upper, lower = 2 * (iu * dim + ju), 2 * (ju * dim + iu)
     diag = 2 * np.arange(dim) * (dim + 1)
-    pack = np.concatenate([diag, upper, upper + 1])
+    pack = np.concatenate([diag, upper, upper + 1])[_blocks(dim)[0]]
     src = np.zeros(2 * dim * dim, dtype=np.intp)
     sign = np.zeros(2 * dim * dim)
     src[pack], sign[pack] = np.arange(dim * dim), 1.0
@@ -132,33 +157,61 @@ def _slots(dim):
     return pack, src, sign
 
 
+def _orbits(betas):
+    """(reps, orbit, member) of a beta list under beta -> -beta and
+    beta -> conj(beta): beta_j is member member[j] (see ``_SIGNS``) of the
+    orbit of reps[orbit[j]] = |Re beta_j| + i |Im beta_j|."""
+    reps, orbit = np.unique(np.abs(betas.real) + 1j * np.abs(betas.imag),
+                            return_inverse=True)
+    neg = betas.real < 0
+    return reps, orbit, neg + 2 * (neg != (betas.imag < 0))
+
+
 class ParityModel:
     """The forward model W_ij = Tr[M_j E(|alpha_i><alpha_i|)] of one grid.
 
     M_j = (2/pi) D(beta_j) P D^dag(beta_j) is Hermitian, so it has d^2 real
-    coordinates: the diagonal, then Re and Im of the strict upper triangle
-    (row-major).  ``packed`` (d^2, n_betas) holds them column by column and
-    is the model's one representation.  ``ops`` (n_betas, d, d), the dense
-    read-only stack, is unpacked from it on first read and then kept.
+    coordinates, grouped into the four blocks of ``_blocks``.  M(-beta) and
+    M(conj beta) differ from M(beta) only by the block signs ``_SIGNS``,
+    so the model holds one column per orbit {beta, -beta, conj beta,
+    -conj beta} of the grid: ``packed`` (d^2, n_orbits) at the
+    representatives, and is built with each beta_j's ``orbit`` and
+    ``member`` (see ``_orbits``).  A grid without that symmetry just has
+    one orbit per beta.  ``ops``
+    (n_betas, d, d), the dense read-only stack, is unpacked from it on
+    first read and then kept.
+
     ``expect`` packs output states rho_i into the rows of X (off-diagonal
-    coordinates doubled), and W = X packed is one real GEMM; ``wigner``
-    forms rho_i = sum_k K_k |alpha_i><alpha_i| K_k^dag of a Kraus set in
-    one batched product of the probe images K_k |alpha_i>.  The gradient's
-    N_i = sum_j c_ij M_j is the transposed GEMM, unpacked to Hermitian
-    d x d by one gather and applied to the images in one batched product.
+    coordinates doubled) and runs one real GEMM per block against the
+    orbit columns; the four products combine by the 4 x 4 ``_SIGNS`` into
+    every member's values, and one column gather picks each beta's.
+    ``wigner`` forms rho_i = sum_k K_k |alpha_i><alpha_i| K_k^dag of a
+    Kraus set in one batched product of the probe images K_k |alpha_i>.
+    The gradient's N_i = sum_j c_ij M_j runs the transpose: c folded per
+    orbit with the same signs (repeated betas add up), four GEMMs into the
+    coordinate blocks, unpacked to Hermitian d x d by one gather and
+    applied to the images in one batched product.
     """
 
-    def __init__(self, packed):
+    def __init__(self, packed, orbit, member):
         self.packed = read_only(packed)
         self.dim = dim = math.isqrt(packed.shape[0])
         self._pack, self._src, self._sign = _slots(dim)
-        self._scale = np.concatenate([np.ones(dim), np.full(dim * dim - dim, 2.0)])
+        order, bounds = _blocks(dim)
+        self._scale = np.concatenate(
+            [np.ones(dim), np.full(dim * dim - dim, 2.0)])[order]
+        self._sizes = np.diff(bounds)
+        self._rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._orbit, self._member = orbit, member
+        # beta_j's column among the member-major 4 x n_orbits columns
+        self._gather = member * packed.shape[1] + orbit
         self._ops = None
 
     @property
     def ops(self):
         if self._ops is None:
-            self._ops = read_only(self._unpack(self.packed.T))
+            signs = np.repeat(_SIGNS[:, self._member].T, self._sizes, axis=1)
+            self._ops = read_only(self._unpack(self.packed.T[self._orbit] * signs))
         return self._ops
 
     def _unpack(self, coords):
@@ -170,16 +223,18 @@ class ParityModel:
     def of(cls, ops):
         """The model of a parity stack: ``ops`` itself if it is a model, the
         cached model whose ``ops`` is that very array, else a new one
-        packed from the stack."""
+        packed from the stack, one orbit per operator."""
         if isinstance(ops, cls):
             return ops
         for model in _PARITY_CACHE.values():
             if model._ops is ops:
                 return model
         ops = np.ascontiguousarray(ops, dtype=complex)
-        flat = ops.reshape(ops.shape[0], -1).view(float)
+        n = ops.shape[0]
+        flat = ops.reshape(n, -1).view(float)
         pack = _slots(ops.shape[-1])[0]
-        return cls(np.ascontiguousarray(flat.take(pack, axis=1).T))
+        return cls(np.ascontiguousarray(flat.take(pack, axis=1).T),
+                   np.arange(n), np.zeros(n, dtype=np.intp))
 
     def wigner(self, operators, kets):
         """W (n_probes, n_betas) of the Kraus stack ``operators``, of shape
@@ -191,9 +246,15 @@ class ParityModel:
         """W (n, n_betas), W_ij = Tr[M_j rho_i], of a Hermitian stack
         (n, dim, dim); only its diagonal and upper triangle are read."""
         rho = np.ascontiguousarray(rho, dtype=complex)
-        x = rho.reshape(rho.shape[0], -1).view(float).take(self._pack, axis=1)
+        n = rho.shape[0]
+        x = rho.reshape(n, -1).view(float).take(self._pack, axis=1)
         x *= self._scale
-        return x @ self.packed
+        y = np.empty((n, 4, self.packed.shape[1]))
+        for b, s in enumerate(self._rows):
+            np.matmul(x[:, s], self.packed[s], out=y[:, b])
+        # member q of orbit o is sum_b _SIGNS[b, q] y[i, b, o]; _SIGNS is
+        # symmetric
+        return (_SIGNS @ y).reshape(n, -1).take(self._gather, axis=1)
 
     def gradient(self, operators, kets, coeffs):
         """d/d(conj K) of sum_ij coeffs_ij W_ij, shaped like ``operators``.
@@ -201,7 +262,16 @@ class ParityModel:
         Operator k of it is sum_i N_i K_k |alpha_i><alpha_i| with the
         Hermitian N_i = sum_j coeffs_ij M_j.
         """
-        n = self._unpack(coeffs @ self.packed.T)
+        rows, size = coeffs.shape[0], 4 * self.packed.shape[1]
+        # c[i, q, o] sums coeffs_ij over the betas j that are member q of
+        # orbit o, so a repeated beta counts each time
+        at = np.add.outer(np.arange(rows) * size, self._gather).ravel()
+        c = np.bincount(at, coeffs.ravel(), rows * size).reshape(rows, 4, -1)
+        f = _SIGNS @ c
+        coords = np.empty((rows, self.dim * self.dim))
+        for b, s in enumerate(self._rows):
+            np.matmul(f[:, b], self.packed[s].T, out=coords[:, s])
+        n = self._unpack(coords)
         # row k of nk[i] is (N_i K_k |alpha_i>)^T
         nk = _images(operators, kets) @ n.swapaxes(1, 2)
         g = nk.reshape(kets.shape[0], -1).T @ kets.conj()
@@ -209,8 +279,10 @@ class ParityModel:
 
 
 def _packed_parity(betas, dim):
-    """``ParityModel.packed`` (d^2, n_betas) of M = (2/pi) D(beta) P D^dag(beta),
-    built in closed form with no d x d matrix and not cached.
+    """The coordinates (d^2, n_betas) of M = (2/pi) D(beta) P D^dag(beta),
+    one column per beta in the row order of ``_blocks``, built in closed
+    form with no d x d matrix and not cached.  ``parity_model`` calls it
+    at the orbit representatives only, for ``ParityModel.packed``.
 
     P anticommutes with the generator beta a^dag - conj(beta) a, truncated
     or not, so P D^dag(beta) = D(beta) P and D(beta) P D^dag(beta) =
@@ -247,15 +319,22 @@ def _packed_parity(betas, dim):
     k = k[dim:]
     np.multiply(s[dim:], np.where(odd_k, cos, -sin)[k], out=im)
     s[dim:] *= np.where(odd_k, sin, cos)[k]
-    return packed
+    return packed[_blocks(dim)[0]]
+
+
+def _grid_model(betas, dim):
+    """The uncached ParityModel of a beta list, built at its orbits'
+    representatives."""
+    reps, orbit, member = _orbits(betas)
+    return ParityModel(_packed_parity(reps, dim), orbit, member)
 
 
 def parity_model(betas, dim):
-    """The ParityModel of ``_packed_parity(betas, dim)``, read-only and
-    cached per (betas, dim); the cache keeps CACHE_ENTRIES grids."""
+    """The ParityModel of a beta grid, read-only and cached per
+    (betas, dim); the cache keeps CACHE_ENTRIES grids."""
     betas = np.asarray(betas, dtype=complex)
     key = (dim, betas.tobytes())
-    return cached(_PARITY_CACHE, key, lambda: ParityModel(_packed_parity(betas, dim)))
+    return cached(_PARITY_CACHE, key, lambda: _grid_model(betas, dim))
 
 
 def displaced_parity_ops(betas, dim):
@@ -269,7 +348,7 @@ def wigner_value(rho, beta):
     non-Hermitian ``rho``.  The one-point model is built uncached, so a
     one-off beta never evicts a fit's grid from the parity cache."""
     rho = np.asarray(rho, dtype=complex)
-    model = ParityModel(_packed_parity(np.array([beta], dtype=complex), rho.shape[0]))
+    model = _grid_model(np.array([beta], dtype=complex), rho.shape[0])
     return float(model.expect((rho + rho.conj().T)[None] / 2)[0, 0])
 
 

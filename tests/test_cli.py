@@ -474,6 +474,24 @@ def test_reconstruct_rejects_normalized_dataset(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, row, value", [
+    ("betas", 4, [float("nan"), 0.0]),
+    ("probes", 1, [0.2, float("inf")]),
+])
+def test_reconstruct_rejects_non_finite_grid(tmp_path, capsys, field, row, value):
+    # a NaN beta or an infinite probe is a data error: no fit, no result
+    data = json.loads(open(small_dataset(tmp_path)).read())
+    data[field][row] = value
+    ds_path = tmp_path / "bad.json"
+    ds_path.write_text(json.dumps(data))
+    out = tmp_path / "res.json"
+    assert main(["reconstruct", "--data", str(ds_path), "--rank", "1", "--dim", "6",
+                 "--iters", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: dataset contains non-finite {field}"]
+    assert not out.exists()
+
+
 def test_console_entry_point():
     env = dict(os.environ, CSQPT_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "csqpt", "--help"],

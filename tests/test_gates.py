@@ -68,6 +68,25 @@ def test_noisy_process_noiseless_limit():
     assert dist < 1e-8
 
 
+def test_noise_free_sequence_channel_is_one_unitary():
+    # params=None applies the composed unitary once; the step-by-step
+    # product of the seven step unitaries is the reference, <= 1e-13
+    seq = gates.x_gate_sequence()
+    dim = 16
+    ch = gates.SequenceChannel(seq, None, dim)
+    rng = np.random.default_rng(14)
+    stack = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+
+    def stepwise(x):
+        for step in seq.steps:
+            u = gates.step_unitary(step, dim)
+            x = u @ x @ u.conj().T
+        return x
+
+    assert np.abs(ch.apply(stack[0]) - stepwise(stack[0])).max() <= 1e-13
+    assert np.abs(ch.apply(stack) - stepwise(stack)).max() <= 1e-13
+
+
 def test_noisy_process_is_cptp_and_degrades_transfer():
     seq = gates.x_gate_sequence()
     params = channel.DecoherenceParams(t1=315.0, t2=478.0)

@@ -57,6 +57,67 @@ def test_parity_stack_matches_expm_build():
     assert np.abs(one - 2 / np.pi).max() <= 1e-15
 
 
+def dense_parity(betas, dim):
+    """(2/pi) D(beta) P D^dag(beta) per beta, one scipy expm each."""
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    p = np.diag((-1.0) ** np.arange(dim))
+    ref = np.empty((len(betas), dim, dim), dtype=complex)
+    for j, beta in enumerate(betas):
+        d = expm(beta * a.conj().T - np.conj(beta) * a)
+        ref[j] = (2 / np.pi) * (d @ p @ d.conj().T)
+    return ref
+
+
+_linspace_axis = np.linspace(-2.62, 2.62, 21)
+
+
+@pytest.mark.parametrize("betas, n_orbits", [
+    ([0j], 1),  # the origin, an orbit of one
+    ([0.7, -0.7, 0.5j, -0.5j, -1.1], 3),  # axis points, orbits of two
+    ([0.3 + 0.4j, -0.3 + 0.4j, 0.3 - 0.4j, -0.3 - 0.4j], 1),  # generic, of four
+    (0.9 * np.random.default_rng(41).standard_normal((6, 2)) @ [1, 1j], 6),
+    ((_linspace_axis[None, :] + 1j * _linspace_axis[:, None]).reshape(-1), 169),
+    ([0.3 + 0.4j, 0.3 + 0.4j, -0.3 + 0.4j, 0.1, 0.3 + 0.4j], 2),  # repeated
+], ids=["origin", "axes", "generic", "asymmetric", "linspace", "repeated"])
+def test_orbit_model_matches_dense_oracle(betas, n_orbits):
+    # expect, gradient and ops of the orbit model against the dense expm
+    # stack, <= 1e-12; a repeated beta's coefficients add up in the gradient
+    betas = np.asarray(betas, dtype=complex)
+    dim, rank = 7, 2
+    model = tomography.parity_model(betas, dim)
+    assert model.packed.shape == (dim * dim, n_orbits)
+    ref = dense_parity(betas, dim)
+    assert np.abs(model.ops - ref).max() <= 1e-12
+
+    rng = np.random.default_rng(betas.size)
+    kraus = channel.random_channel(dim, rank, rng).operators
+    kets = tomography.probe_kets([0.3 - 0.2j, -0.5j, 0.6], dim)
+    images = np.einsum("kab,ib->ika", kraus, kets)  # K_k |alpha_i>
+    rho = np.einsum("ika,ikb->iab", images, images.conj())
+    w_ref = np.einsum("jab,iba->ij", ref, rho).real
+    assert np.abs(model.expect(rho) - w_ref).max() <= 1e-12
+    assert np.abs(model.wigner(kraus, kets) - w_ref).max() <= 1e-12
+
+    coeffs = rng.standard_normal((kets.shape[0], betas.size))
+    n = np.einsum("ij,jab->iab", coeffs, ref)  # N_i = sum_j c_ij M_j
+    g_ref = np.einsum("iab,ikb,ic->kac", n, images, kets.conj())
+    assert np.abs(model.gradient(kraus, kets, coeffs) - g_ref).max() <= 1e-12
+
+
+def test_square_grids_mirror_exactly():
+    # -axis equals axis[::-1] exactly, so every point's mirror images
+    # are grid points and the contract grid folds into 11 x 11 orbits
+    for n in range(1, 42):
+        for extent in (1e-3, 0.5, 1.0, 1.5, 2.62, 3.3):
+            axis = tomography.wigner_grid(n, extent).betas[:n].real
+            assert np.array_equal(-axis, axis[::-1])
+    betas = tomography.wigner_grid().betas
+    assert tomography.parity_model(betas, 32).packed.shape == (1024, 121)
+    for n, extent in ((0, 1.0), (3, 0.0), (3, -1.0), (3, np.inf), (3, np.nan)):
+        with pytest.raises(ValidationError):
+            tomography.wigner_grid(n, extent)
+
+
 def test_cold_builds_allocate_no_dense_stacks():
     # tracemalloc peaks of two cold builds the CLI makes: the packed parity
     # model of the contract grid (a dense (441, 32, 32) stack alone would be
