@@ -3,8 +3,9 @@
 The channel is parametrized by the vertical stack V of its rank Kraus
 operators, an (r*d) x d matrix.  Trace preservation is exactly the isometry
 constraint V^dag V = I, so the feasible set is a complex Stiefel manifold
-and the optimizer is projected gradient descent: Wirtinger gradient,
-tangent-space projection, Armijo backtracking, polar retraction.
+and the optimizer is Riemannian L-BFGS: Wirtinger gradient, tangent-space
+projection, a limited-memory quasi-Newton direction, Armijo backtracking,
+polar retraction.
 
 The retraction of a tangent step xi at an isometry V has a closed form.
 V^dag xi is skew-Hermitian, so (V - t xi)^dag (V - t xi) = I + t^2 xi^dag xi
@@ -17,11 +18,20 @@ so each accepted point gets one Newton-Schulz step, which keeps every
 iterate an isometry to rounding.  The public ``retract`` takes arbitrary
 matrices and keeps the SVD polar factor with its rank check.
 
-The line search starts each iteration from the step the previous one
-accepted (``cfg.step_size`` at first) and shrinks it by ``ARMIJO_FACTOR``
-until the Armijo test passes.  The step grows by 1/``ARMIJO_FACTOR`` only
-after ``GROW_AFTER`` iterations in a row accepted their first trial, so
-most iterations cost one forward pass; the loss history never rises.
+The direction is H xi for the projected gradient xi, with H the L-BFGS
+inverse-Hessian model of the last ``LBFGS_MEMORY`` pairs (s, y) by the
+two-loop recursion, projected back onto the tangent space.  s = -t d is
+the accepted step and y = xi_new - P_{v_new}(xi_old) the change of the
+gradient, the old one moved to the new tangent space by projection (the
+vector transport of Absil, Mahony & Sepulchre; Huang, Gallivan & Absil,
+SIAM J. Optim. 25, 1660 (2015)).  A pair is kept only if it passes a
+curvature test, and a direction only if it passes a descent-angle test,
+which otherwise clears the memory: the L1 kinks can break both.  With no
+pair the step is ``cfg.step_size`` times xi, so the first iteration is a
+steepest-descent step.  The line search tries the unit step (the
+memoryless ``cfg.step_size``) and shrinks it by ``ARMIJO_FACTOR`` until
+the Armijo test passes, so almost every iteration costs one forward pass;
+the loss history never rises.
 
 A fit stops for one of ``STOP_REASONS``: the projected gradient norm fell
 to ``grad_tol``, the line search found no decrease above the step floor
@@ -39,7 +49,8 @@ coordinates, times the cached packed parity operators of the grid's
 mirror orbits {beta, -beta, conj beta, -conj beta} in four real block
 GEMMs, whose sign combinations give every beta's column.  The l2
 gradient runs the transposed GEMMs to form N_i = sum_j r_ij M_j and
-applies it to the probe images K_k |alpha_i> in one batched product.
+applies it to the probe images K_k |alpha_i> in one batched product; in a
+fit those images are the ones the accepted trial's forward pass formed.
 
 Gradient convention: for a real loss L the array returned by
 ``euclidean_gradient`` is G = dL/d(conj V), so the derivative of L along a
@@ -48,6 +59,8 @@ therefore recover 2*Re(G) and 2*Im(G).
 """
 
 import json
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +71,7 @@ from .errors import (
     RetractionError,
     ValidationError,
 )
-from .tomography import ParityModel, parity_model, probe_kets
+from .tomography import ParityModel, _images, parity_model, probe_kets
 
 # the name the gradient checks call the probe-ket cache by
 _probe_kets = probe_kets
@@ -72,9 +85,12 @@ INIT_MODES = ("identity-perturbed", "random-isometry")
 
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
-# first trials accepted in a row before the next one tries a larger step
-GROW_AFTER = 3
 MIN_STEP = 1e-14
+# (s, y) pairs the L-BFGS direction remembers
+LBFGS_MEMORY = 5
+# a pair (s, y) is kept only if cos(s, y) exceeds this (the curvature
+# test), a direction d only if cos(xi, d) does (the descent-angle test)
+MIN_COSINE = 1e-4
 
 # why a fit stopped; only "grad_tol" counts as converged
 STOP_REASONS = ("grad_tol", "line_search_floor", "max_iters")
@@ -117,7 +133,7 @@ class IsometryPoint:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.ascontiguousarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[1] < 1 or m.shape[0] % m.shape[1] != 0:
             raise DimensionMismatchError(
                 f"stack shape {m.shape} is not (r*d, d) for integer r"
@@ -207,7 +223,7 @@ def predict_wigner(point, probes, grid):
 
 
 def _l1_parts(v):
-    return float(np.abs(v.real).sum() + np.abs(v.imag).sum())
+    return float(np.abs(v.view(float)).sum())
 
 
 def _residual_weights(ds):
@@ -247,16 +263,17 @@ def _objective(ds, dim, what):
 
 
 def _loss_terms(v, kets, mops, y_data, gamma, weights=None):
-    """(l2, l1, total, wresid) with l2 = sum w r^2 and wresid = w r.
+    """(l2, l1, total, wresid, images) with l2 = sum w r^2 and wresid = w r.
 
-    ``weights=None`` is the unweighted loss (w = 1).  ``wresid`` is what
-    ``_gradient`` takes.
+    ``weights=None`` is the unweighted loss (w = 1).  ``wresid`` and the
+    probe images K_k |alpha_i> of v are what ``_gradient`` takes.
     """
-    resid = _predict(v, kets, mops) - y_data
+    images = _images(v, kets)
+    resid = ParityModel.of(mops).image_wigner(images) - y_data
     wresid = resid if weights is None else weights * resid
     l2 = float((resid * wresid).sum())
     l1 = _l1_parts(v)
-    return l2, l1, l2 + gamma * l1, wresid
+    return l2, l1, l2 + gamma * l1, wresid, images
 
 
 def loss(point, ds, gamma):
@@ -266,29 +283,30 @@ def loss(point, ds, gamma):
     for a shot-noise dataset, the plain sum of squares for exact data.
     """
     kets, mops, y, weights = _objective(ds, point.dim, "stack")
-    l2, l1, total, _ = _loss_terms(point.matrix, kets, mops, y, gamma, weights)
+    l2, l1, total = _loss_terms(point.matrix, kets, mops, y, gamma, weights)[:3]
     return LossReport(
         l2=l2, l1=l1, total=total, grad_norm=0.0, iters_used=0,
         history=(total,),
     )
 
 
-def _l2_gradient(v, kets, mops, resid):
+def _l2_gradient(v, kets, mops, resid, images=None, fold=None):
     """Wirtinger dL2/d(conj V) = 2 sum_ij resid_ij dW_ij/d(conj V) for the
-    weighted residual ``resid``."""
-    return 2.0 * ParityModel.of(mops).gradient(v, kets, resid)
+    weighted residual ``resid``; see ``ParityModel.gradient`` for the
+    optional ``images`` and ``fold``."""
+    return 2.0 * ParityModel.of(mops).gradient(v, kets, resid, images, fold)
 
 
 def _l1_subgradient(v):
-    # d(|Re z| + |Im z|)/d(conj z) = (sign Re + i sign Im) / 2, 0 at 0
-    return 0.5 * (np.sign(v.real) + 1j * np.sign(v.imag))
+    """sign Re + i sign Im (0 at 0): twice d(|Re z| + |Im z|)/d(conj z)."""
+    return np.sign(v.view(float)).view(complex)
 
 
-def _gradient(v, kets, mops, wresid, gamma):
+def _gradient(v, kets, mops, wresid, gamma, images=None, fold=None):
     """Wirtinger gradient of the total loss, given the weighted residual."""
-    g = _l2_gradient(v, kets, mops, wresid)
+    g = _l2_gradient(v, kets, mops, wresid, images, fold)
     if gamma > 0:
-        g = g + gamma * _l1_subgradient(v)
+        g += (0.5 * gamma) * _l1_subgradient(v)
     return g
 
 
@@ -300,13 +318,46 @@ def euclidean_gradient(point, ds, gamma):
     """
     kets, mops, y, weights = _objective(ds, point.dim, "stack")
     v = point.matrix
-    wresid = _loss_terms(v, kets, mops, y, gamma, weights)[3]
-    return _gradient(v, kets, mops, wresid, gamma)
+    _, _, _, wresid, images = _loss_terms(v, kets, mops, y, gamma, weights)
+    return _gradient(v, kets, mops, wresid, gamma, images)
 
 
 def _project(v, z):
     a = v.conj().T @ z
     return z - v @ ((a + a.conj().T) / 2)
+
+
+def _inner(a, b):
+    """The real inner product Re <a, b> = Re tr(a^dag b) of tangent vectors."""
+    return float(np.vdot(a, b).real)
+
+
+def _lbfgs_pair(s, y):
+    """(s, y, <s, y>) for the L-BFGS memory, or None when cos(s, y) is at
+    most ``MIN_COSINE``: a non-convex stretch or a kink of the L1 term can
+    make <s, y> small or negative, and such a pair would spoil the
+    positive-definite model."""
+    sy = _inner(s, y)
+    if sy <= MIN_COSINE * math.sqrt(_inner(s, s) * _inner(y, y)):
+        return None
+    return s, y, sy
+
+
+def _two_loop(xi, pairs):
+    """H xi for the L-BFGS inverse-Hessian model of ``pairs``, oldest first,
+    of (s, y, <s, y>), by the two-loop recursion with the initial scaling
+    <s, y> / <y, y> of the newest pair (Nocedal & Wright, Numerical
+    Optimization, 2006, Algorithm 7.4)."""
+    q = xi.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alphas.append(_inner(s, q) / sy)
+        q -= alphas[-1] * y
+    _, y, sy = pairs[-1]
+    q *= sy / _inner(y, y)
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        q += (a - _inner(y, q) / sy) * s
+    return q
 
 
 def tangent_project(point, direction):
@@ -367,51 +418,66 @@ def reconstruct(ds, cfg):
     """Learn a rank-cfg.rank Kraus set from a Wigner dataset.
 
     Minimises the loss that ``loss`` reports (variance-weighted residuals
-    for a shot-noise dataset, see the module docstring) by projected
-    gradient descent on the stacked-isometry manifold with
-    monotone Armijo backtracking.  The next iteration's first trial is the
-    accepted step, grown by 1/ARMIJO_FACTOR once GROW_AFTER iterations in
-    a row have accepted their first trial.  Every trial point is the
-    closed-form polar retraction of the tangent step, from one d x d
-    ``eigh`` per iteration, and each accepted point takes one Newton-Schulz
-    step back to an exact isometry, so the report's loss is, to rounding,
-    that of the returned set.  ``report.stop_reason`` says why the fit
-    stopped: "grad_tol" (the projected gradient norm fell to cfg.grad_tol,
-    the only case with converged=True), "line_search_floor" (no trial step
-    above ``MIN_STEP`` decreased the loss) or "max_iters" (cfg.max_iters
-    steps were accepted).
+    for a shot-noise dataset, see the module docstring) on the
+    stacked-isometry manifold along Riemannian L-BFGS directions, with
+    monotone Armijo backtracking from the unit step.  With no (s, y) pair
+    in memory (at the first iteration, and after a rejected direction has
+    cleared it, until a new pair passes the curvature test) the step is
+    cfg.step_size times the projected gradient.  Every
+    trial point is the closed-form polar retraction of the tangent step,
+    from one d x d ``eigh`` per iteration, and each accepted point takes
+    one Newton-Schulz step back to an exact isometry, so the report's loss
+    is, to rounding, that of the returned set.  ``report.stop_reason`` says
+    why the fit stopped: "grad_tol" (the projected gradient norm fell to
+    cfg.grad_tol, the only case with converged=True), "line_search_floor"
+    (no trial step above ``MIN_STEP`` decreased the loss) or "max_iters"
+    (cfg.max_iters steps were accepted).
 
     Returns (KrausSet, LossReport).  The returned set is re-certified CPTP;
     NotAChannelError if that fails is a hard error.
     """
-    kets, mops, y, weights = _objective(ds, cfg.dim, "config")
+    kets, model, y, weights = _objective(ds, cfg.dim, "config")
+    fold = model.fold_index(kets.shape[0])
 
     v = initial_point(cfg).matrix
-    l2, l1, total, wresid = _loss_terms(v, kets, mops, y, cfg.gamma, weights)
+    l2, l1, total, wresid, images = _loss_terms(
+        v, kets, model, y, cfg.gamma, weights
+    )
     history = [total]
-    step = cfg.step_size
-    accepted_first = 0  # iterations in a row whose first trial was accepted
+    pairs = deque(maxlen=LBFGS_MEMORY)
     stop_reason = "max_iters"
 
     # one pass more than max_iters, to report the gradient at the last point
     for it in range(cfg.max_iters + 1):
-        xi = _project(v, _gradient(v, kets, mops, wresid, cfg.gamma))
-        grad_norm = float(np.linalg.norm(xi))
+        g = _gradient(v, kets, model, wresid, cfg.gamma, images, fold)
+        xi = _project(v, g)
+        grad_norm = math.sqrt(_inner(xi, xi))
         if grad_norm <= cfg.grad_tol:
             stop_reason = "grad_tol"
             break
         if it == cfg.max_iters:
             break
-        # Armijo backtracking along -xi; slope of L at t=0 is -2||xi||^2
-        decrease_rate = 2.0 * grad_norm**2
-        along = _retraction_along(v, xi)
-        t = step
+        if it > 0:
+            # the accepted step and the gradient change, the old gradient
+            # moved to the new tangent space by projection
+            pair = _lbfgs_pair(-t * d, xi - _project(v, xi_old))
+            if pair is not None:
+                pairs.append(pair)
+        # the quasi-Newton direction, or the memoryless step_size * xi
+        d, t = xi, cfg.step_size
+        if pairs:
+            hd = _project(v, _two_loop(xi, pairs))
+            if _inner(xi, hd) > MIN_COSINE * grad_norm * math.sqrt(_inner(hd, hd)):
+                d, t = hd, 1.0
+            else:
+                pairs.clear()
+        # Armijo backtracking along -d; slope of L at t=0 is -2 Re<xi, d>
+        decrease_rate = 2.0 * _inner(xi, d)
+        along = _retraction_along(v, d)
         while t > MIN_STEP:
             v_new = along(t)
-            l2_new, l1_new, total_new, wresid_new = _loss_terms(
-                v_new, kets, mops, y, cfg.gamma, weights
-            )
-            if total_new <= total - ARMIJO_SLOPE * t * decrease_rate:
+            trial = _loss_terms(v_new, kets, model, y, cfg.gamma, weights)
+            if trial[2] <= total - ARMIJO_SLOPE * t * decrease_rate:
                 break
             t *= ARMIJO_FACTOR
         else:
@@ -421,13 +487,9 @@ def reconstruct(ds, cfg):
         # one Newton-Schulz step x (3I - x^dag x) / 2 squares the isometry
         # defect, which the closed form would grow; its loss moves by rounding
         v = 1.5 * v_new - 0.5 * (v_new @ (v_new.conj().T @ v_new))
-        l2, l1, total, wresid = l2_new, l1_new, total_new, wresid_new
+        l2, l1, total, wresid, images = trial
         history.append(total)
-        # carry the accepted step over; grow it after a run of first trials
-        accepted_first = accepted_first + 1 if t == step else 0
-        step = t
-        if accepted_first == GROW_AFTER:
-            step, accepted_first = t / ARMIJO_FACTOR, 0
+        xi_old = xi
 
     point = retract(v)
     ks = require_certified(KrausSet(point.kraus()))

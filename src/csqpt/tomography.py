@@ -239,8 +239,12 @@ class ParityModel:
     def wigner(self, operators, kets):
         """W (n_probes, n_betas) of the Kraus stack ``operators``, of shape
         (rank, dim, dim) or (rank*dim, dim), on the probe kets (rows)."""
-        a = _images(operators, kets)
-        return self.expect(a.swapaxes(1, 2) @ a.conj())
+        return self.image_wigner(_images(operators, kets))
+
+    def image_wigner(self, images):
+        """W (n_probes, n_betas) of the output states sum_k a_ik a_ik^dag of
+        the probe images a = ``_images(operators, kets)``."""
+        return self.expect(images.swapaxes(1, 2) @ images.conj())
 
     def expect(self, rho):
         """W (n, n_betas), W_ij = Tr[M_j rho_i], of a Hermitian stack
@@ -256,24 +260,35 @@ class ParityModel:
         # symmetric
         return (_SIGNS @ y).reshape(n, -1).take(self._gather, axis=1)
 
-    def gradient(self, operators, kets, coeffs):
+    def fold_index(self, rows):
+        """The flat (member, orbit) slot of each of coeffs' rows x n_betas
+        entries, for ``gradient``; a fit builds it once for its probes."""
+        size = 4 * self.packed.shape[1]
+        return np.add.outer(np.arange(rows) * size, self._gather).ravel()
+
+    def gradient(self, operators, kets, coeffs, images=None, fold=None):
         """d/d(conj K) of sum_ij coeffs_ij W_ij, shaped like ``operators``.
 
         Operator k of it is sum_i N_i K_k |alpha_i><alpha_i| with the
-        Hermitian N_i = sum_j coeffs_ij M_j.
+        Hermitian N_i = sum_j coeffs_ij M_j.  ``images`` and ``fold``, if
+        given, are ``_images(operators, kets)`` and
+        ``fold_index(len(coeffs))``, which a fit already has.
         """
-        rows, size = coeffs.shape[0], 4 * self.packed.shape[1]
+        rows = coeffs.shape[0]
+        if fold is None:
+            fold = self.fold_index(rows)
+        if images is None:
+            images = _images(operators, kets)
         # c[i, q, o] sums coeffs_ij over the betas j that are member q of
         # orbit o, so a repeated beta counts each time
-        at = np.add.outer(np.arange(rows) * size, self._gather).ravel()
-        c = np.bincount(at, coeffs.ravel(), rows * size).reshape(rows, 4, -1)
-        f = _SIGNS @ c
+        c = np.bincount(fold, coeffs.ravel(), rows * 4 * self.packed.shape[1])
+        f = _SIGNS @ c.reshape(rows, 4, -1)
         coords = np.empty((rows, self.dim * self.dim))
         for b, s in enumerate(self._rows):
             np.matmul(f[:, b], self.packed[s].T, out=coords[:, s])
         n = self._unpack(coords)
         # row k of nk[i] is (N_i K_k |alpha_i>)^T
-        nk = _images(operators, kets) @ n.swapaxes(1, 2)
+        nk = images @ n.swapaxes(1, 2)
         g = nk.reshape(kets.shape[0], -1).T @ kets.conj()
         return g.reshape(operators.shape)
 
@@ -324,7 +339,10 @@ def _packed_parity(betas, dim):
 
 def _grid_model(betas, dim):
     """The uncached ParityModel of a beta list, built at its orbits'
-    representatives."""
+    representatives.  A non-finite beta raises ValidationError: it has no
+    parity operator, and ``np.unique`` would fold every NaN into one orbit."""
+    if not np.all(np.isfinite(betas)):
+        raise ValidationError("parity operators need finite betas")
     reps, orbit, member = _orbits(betas)
     return ParityModel(_packed_parity(reps, dim), orbit, member)
 

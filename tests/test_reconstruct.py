@@ -436,8 +436,8 @@ def test_fit_linear_algebra_counts(monkeypatch):
 
 
 def test_line_search_evaluations_per_step(monkeypatch):
-    # the first trial of an iteration is the step accepted last time (grown
-    # only after GROW_AFTER first-trial acceptances in a row), so most
+    # the first trial of an iteration is the unit step along the L-BFGS
+    # direction, which the Armijo test almost always accepts, so most
     # iterations cost one forward pass; doubling the step every iteration
     # made almost every one cost two (1.99 per step on this fit)
     rng = np.random.default_rng(19)
@@ -464,6 +464,75 @@ def test_line_search_evaluations_per_step(monkeypatch):
     # one evaluation at the start, then the trials of the accepted steps
     assert (counts[0] - 1) / rep.iters_used <= 1.5
     assert np.all(np.diff(rep.history) <= 0)
+
+
+def test_lbfgs_convergence_pin():
+    # quasi-Newton directions: within 80 iterations this exact-data fit gets
+    # below 0.0050, the loss steepest descent with the carried Armijo step
+    # had after 800 (0.00515); that fit reached 0.00375, this one's loss at
+    # 80 iterations, only after 901, and stood at 0.302 after 80
+    truth = random_channel(6, 2, np.random.default_rng(21))
+    ds = small_dataset(truth, n_beta=5, b_max=1.5)
+    cfg = rec.ReconstructionConfig(
+        rank=2, dim=6, gamma=1e-4, max_iters=80, grad_tol=0.0, seed=1,
+    )
+    _, rep = rec.reconstruct(ds, cfg)
+    assert rep.iters_used == 80 and rep.stop_reason == "max_iters"
+    assert rep.total <= 0.0050
+
+
+def test_memoryless_first_step():
+    # with no (s, y) pairs yet the step is step_size along the projected
+    # gradient, the first trial of steepest descent
+    truth = random_channel(6, 2, np.random.default_rng(22))
+    ds = small_dataset(truth)
+    cfg = rec.ReconstructionConfig(
+        rank=2, dim=6, gamma=1e-4, max_iters=1, grad_tol=0.0, seed=3,
+    )
+    _, rep = rec.reconstruct(ds, cfg)
+    point = rec.initial_point(cfg)
+    xi = rec.tangent_project(point, rec.euclidean_gradient(point, ds, cfg.gamma))
+    moved = rec._retraction_along(point.matrix, xi)(cfg.step_size)
+    kets = rec._probe_kets(ds.probes, 6)
+    mops = tomo.parity_model(ds.betas, 6)
+    expected = rec._loss_terms(moved, kets, mops, ds.values, cfg.gamma)[2]
+    assert rep.history == (rec.loss(point, ds, cfg.gamma).total, expected)
+
+
+def test_lbfgs_safeguards(monkeypatch):
+    # a direction that is not a descent direction clears the memory, so the
+    # next direction is built from the newest pair alone, and a pair whose
+    # <s, y> fails the curvature test is not kept; the fit carries on
+    # monotonically to its cap either way
+    truth = random_channel(6, 2, np.random.default_rng(23))
+    ds = small_dataset(truth, n_beta=5, b_max=1.5)
+    cfg = rec.ReconstructionConfig(
+        rank=2, dim=6, gamma=1e-4, max_iters=60, grad_tol=0.0, seed=2,
+    )
+    real_pair, real_two_loop = rec._lbfgs_pair, rec._two_loop
+    memory, skipped = [], []
+
+    def bad_pair(s, y):
+        flip = len(skipped) % 4 == 1
+        pair = real_pair(s, -y if flip else y)
+        skipped.append(pair is None)
+        assert (pair is None) == flip
+        return pair
+
+    def uphill(xi, pairs):
+        memory.append(len(pairs))
+        hd = real_two_loop(xi, pairs)
+        return -hd if len(memory) % 5 == 0 else hd
+
+    monkeypatch.setattr(rec, "_lbfgs_pair", bad_pair)
+    monkeypatch.setattr(rec, "_two_loop", uphill)
+    _, rep = rec.reconstruct(ds, cfg)
+    assert rep.stop_reason == "max_iters" and rep.iters_used == 60
+    assert np.all(np.diff(rep.history) <= 0)
+    assert sum(skipped) >= 10
+    # each rejected direction emptied the memory the next one starts from
+    after = memory[5::5]
+    assert len(after) >= 10 and max(after) <= 1
 
 
 def test_stop_reasons(tmp_path):

@@ -116,6 +116,14 @@ def test_square_grids_mirror_exactly():
     for n, extent in ((0, 1.0), (3, 0.0), (3, -1.0), (3, np.inf), (3, np.nan)):
         with pytest.raises(ValidationError):
             tomography.wigner_grid(n, extent)
+    # a non-finite beta has no parity operator (np.unique used to fold every
+    # NaN into one orbit of a NaN model)
+    for build, betas in ((tomography.parity_model, np.full(9, np.nan + 0j)),
+                         (tomography.displaced_parity_ops, [0.5, np.inf])):
+        with pytest.raises(ValidationError):
+            build(betas, 4)
+    with pytest.raises(ValidationError):
+        tomography.wigner_value(np.eye(4) / 4, complex("nan"))
 
 
 def test_cold_builds_allocate_no_dense_stacks():
