@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._cache import read_only
 from .errors import (
     DimensionMismatchError,
     NotAChannelError,
@@ -29,19 +30,20 @@ CPTP_TOL = 1e-6
 EIG_CUTOFF = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrausSet:
-    """A channel given by a stack of Kraus operators of shape (rank, dim, dim)."""
+    """A channel given by its own read-only copy of a stack of Kraus
+    operators of shape (rank, dim, dim), so ``certified`` cannot go stale."""
 
     operators: np.ndarray
     certified: bool = field(init=False)
 
     def __post_init__(self):
-        ops = np.asarray(self.operators, dtype=complex)
+        ops = np.array(self.operators, dtype=complex)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise ValidationError("operators must have shape (rank, dim, dim)")
-        self.operators = ops
-        self.certified = cptp_defect(ops) <= CPTP_TOL
+        object.__setattr__(self, "operators", read_only(ops))
+        object.__setattr__(self, "certified", cptp_defect(ops) <= CPTP_TOL)
 
     @property
     def dim(self):

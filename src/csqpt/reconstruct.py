@@ -7,16 +7,13 @@ and the optimizer is Riemannian L-BFGS: Wirtinger gradient, tangent-space
 projection, a limited-memory quasi-Newton direction, Armijo backtracking,
 polar retraction.
 
-The retraction of a tangent step xi at an isometry V has a closed form.
-V^dag xi is skew-Hermitian, so (V - t xi)^dag (V - t xi) = I + t^2 xi^dag xi
-and the polar factor of V - t xi is (V - t xi)(I + t^2 xi^dag xi)^(-1/2)
-(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
-2008).  One d x d ``eigh`` of xi^dag xi per iteration serves every trial
-step of the line search, each then one (r*d) x d by d x d product, and the
-retraction is never rank-deficient.  The form assumes V^dag V = I exactly,
-so each accepted point gets one Newton-Schulz step, which keeps every
-iterate an isometry to rounding.  The public ``retract`` takes arbitrary
-matrices and keeps the SVD polar factor with its rank check.
+Each trial point is the polar retraction of the tangent step, the polar
+factor of V - t xi (Absil, Mahony & Sepulchre, Optimization Algorithms on
+Matrix Manifolds, 2008), by Newton-Schulz sweeps X <- X (3I - X^dag X) / 2
+(Higham, Functions of Matrices, 2008, ch. 8): GEMMs only, no ``eigh``.
+They converge quadratically and end at an isometry to rounding whatever
+defect V carried.  The public ``retract`` takes arbitrary matrices and
+keeps the SVD polar factor with its rank check.
 
 The direction is H xi for the projected gradient xi, with H the L-BFGS
 inverse-Hessian model of the last ``LBFGS_MEMORY`` pairs (s, y) by the
@@ -86,6 +83,10 @@ INIT_MODES = ("identity-perturbed", "random-isometry")
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 MIN_STEP = 1e-14
+# a Newton-Schulz retraction ends with the sweep whose Gram X^dag X was
+# within this of I entrywise, and refuses input that needs more sweeps
+NS_TOL = 1e-8
+NS_MAX_SWEEPS = 100
 # (s, y) pairs the L-BFGS direction remembers
 LBFGS_MEMORY = 5
 # a pair (s, y) is kept only if cos(s, y) exceeds this (the curvature
@@ -383,12 +384,38 @@ def _polar(w):
 def _retraction_along(v, xi):
     """t -> polar factor of v - t xi, for a tangent xi at the isometry v.
 
-    Closed form (v - t xi)(I + t^2 xi^dag xi)^(-1/2) through one eigh of
-    xi^dag xi; each t then costs one (r*d) x d by d x d product.
+    v^dag xi is skew-Hermitian, so the squared singular values of v - t xi
+    are 1 + t^2 lam <= 1 + s, for the eigenvalues lam of xi^dag xi and
+    s = t^2 ||xi||_F^2.  For s >= 2 the start is scaled by sqrt(2 / (1 + s))
+    into the sweeps' region of convergence, singular values in (0, sqrt 3).
+    A sweep x <- x S, S = (3I - G) / 2, maps the Gram G = x^dag x to S G S,
+    so the sweeps run on d x d matrices and x is multiplied once by their
+    product.  They stop after the sweep whose Gram was within ``NS_TOL`` of
+    I; RetractionError after ``NS_MAX_SWEEPS``, which only non-finite input
+    reaches.
     """
-    lam, q = np.linalg.eigh(xi.conj().T @ xi)
-    vq, xq, qh = v @ q, xi @ q, q.conj().T
-    return lambda t: ((vq - t * xq) / np.sqrt(1.0 + t * t * lam)) @ qh
+    xi_sq = _inner(xi, xi)
+    eye = np.eye(v.shape[1])
+
+    def at(t):
+        x = v - t * xi
+        s = t * t * xi_sq
+        if s >= 2.0:
+            x *= math.sqrt(2.0 / (1.0 + s))
+        gram = x.conj().T @ x
+        product = eye
+        for _ in range(NS_MAX_SWEEPS):
+            done = np.abs(gram - eye).max() < NS_TOL
+            sweep = 1.5 * eye - 0.5 * gram
+            product = product @ sweep
+            if done:
+                return x @ product
+            gram = sweep @ gram @ sweep
+        raise RetractionError(
+            f"Newton-Schulz retraction did not converge in {NS_MAX_SWEEPS} sweeps"
+        )
+
+    return at
 
 
 def retract(matrix):
@@ -423,11 +450,10 @@ def reconstruct(ds, cfg):
     monotone Armijo backtracking from the unit step.  With no (s, y) pair
     in memory (at the first iteration, and after a rejected direction has
     cleared it, until a new pair passes the curvature test) the step is
-    cfg.step_size times the projected gradient.  Every
-    trial point is the closed-form polar retraction of the tangent step,
-    from one d x d ``eigh`` per iteration, and each accepted point takes
-    one Newton-Schulz step back to an exact isometry, so the report's loss
-    is, to rounding, that of the returned set.  ``report.stop_reason`` says
+    cfg.step_size times the projected gradient.  Every trial point is the
+    polar retraction of the tangent step by Newton-Schulz sweeps, GEMMs
+    only, which end at an isometry to rounding, so the report's loss is,
+    to rounding, that of the returned set.  ``report.stop_reason`` says
     why the fit stopped: "grad_tol" (the projected gradient norm fell to
     cfg.grad_tol, the only case with converged=True), "line_search_floor"
     (no trial step above ``MIN_STEP`` decreased the loss) or "max_iters"
@@ -484,9 +510,7 @@ def reconstruct(ds, cfg):
             # no monotone progress above the step floor
             stop_reason = "line_search_floor"
             break
-        # one Newton-Schulz step x (3I - x^dag x) / 2 squares the isometry
-        # defect, which the closed form would grow; its loss moves by rounding
-        v = 1.5 * v_new - 0.5 * (v_new @ (v_new.conj().T @ v_new))
+        v = v_new
         l2, l1, total, wresid, images = trial
         history.append(total)
         xi_old = xi
@@ -552,8 +576,7 @@ def result_from_json(data):
 
 def save_result(ks, report, cfg, path):
     with open(path, "w") as fh:
-        json.dump(result_to_json(ks, report, cfg), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(result_to_json(ks, report, cfg)) + "\n")
 
 
 def load_result(path):

@@ -459,8 +459,7 @@ def dataset_from_json(data):
 
 def save_dataset(ds, path):
     with open(path, "w") as fh:
-        json.dump(dataset_to_json(ds), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(dataset_to_json(ds)) + "\n")
 
 
 def load_dataset(path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,26 @@ def test_unitary_channel_apply():
     assert ch.certified and ch.rank == 1
     rho = random_density(12, np_rng)
     assert np.abs(channel.apply(ch, rho) - u @ rho @ u.conj().T).max() < 1e-12
+
+
+def test_kraus_set_certification_cannot_go_stale():
+    # certified describes the operators the set holds: they are its own
+    # read-only copy, and neither they nor the flag can be replaced
+    source = np.eye(4, dtype=complex)[None].copy()
+    ks = channel.KrausSet(source)
+    with pytest.raises(ValueError):
+        ks.operators[0] *= 3
+    for name, value in (("operators", 3 * source), ("certified", True)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ks, name, value)
+    source[0] *= 3
+    assert ks.certified and channel.cptp_defect(ks.operators) == 0.0
+    assert channel.require_certified(ks) is ks
+    # wrapping a unitary copies it too
+    u = np.eye(4, dtype=complex)
+    wrapped = channel.unitary_channel(u)
+    u *= 3
+    assert channel.cptp_defect(wrapped.operators) == 0.0
 
 
 def test_unitary_channel_rejects_nonunitary():
