@@ -4,10 +4,10 @@ Kets are 1-D complex arrays of length ``dim``, operators are ``dim x dim``
 complex arrays.  Displacements are the exponential of the truncated
 generator alpha a^dag - conj(alpha) a, so they are exactly unitary on the
 truncated space.  The exponential is evaluated in the generator's
-eigenbasis: the truncated a + a^dag is the Jacobi matrix of the Hermite
-polynomials, so its eigenvalues are sqrt(2) times the Gauss-Hermite nodes
-and its eigenvectors the normalized Hermite functions at those nodes
-(Golub and Welsch, Math. Comp. 23, 221 (1969)).
+eigenbasis, one ``eigh`` of the truncated a + a^dag: that is the Jacobi
+matrix of the Hermite polynomials, so its eigenvalues are sqrt(2) times
+the Gauss-Hermite nodes and its eigenvectors the normalized Hermite
+functions at those nodes (Golub and Welsch, Math. Comp. 23, 221 (1969)).
 """
 
 import warnings
@@ -70,14 +70,8 @@ def _quadrature(dim):
     truncated a + a^dag, read-only; the cache keeps CACHE_ENTRIES dims."""
 
     def build():
-        lam = np.sqrt(2) * np.polynomial.hermite.hermgauss(dim)[0]
-        # the Hermite recurrence, one row per Fock level (w[-1] is still
-        # zero at n = 0), then each eigenvector normalized
-        w = np.zeros((dim, dim))
-        w[0] = 1.0
-        for n in range(dim - 1):
-            w[n + 1] = (lam * w[n] - np.sqrt(n) * w[n - 1]) / np.sqrt(n + 1)
-        w /= np.linalg.norm(w, axis=0)
+        n = np.sqrt(np.arange(1.0, dim))
+        lam, w = np.linalg.eigh(np.diag(n, 1) + np.diag(n, -1))
         return read_only(lam), read_only(w)
 
     return cached(_QUADRATURE_CACHE, dim, build)

@@ -68,8 +68,16 @@ class GateStep:
     def __post_init__(self):
         if self.kind not in ("displace", "snap"):
             raise ValidationError(f"unknown step kind {self.kind!r}")
-        if self.duration < 0:
-            raise ValidationError("step duration must be non-negative")
+        if not 0 <= self.duration < np.inf:  # NaN included
+            raise ValidationError(
+                f"{self.kind} step duration must be finite and non-negative, "
+                f"not {self.duration}"
+            )
+        if not np.isfinite(self.param).all():
+            what = "alpha" if self.kind == "displace" else "theta"
+            raise ValidationError(
+                f"{self.kind} step has non-finite {what} {self.param}"
+            )
 
 
 @dataclass(frozen=True)
@@ -159,12 +167,16 @@ def sequence_from_json(data):
     steps = []
     for entry in data["steps"]:
         kind = entry.get("type")
-        duration = float(entry.get("duration", 0.0))
-        if kind == "displace":
-            re, im = entry["alpha"]
-            steps.append(GateStep("displace", complex(re, im), duration))
-        elif kind == "snap":
-            steps.append(GateStep("snap", np.asarray(entry["thetas"], float), duration))
-        else:
+        if kind not in ("displace", "snap"):
             raise ValidationError(f"unknown step type {kind!r}")
+        try:
+            duration = float(entry.get("duration", 0.0))
+            if kind == "displace":
+                re, im = entry["alpha"]
+                param = complex(re, im)
+            else:
+                param = np.asarray(entry["thetas"], float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed {kind} step {entry}: {exc!r}") from exc
+        steps.append(GateStep(kind, param, duration))
     return GateSequence(tuple(steps))

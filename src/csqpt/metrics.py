@@ -70,13 +70,6 @@ def _check_dims(channel, u, code):
         )
 
 
-def leakage(channel, code):
-    """Population leaving the code subspace, 1 - Tr[P_L E(P_L/2)]."""
-    p = code.projector()
-    kept = np.trace(p @ channel.apply(p / 2)).real
-    return _unit_interval(1.0 - float(kept), "leakage")
-
-
 def avg_gate_fidelity(channel, u, code):
     """FidelityReport combining process fidelity and leakage.
 

@@ -12,8 +12,10 @@ factor of V - t xi (Absil, Mahony & Sepulchre, Optimization Algorithms on
 Matrix Manifolds, 2008), by Newton-Schulz sweeps X <- X (3I - X^dag X) / 2
 (Higham, Functions of Matrices, 2008, ch. 8): GEMMs only, no ``eigh``.
 They converge quadratically and end at an isometry to rounding whatever
-defect V carried.  The public ``retract`` takes arbitrary matrices and
-keeps the SVD polar factor with its rank check.
+defect V carried.  The start is the polar factor of a seeded stack by the
+same sweeps, and the last accepted iterate is returned as it is, so a fit
+makes no SVD.  The public ``retract`` takes arbitrary matrices and keeps
+the SVD polar factor with its rank check.
 
 The direction is H xi for the projected gradient xi, with H the L-BFGS
 inverse-Hessian model of the last ``LBFGS_MEMORY`` pairs (s, y) by the
@@ -381,39 +383,50 @@ def _polar(w):
     return u @ vh
 
 
+def _newton_schulz(x):
+    """Polar factor of x, whose singular values must lie in (0, sqrt 3),
+    the sweeps' region of convergence.
+
+    A sweep x <- x S, S = (3I - G) / 2, maps the Gram G = x^dag x to S G S,
+    so the sweeps run on d x d matrices and x is multiplied once by their
+    product.  They stop after the sweep whose Gram was within ``NS_TOL`` of
+    I; RetractionError after ``NS_MAX_SWEEPS``, which only non-finite or
+    rank-deficient input reaches.  The Gram squares x's condition number,
+    so the result's isometry defect grows as its square (about 2e-9 at
+    condition 1e4, where ``IsometryPoint`` still accepts it).
+    """
+    eye = np.eye(x.shape[1])
+    gram = x.conj().T @ x
+    product = eye
+    for _ in range(NS_MAX_SWEEPS):
+        done = np.abs(gram - eye).max() < NS_TOL
+        sweep = 1.5 * eye - 0.5 * gram
+        product = product @ sweep
+        if done:
+            return x @ product
+        gram = sweep @ gram @ sweep
+    raise RetractionError(
+        f"Newton-Schulz polar sweeps did not converge in {NS_MAX_SWEEPS} sweeps"
+    )
+
+
 def _retraction_along(v, xi):
     """t -> polar factor of v - t xi, for a tangent xi at the isometry v.
 
     v^dag xi is skew-Hermitian, so the squared singular values of v - t xi
     are 1 + t^2 lam <= 1 + s, for the eigenvalues lam of xi^dag xi and
     s = t^2 ||xi||_F^2.  For s >= 2 the start is scaled by sqrt(2 / (1 + s))
-    into the sweeps' region of convergence, singular values in (0, sqrt 3).
-    A sweep x <- x S, S = (3I - G) / 2, maps the Gram G = x^dag x to S G S,
-    so the sweeps run on d x d matrices and x is multiplied once by their
-    product.  They stop after the sweep whose Gram was within ``NS_TOL`` of
-    I; RetractionError after ``NS_MAX_SWEEPS``, which only non-finite input
-    reaches.
+    into the sweeps' region of convergence, singular values in (0, sqrt 3),
+    before ``_newton_schulz``.
     """
     xi_sq = _inner(xi, xi)
-    eye = np.eye(v.shape[1])
 
     def at(t):
         x = v - t * xi
         s = t * t * xi_sq
         if s >= 2.0:
             x *= math.sqrt(2.0 / (1.0 + s))
-        gram = x.conj().T @ x
-        product = eye
-        for _ in range(NS_MAX_SWEEPS):
-            done = np.abs(gram - eye).max() < NS_TOL
-            sweep = 1.5 * eye - 0.5 * gram
-            product = product @ sweep
-            if done:
-                return x @ product
-            gram = sweep @ gram @ sweep
-        raise RetractionError(
-            f"Newton-Schulz retraction did not converge in {NS_MAX_SWEEPS} sweeps"
-        )
+        return _newton_schulz(x)
 
     return at
 
@@ -429,7 +442,9 @@ def retract(matrix):
 
 
 def initial_point(cfg):
-    """Seeded starting stack for the configured init mode."""
+    """Seeded starting stack for the configured init mode: the polar factor
+    of the seeded start by Newton-Schulz sweeps, after dividing the start
+    by its Frobenius norm, which bounds its singular values by 1."""
     rng = np.random.default_rng(cfg.seed)
     shape = (cfg.rank * cfg.dim, cfg.dim)
     if cfg.init == "identity-perturbed":
@@ -438,7 +453,7 @@ def initial_point(cfg):
         v += 1e-2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     else:
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return IsometryPoint(_polar(v))
+    return IsometryPoint(_newton_schulz(v / np.linalg.norm(v)))
 
 
 def reconstruct(ds, cfg):
@@ -450,14 +465,15 @@ def reconstruct(ds, cfg):
     monotone Armijo backtracking from the unit step.  With no (s, y) pair
     in memory (at the first iteration, and after a rejected direction has
     cleared it, until a new pair passes the curvature test) the step is
-    cfg.step_size times the projected gradient.  Every trial point is the
-    polar retraction of the tangent step by Newton-Schulz sweeps, GEMMs
-    only, which end at an isometry to rounding, so the report's loss is,
-    to rounding, that of the returned set.  ``report.stop_reason`` says
-    why the fit stopped: "grad_tol" (the projected gradient norm fell to
-    cfg.grad_tol, the only case with converged=True), "line_search_floor"
-    (no trial step above ``MIN_STEP`` decreased the loss) or "max_iters"
-    (cfg.max_iters steps were accepted).
+    cfg.step_size times the projected gradient.  The start is
+    ``initial_point(cfg)`` and every trial point the polar retraction of
+    the tangent step, both by Newton-Schulz sweeps, GEMMs only, which end
+    at an isometry to rounding.  The last accepted iterate is returned as
+    it is, so the report's loss is exactly that of the returned set.
+    ``report.stop_reason`` says why the fit stopped: "grad_tol" (the
+    projected gradient norm fell to cfg.grad_tol, the only case with
+    converged=True), "line_search_floor" (no trial step above ``MIN_STEP``
+    decreased the loss) or "max_iters" (cfg.max_iters steps were accepted).
 
     Returns (KrausSet, LossReport).  The returned set is re-certified CPTP;
     NotAChannelError if that fails is a hard error.
@@ -515,8 +531,7 @@ def reconstruct(ds, cfg):
         history.append(total)
         xi_old = xi
 
-    point = retract(v)
-    ks = require_certified(KrausSet(point.kraus()))
+    ks = require_certified(KrausSet(IsometryPoint(v).kraus()))
     report = LossReport(
         l2=l2, l1=l1, total=total, grad_norm=grad_norm,
         iters_used=len(history) - 1, history=tuple(history),

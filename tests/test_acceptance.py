@@ -242,7 +242,7 @@ def test_10_decoder_limitation(code):
         pa, pb = np.outer(a, a.conj()), np.outer(b, b.conj())
         u += (c - 1) * (pa + pb) + s * (np.outer(b, a.conj()) - np.outer(a, b.conj()))
     leaky = unitary_channel(u)
-    injected = metrics.leakage(leaky, code)
+    injected = metrics.avg_gate_fidelity(leaky, ideal_logical_x(code), code).leakage
     assert injected >= 0.05
 
     decoded, direct = metrics.decoder_study(leaky, code)

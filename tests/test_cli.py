@@ -311,6 +311,28 @@ def test_decode_study_on_leaky_channel(tmp_path, capsys):
     assert "deficit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("step", [
+    '{"type":"displace","alpha":[0.61,0],"duration":NaN}',
+    '{"type":"displace","alpha":[0.61,0],"duration":Infinity}',
+    '{"type":"snap","thetas":[0.1,NaN],"duration":0.7}',
+])
+def test_non_finite_gate_sequence_is_data_error(tmp_path, capsys, step):
+    # json parses NaN and Infinity; such a sequence is refused before any
+    # simulation, with one error line and no output file
+    seq = tmp_path / "seq.json"
+    seq.write_text('{"steps":[' + step + ']}')
+    out_dir, out = tmp_path / "study", tmp_path / "ds.json"
+    for argv in (["decode-study", "--gate", str(seq), "--dim", "12",
+                  "--noise", "315,478", "--out-dir", str(out_dir)],
+                 ["simulate", "--gate", str(seq), "--dim", "12",
+                  "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finite" in err[0], err
+    assert not out_dir.exists() and not out.exists()
+
+
 def test_config_file_merge(tmp_path):
     gate = write_kraus_json(channel.unitary_channel(np.eye(6, dtype=complex)),
                             tmp_path / "id.json")
@@ -521,16 +543,21 @@ def test_closed_stdout_is_not_an_error(tmp_path, unbuffered):
 
 
 def test_commands_do_not_import_scipy(tmp_path):
-    # numpy is the only runtime dependency: a simulate and a noisy budget run
-    # in a fresh interpreter must leave no scipy module loaded
+    # numpy is the only runtime dependency: a simulate, a short fit and a
+    # noisy budget run in a fresh interpreter must leave no scipy module
+    # loaded, nor numpy.polynomial (the quadrature is one eigh)
     ds, budget = str(tmp_path / "ds.json"), str(tmp_path / "budget.csv")
+    res = str(tmp_path / "res.json")
     code = (
         "import sys\n"
         "from csqpt.cli import main\n"
         f"assert main(['simulate', '--dim', '12', '--probe-grid', '3,0.8',"
         f" '--wigner-grid', '5,1.5', '--shots', '10', '--out', {ds!r}]) == 0\n"
+        f"assert main(['reconstruct', '--data', {ds!r}, '--dim', '12',"
+        f" '--rank', '2', '--iters', '2', '--out', {res!r}]) == 0\n"
         f"assert main(['budget', '--dim', '12', '--out', {budget!r}]) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.split('.')[:2] == ['numpy', 'polynomial'])\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, CSQPT_THREADS="1")

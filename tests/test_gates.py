@@ -147,3 +147,19 @@ def test_sequence_from_json_rejects_garbage():
         gates.sequence_from_json({"nope": []})
     with pytest.raises(ValidationError):
         gates.sequence_from_json({"steps": [{"type": "rotate", "duration": 1}]})
+    # json parses NaN and Infinity; a non-finite duration, alpha or theta
+    # would run through the simulation as nan
+    nan, inf = float("nan"), float("inf")
+    for entry in ({"type": "displace", "alpha": [0.61, 0], "duration": nan},
+                  {"type": "displace", "alpha": [0.61, 0], "duration": inf},
+                  {"type": "snap", "thetas": [0.1, nan], "duration": 0.7},
+                  {"type": "displace", "alpha": [nan, 0], "duration": 0.1}):
+        with pytest.raises(ValidationError, match=f"{entry['type']} step .*finite"):
+            gates.sequence_from_json({"steps": [entry]})
+    # malformed fields are data errors too, not a raw KeyError or ValueError
+    for entry in ({"type": "displace", "duration": 0.1},
+                  {"type": "displace", "alpha": "abc", "duration": 0.1},
+                  {"type": "snap", "thetas": ["x"], "duration": 0.7},
+                  {"type": "displace", "alpha": [0.61, 0], "duration": "z"}):
+        with pytest.raises(ValidationError, match=f"malformed {entry['type']} step"):
+            gates.sequence_from_json({"steps": [entry]})

@@ -64,7 +64,7 @@ def test_identity_channel_scores_one_third(code, x_target):
     rep = metrics.avg_gate_fidelity(ident, x_target, code)
     assert rep.f_pro < 1e-24
     assert abs(rep.f_avg - 1 / 3) < 1e-12
-    assert abs(metrics.leakage(ident, code)) < 1e-12
+    assert rep.leakage < 1e-12
 
 
 def test_composed_gate_fidelity_band(code, x_target):
@@ -118,10 +118,10 @@ def test_monte_carlo_matches_closed_form():
     assert again == (mean, se)
 
 
-def test_leakage_oracles(code):
+def test_leakage_oracles(code, x_target):
     # swap 0_L fully into the error state, fix 1_L: leakage averages to 1/2
     half = unitary_channel(_zero_to_error_unitary(code))
-    assert abs(metrics.leakage(half, code) - 0.5) < 1e-12
+    assert abs(metrics.avg_gate_fidelity(half, x_target, code).leakage - 0.5) < 1e-12
 
 
 def _zero_to_error_unitary(code):
@@ -284,7 +284,6 @@ def test_sequence_channel_matches_kraus_form():
         decoded, direct = metrics.decoder_study(ch, code16)
         return [
             [rep.f_pro, rep.leakage, rep.f_avg, rep.f_avg_direct],
-            [metrics.leakage(ch, code16)],
             basis.logical_ptm(ch, code16).elements,
             basis.population_transfer_matrix(ch, ob).elements,
             decoded.elements, direct.elements,
@@ -345,10 +344,10 @@ def test_decoder_study_full_leakage(code):
     assert abs(direct.elements[0, 0]) < 1e-10
 
 
-def test_decoder_hides_partial_leakage(code):
+def test_decoder_hides_partial_leakage(code, x_target):
     p = 0.08
     ch = unitary_channel(leak_unitary(code, np.arcsin(np.sqrt(p))))
-    assert abs(metrics.leakage(ch, code) - p) < 1e-12
+    assert abs(metrics.avg_gate_fidelity(ch, x_target, code).leakage - p) < 1e-12
     decoded, direct = metrics.decoder_study(ch, code)
     assert np.abs(decoded.elements[0] - [1, 0, 0, 0]).max() < 1e-10
     assert abs((1 - direct.elements[0, 0]) - p) < 1e-6
@@ -368,8 +367,6 @@ def test_full_space_target_rejected(code, ideal_x_channel):
 
 def test_dim_mismatch_errors(code):
     small = KrausSet(np.eye(8)[None])
-    with pytest.raises(DimensionMismatchError):
-        metrics.leakage(small, code)
     with pytest.raises(DimensionMismatchError):
         metrics.avg_gate_fidelity(small, ideal_logical_x(code), code)
     with pytest.raises(DimensionMismatchError):
