@@ -30,6 +30,16 @@ Conventions shared by all subcommands:
 The environment variable ``CSQPT_THREADS`` caps the BLAS thread count.
 It takes effect when the package is imported before numpy, which is
 always the case for console-script or ``python -m csqpt`` invocations.
+
+Start-up is part of every command's wall time, so this module imports
+only what all commands use (numpy, ``channel``, ``errors``); each command
+imports the layers it runs, and the parser gives flags to the invoked
+subcommand only, so reconstruct's defaults are read from
+``ReconstructionConfig`` only by ``reconstruct``.  Besides ``channel``,
+``errors`` and ``fock``, ``simulate`` loads ``gates`` and ``tomography``;
+``reconstruct`` loads ``tomography`` and ``reconstruct``; ``budget``
+loads ``gates`` and ``metrics``; ``decode-study`` adds ``basis``; and
+``analyze`` loads all eight layers.
 """
 
 import argparse
@@ -39,8 +49,6 @@ import sys
 
 import numpy as np
 
-from . import basis as basis_mod
-from . import gates, metrics, reconstruct, tomography
 from .channel import DecoherenceParams, kraus_from_json, unitary_channel
 from .errors import (
     CsqptError,
@@ -109,10 +117,33 @@ def emit_kinds(value):
 # The flag is --key with "_" spelled "-"; a row with help None is a
 # config-only key, and a REQUIRED row is a flag that must be given.
 REQUIRED = object()
-_FIT = reconstruct.ReconstructionConfig()
-DIM = ("dim", integer, _FIT.dim, "Fock truncation")
+# ReconstructionConfig's default dim, written out so that the other
+# commands need not load the fit layer to build their flags
+DIM = ("dim", integer, 32, "Fock truncation")
 GATE = ("gate", string, "x-gate", "x-gate | sequence JSON | Kraus JSON")
 NOISE = ("noise", decay_times, None, "T1,T2 in microseconds; inf allowed")
+
+
+def _fit_options():
+    """reconstruct's rows, built on demand: their defaults are
+    ReconstructionConfig's, and reading them loads the fit layer."""
+    from .reconstruct import ReconstructionConfig
+
+    fit = ReconstructionConfig()
+    return (
+        ("data", string, REQUIRED, "dataset JSON path"),
+        ("rank", integer, fit.rank, "number of Kraus operators"),
+        ("dim", integer, fit.dim, "Fock truncation"),
+        ("gamma", real, fit.gamma, "L1 weight"),
+        ("iters", integer, fit.max_iters, "iteration cap"),
+        ("seed", integer, fit.seed, "init seed"),
+        ("init", string, fit.init, None),
+        ("step_size", real, fit.step_size, None),
+        ("grad_tol", real, fit.grad_tol, None),
+        ("out", string, "result.json", "output result path"),
+    )
+
+
 OPTIONS = {
     "simulate": (
         GATE, DIM,
@@ -123,18 +154,7 @@ OPTIONS = {
         NOISE,
         ("out", string, "dataset.json", "output dataset path"),
     ),
-    "reconstruct": (
-        ("data", string, REQUIRED, "dataset JSON path"),
-        ("rank", integer, _FIT.rank, "number of Kraus operators"),
-        DIM,
-        ("gamma", real, _FIT.gamma, "L1 weight"),
-        ("iters", integer, _FIT.max_iters, "iteration cap"),
-        ("seed", integer, _FIT.seed, "init seed"),
-        ("init", string, _FIT.init, None),
-        ("step_size", real, _FIT.step_size, None),
-        ("grad_tol", real, _FIT.grad_tol, None),
-        ("out", string, "result.json", "output result path"),
-    ),
+    "reconstruct": _fit_options,
     "analyze": (
         ("result", string, REQUIRED, "result JSON path"),
         ("target", string, "x-gate", "target gate spec"),
@@ -150,13 +170,19 @@ OPTIONS = {
 }
 
 
+def options(command):
+    """The OPTIONS rows of one subcommand."""
+    rows = OPTIONS[command]
+    return rows() if callable(rows) else rows
+
+
 def _resolve(args):
     """Typed settings of one run: flag over --config file over default.
 
     Every value passes through its row's type; one that does not convert,
     or a null where the default is not None, raises ValidationError.
     """
-    rows = OPTIONS[args.command]
+    rows = options(args.command)
     from_file = {}
     if args.config:
         try:
@@ -211,12 +237,15 @@ def _read_json(path):
 
 def _gate_channel(spec, dim, noise=None):
     """Resolve a gate spec to a SequenceChannel or (Kraus files) a KrausSet."""
+    from . import gates
+
     if spec == "x-gate":
         return gates.SequenceChannel(gates.x_gate_sequence(), noise, dim)
     data = _read_json(spec)
-    if "steps" in data:
+    fields = data if isinstance(data, dict) else {}
+    if "steps" in fields:
         return gates.SequenceChannel(gates.sequence_from_json(data), noise, dim)
-    if "operators" in data:
+    if "operators" in fields:
         if noise is not None:
             raise ValidationError(
                 "noise needs a gate sequence; Kraus files carry no step durations"
@@ -234,6 +263,8 @@ def _resolve_target(spec, code):
     The first factor feeds the fidelity report (target action confined to
     the code space), the second the truncation sweep reference channel.
     """
+    from . import gates
+
     if spec == "x-gate":
         return gates.ideal_logical_x(code), gates.ideal_logical_x_unitary(code)
     ch = _gate_channel(spec, code.dim)
@@ -251,6 +282,8 @@ def _resolve_target(spec, code):
 
 
 def cmd_simulate(cfg):
+    from . import tomography
+
     probes = tomography.probe_grid(*cfg["probe_grid"])
     grid = tomography.wigner_grid(*cfg["wigner_grid"])
     channel = _gate_channel(cfg["gate"], cfg["dim"], cfg["noise"])
@@ -266,6 +299,8 @@ def cmd_simulate(cfg):
 
 
 def cmd_reconstruct(cfg):
+    from . import reconstruct, tomography
+
     ds = tomography.load_dataset(cfg["data"])
     fit = {k: v for k, v in cfg.items() if k not in ("data", "iters", "out")}
     rcfg = reconstruct.ReconstructionConfig(max_iters=cfg["iters"], **fit)
@@ -298,6 +333,9 @@ def _write_text(path, text):
 
 
 def cmd_analyze(cfg):
+    from . import basis as basis_mod
+    from . import gates, metrics, reconstruct
+
     emits = cfg["emit"] or EMIT_CHOICES
     ks, report, rcfg = reconstruct.load_result(cfg["result"])
     code = gates.BinomialCode(ks.dim)
@@ -335,6 +373,8 @@ def cmd_analyze(cfg):
 
 
 def cmd_budget(cfg):
+    from . import gates, metrics
+
     code = gates.BinomialCode(cfg["dim"])
     budget = metrics.error_budget(gates.x_gate_sequence(), cfg["noise"], code)
     lines = ["channel,contribution"]
@@ -347,6 +387,8 @@ def cmd_budget(cfg):
 
 
 def cmd_decode_study(cfg):
+    from . import gates, metrics
+
     channel = _gate_channel(cfg["gate"], cfg["dim"], cfg["noise"])
     code = gates.BinomialCode(cfg["dim"])
     decoded, direct = metrics.decoder_study(channel, code)
@@ -371,8 +413,10 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    """One --config flag per subcommand plus one flag per OPTIONS row."""
+def build_parser(flagged=tuple(COMMANDS)):
+    """Every subcommand; those in ``flagged`` get one --config flag plus
+    one flag per OPTIONS row (main flags only the invoked one, so no other
+    subcommand's defaults are read)."""
     parser = argparse.ArgumentParser(
         prog="csqpt",
         description="Coherent-state process tomography of bosonic logical gates.",
@@ -381,8 +425,10 @@ def build_parser():
     for command, (func, about) in COMMANDS.items():
         sp = sub.add_parser(command, help=about)
         sp.set_defaults(func=func)
+        if command not in flagged:
+            continue
         sp.add_argument("--config", help="JSON file with defaults; flags override")
-        for key, kind, default, text in OPTIONS[command]:
+        for key, kind, default, text in options(command):
             if text is None:
                 continue
             flag = {"dest": key, "help": text}
@@ -402,7 +448,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has no option but --help, so the first other
+    # token names the subcommand
+    invoked = [next((a for a in argv if not a.startswith("-")), None)]
+    args = build_parser(invoked).parse_args(argv)
     try:
         cfg = _resolve(args)
         _print_header(args.command, cfg)

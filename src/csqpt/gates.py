@@ -162,10 +162,14 @@ def noisy_gate_process(sequence, params, dim):
 
 
 def sequence_from_json(data):
-    if "steps" not in data:
-        raise ValidationError("sequence JSON must contain 'steps'")
+    if not isinstance(data, dict) or "steps" not in data:
+        raise ValidationError("sequence JSON must be an object containing 'steps'")
+    if not isinstance(data["steps"], list):
+        raise ValidationError("sequence 'steps' must be a list")
     steps = []
     for entry in data["steps"]:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"sequence step {entry!r} is not an object")
         kind = entry.get("type")
         if kind not in ("displace", "snap"):
             raise ValidationError(f"unknown step type {kind!r}")

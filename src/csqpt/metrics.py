@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import PAULIS, TransferMatrix, logical_ptm
 from .channel import DecoherenceParams
 from .errors import (
     DimensionMismatchError,
@@ -245,6 +244,9 @@ def decoder_study(channel, code):
     Leakage hides from the decoded picture (its first row always reads
     trace preservation), while the direct PTM records it.
     """
+    # the only use of basis here: error_budget runs without loading it
+    from .basis import PAULIS, TransferMatrix, logical_ptm
+
     d = code.dim
     u = _decoder_unitary(code)
     images = channel.apply(code.units())

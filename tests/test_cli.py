@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from csqpt import channel, gates, metrics, reconstruct, tomography
-from csqpt.cli import EMIT_CHOICES, build_parser, main
+from csqpt.cli import EMIT_CHOICES, build_parser, main, options
 from csqpt.errors import ValidationError
 
 pytestmark = pytest.mark.filterwarnings("ignore::csqpt.errors.TruncationWarning")
@@ -311,16 +312,26 @@ def test_decode_study_on_leaky_channel(tmp_path, capsys):
     assert "deficit" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("step", [
+NON_FINITE_STEPS = (
     '{"type":"displace","alpha":[0.61,0],"duration":NaN}',
     '{"type":"displace","alpha":[0.61,0],"duration":Infinity}',
     '{"type":"snap","thetas":[0.1,NaN],"duration":0.7}',
+)
+
+
+@pytest.mark.parametrize("text, why", [
+    *(pytest.param('{"steps":[' + step + ']}', "finite", id=step)
+      for step in NON_FINITE_STEPS),
+    pytest.param("5", "neither a sequence nor a Kraus", id="number"),
+    pytest.param('{"steps":5}', "must be a list", id="steps-number"),
+    pytest.param('{"steps":[1]}', "not an object", id="step-number"),
 ])
-def test_non_finite_gate_sequence_is_data_error(tmp_path, capsys, step):
-    # json parses NaN and Infinity; such a sequence is refused before any
-    # simulation, with one error line and no output file
+def test_non_finite_gate_sequence_is_data_error(tmp_path, capsys, text, why):
+    # json parses NaN and Infinity; such a sequence, or a file of the wrong
+    # JSON shape, is refused before any simulation, with one error line and
+    # no output file
     seq = tmp_path / "seq.json"
-    seq.write_text('{"steps":[' + step + ']}')
+    seq.write_text(text)
     out_dir, out = tmp_path / "study", tmp_path / "ds.json"
     for argv in (["decode-study", "--gate", str(seq), "--dim", "12",
                   "--noise", "315,478", "--out-dir", str(out_dir)],
@@ -329,7 +340,7 @@ def test_non_finite_gate_sequence_is_data_error(tmp_path, capsys, step):
         capsys.readouterr()
         assert main(argv) == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "finite" in err[0], err
+        assert len(err) == 1 and why in err[0], err
     assert not out_dir.exists() and not out.exists()
 
 
@@ -460,6 +471,24 @@ def test_flags_and_their_defaults_are_pinned():
                               "--emit", "gtm"]).emit == ["ptm", "gtm"]
 
 
+@pytest.mark.parametrize("command", FLAGS)
+def test_help_shows_every_flag_with_its_default(command, capsys):
+    # the help main prints, whose parser flags the invoked subcommand only
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    flags = {"--" + key.replace("_", "-")
+             for key, _, _, about in options(command) if about is not None}
+    assert flags == set(FLAGS[command])
+    for flag, default in FLAGS[command].items():
+        if default is None:  # required: named in the usage, not in brackets
+            assert f" {flag} " in text and f"[{flag} " not in text, flag
+        else:
+            shown = re.escape(f"(default {default})")
+            assert re.search(rf" {flag} [^(]*{shown}", text), flag
+
+
 def test_reconstruct_defaults_are_the_library_defaults(tmp_path, capsys):
     # the data file is missing, so the run stops after printing its config
     assert main(["reconstruct", "--data", str(tmp_path / "missing.json")]) == 3
@@ -564,3 +593,40 @@ def test_commands_do_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# csqpt modules each command must leave unloaded: the layers it never runs
+UNLOADED = {
+    "budget": ("tomography", "reconstruct", "basis"),
+    "decode-study": ("tomography", "reconstruct"),
+    "simulate": ("basis", "metrics", "reconstruct"),
+    "reconstruct": ("gates", "basis", "metrics"),
+}
+
+
+def test_commands_load_only_their_layers(tmp_path):
+    # one fresh interpreter per command, at small sizes
+    ds = small_dataset(tmp_path)
+    argvs = {
+        "budget": ["budget", "--dim", "12", "--out", str(tmp_path / "b.csv")],
+        "decode-study": ["decode-study", "--dim", "12", "--noise", "315,478",
+                         "--out-dir", str(tmp_path / "study")],
+        "simulate": ["simulate", "--dim", "12", "--probe-grid", "3,0.8",
+                     "--wigner-grid", "5,1.5", "--out", str(tmp_path / "s.json")],
+        "reconstruct": ["reconstruct", "--data", ds, "--dim", "6", "--rank", "1",
+                        "--iters", "2", "--out", str(tmp_path / "r.json")],
+    }
+    env = dict(os.environ, CSQPT_THREADS="1")
+    for command, unloaded in UNLOADED.items():
+        code = (
+            "import json, sys\n"
+            "from csqpt.cli import main\n"
+            f"assert main({argvs[command]!r}) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert "csqpt.channel" in loaded, command
+        assert not loaded & {f"csqpt.{m}" for m in unloaded}, command

@@ -147,6 +147,10 @@ def test_sequence_from_json_rejects_garbage():
         gates.sequence_from_json({"nope": []})
     with pytest.raises(ValidationError):
         gates.sequence_from_json({"steps": [{"type": "rotate", "duration": 1}]})
+    # a top level, a steps field or a step of the wrong JSON type
+    for data in (5, {"steps": 5}, {"steps": [1]}):
+        with pytest.raises(ValidationError):
+            gates.sequence_from_json(data)
     # json parses NaN and Infinity; a non-finite duration, alpha or theta
     # would run through the simulation as nan
     nan, inf = float("nan"), float("inf")
