@@ -67,7 +67,7 @@ class GellMannSet:
     (phase 1 for sym, -1j for asym); diag(1, ..., 1, -m, 0, ...) over
     sqrt(m(m+1)) when k = l = m > 0; I/sqrt(dim) when k = l = 0.  Labels
     and supports cover every element, but ``elements`` builds only the
-    matrices asked for; ``matrices`` builds all dim^2 of them.
+    matrices asked for.
     """
 
     vectors: np.ndarray
@@ -79,10 +79,6 @@ class GellMannSet:
     @property
     def dim(self):
         return self.vectors.shape[0]
-
-    @property
-    def matrices(self):
-        return self.elements(range(len(self.labels)))
 
     def elements(self, idx):
         """The (len(idx), dim, dim) stack of elements ``idx``."""

@@ -240,10 +240,8 @@ def kraus_to_json(ks):
     return {
         "dim": ks.dim,
         "rank": ks.rank,
-        "operators": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in op]
-            for op in ks.operators
-        ],
+        "operators": np.stack(
+            [ks.operators.real, ks.operators.imag], axis=-1).tolist(),
     }
 
 

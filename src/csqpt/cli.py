@@ -46,6 +46,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -358,10 +359,9 @@ def cmd_analyze(cfg):
         _write_text(os.path.join(out_dir, "poptm.csv"), tm.to_csv())
     if "fidelity" in emits:
         fid = metrics.avg_gate_fidelity(ks, target_logical, code)
-        payload = metrics.fidelity_report_to_json(fid)
         _write_text(
             os.path.join(out_dir, "fidelity.json"),
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            json.dumps(asdict(fid), indent=2, sort_keys=True) + "\n",
         )
         _say(f"f_avg={fid.f_avg:.6f} f_pro={fid.f_pro:.6f} leakage={fid.leakage:.6f}")
     if "sweep" in emits:

@@ -110,9 +110,3 @@ def snap(thetas, dim):
     phases = np.zeros(dim)
     phases[: thetas.size] = thetas
     return np.diag(np.exp(1j * phases))
-
-
-def parity(dim):
-    """Photon-number parity operator diag((-1)^n)."""
-    _check_dim(dim)
-    return np.diag((-1.0 + 0j) ** np.arange(dim))

@@ -84,10 +84,6 @@ class GateStep:
 class GateSequence:
     steps: tuple
 
-    @property
-    def total_duration(self):
-        return sum(s.duration for s in self.steps)
-
 
 def x_gate_sequence():
     """The calibrated seven-step logical-X sequence (2.5 us total)."""

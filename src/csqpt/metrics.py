@@ -264,10 +264,3 @@ def decoder_study(channel, code):
     decoded = TransferMatrix(r.real, ("I", "X", "Y", "Z"))
     return decoded, logical_ptm(channel, code)
 
-
-def fidelity_report_to_json(report):
-    return {
-        "f_pro": report.f_pro, "leakage": report.leakage,
-        "f_avg": report.f_avg, "f_avg_direct": report.f_avg_direct,
-        "dim_logical": report.dim_logical,
-    }

@@ -60,7 +60,7 @@ therefore recover 2*Re(G) and 2*Im(G).
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from .errors import (
     RetractionError,
     ValidationError,
 )
-from .tomography import ParityModel, _images, parity_model, probe_kets
+from .tomography import ParityModel, _images, _whole_number, parity_model, probe_kets
 
 # the name the gradient checks call the probe-ket cache by
 _probe_kets = probe_kets
@@ -195,34 +195,20 @@ def stack_kraus(operators):
     return IsometryPoint(ops.reshape(-1, ops.shape[2]))
 
 
-def _as_alphas(probes):
-    return np.asarray(getattr(probes, "alphas", probes), dtype=complex)
-
-
-def _as_betas(grid):
-    return np.asarray(getattr(grid, "betas", grid), dtype=complex)
-
-
-def _predict(v, kets, mops):
-    """W_pred[i, j] for stack v, probe kets (n_p, d) and the parity stack
-    (n_b, d, d) or its ParityModel."""
-    return ParityModel.of(mops).wigner(v, kets)
-
-
 def predict_wigner(point, probes, grid):
     """Wigner predictions of the channel encoded by an isometry point.
 
-    ``ParityModel.wigner``: the output states rho_i come from the probe
-    images K_k |alpha_i> in one batched product, and ``ParityModel.expect``,
-    which ``simulate_dataset`` also calls, packs them into d^2 real
-    coordinates that meet the packed parity operators of the grid's
-    orbits in four real block GEMMs.
-    Probe kets and parity operators are built once per (grid, dim) and
-    cached.
+    ``ParityModel.image_wigner`` of the probe images K_k |alpha_i>, formed
+    in one batched product: ``ParityModel.expect``, which
+    ``simulate_dataset`` also calls, packs the output states rho_i into d^2
+    real coordinates that meet the packed parity operators of the grid's
+    orbits in four real block GEMMs.  ``probes`` and ``grid`` are a
+    ProbeGrid and WignerGrid or their amplitude arrays.  Probe kets and
+    parity operators are built once per (grid, dim) and cached.
     """
-    kets = probe_kets(_as_alphas(probes), point.dim)
-    model = parity_model(_as_betas(grid), point.dim)
-    return _predict(point.matrix, kets, model)
+    kets = probe_kets(getattr(probes, "alphas", probes), point.dim)
+    model = parity_model(getattr(grid, "betas", grid), point.dim)
+    return model.image_wigner(_images(point.matrix, kets))
 
 
 def _l1_parts(v):
@@ -293,23 +279,13 @@ def loss(point, ds, gamma):
     )
 
 
-def _l2_gradient(v, kets, mops, resid, images=None, fold=None):
-    """Wirtinger dL2/d(conj V) = 2 sum_ij resid_ij dW_ij/d(conj V) for the
-    weighted residual ``resid``; see ``ParityModel.gradient`` for the
-    optional ``images`` and ``fold``."""
-    return 2.0 * ParityModel.of(mops).gradient(v, kets, resid, images, fold)
-
-
-def _l1_subgradient(v):
-    """sign Re + i sign Im (0 at 0): twice d(|Re z| + |Im z|)/d(conj z)."""
-    return np.sign(v.view(float)).view(complex)
-
-
 def _gradient(v, kets, mops, wresid, gamma, images=None, fold=None):
-    """Wirtinger gradient of the total loss, given the weighted residual."""
-    g = _l2_gradient(v, kets, mops, wresid, images, fold)
+    """Wirtinger gradient of the total loss, given the weighted residual:
+    2 ``ParityModel.gradient`` (also for ``images`` and ``fold``) plus
+    gamma/2 (sign Re + i sign Im), 0 at 0: twice d(|Re z| + |Im z|)/d(conj z)."""
+    g = 2.0 * ParityModel.of(mops).gradient(v, kets, wresid, images, fold)
     if gamma > 0:
-        g += (0.5 * gamma) * _l1_subgradient(v)
+        g += (0.5 * gamma) * np.sign(v.view(float)).view(complex)
     return g
 
 
@@ -361,17 +337,6 @@ def _two_loop(xi, pairs):
     for (s, y, sy), a in zip(pairs, reversed(alphas)):
         q += (a - _inner(y, q) / sy) * s
     return q
-
-
-def tangent_project(point, direction):
-    """Project onto the Stiefel tangent space at the point's stack."""
-    v = point.matrix if isinstance(point, IsometryPoint) else point
-    z = np.asarray(direction, dtype=complex)
-    if z.shape != v.shape:
-        raise DimensionMismatchError(
-            f"direction shape {z.shape} does not match stack shape {v.shape}"
-        )
-    return _project(v, z)
 
 
 def _polar(w):
@@ -540,32 +505,24 @@ def reconstruct(ds, cfg):
     return ks, report
 
 
-def config_to_json(cfg):
-    return {
-        "rank": cfg.rank, "dim": cfg.dim, "gamma": cfg.gamma,
-        "max_iters": cfg.max_iters, "step_size": cfg.step_size,
-        "grad_tol": cfg.grad_tol, "seed": cfg.seed, "init": cfg.init,
-    }
-
-
 def config_from_json(data):
     try:
-        return ReconstructionConfig(**data)
+        whole = {k: _whole_number(data[k], f"config {k}", 0, ValidationError)
+                 for k in ("rank", "dim", "max_iters", "seed") if k in data}
+        return ReconstructionConfig(**{**data, **whole})
     except TypeError as exc:
         raise ValidationError(f"malformed config JSON: {exc}") from exc
 
 
 def result_to_json(ks, report, cfg):
+    loss = asdict(report)
+    history = loss.pop("history")
     return {
         "schema": RESULT_SCHEMA,
-        "config": config_to_json(cfg),
+        "config": asdict(cfg),
         "kraus": kraus_to_json(ks),
-        "loss": {
-            "l2": report.l2, "l1": report.l1, "total": report.total,
-            "grad_norm": report.grad_norm, "iters_used": report.iters_used,
-            "converged": report.converged, "stop_reason": report.stop_reason,
-        },
-        "history": list(report.history),
+        "loss": loss,
+        "history": list(history),
     }
 
 
@@ -576,12 +533,16 @@ def result_from_json(data):
         ks = kraus_from_json(data["kraus"])
         cfg = config_from_json(data["config"])
         lo = data["loss"]
+        if not isinstance(lo["converged"], bool):
+            raise ValidationError(
+                f"loss converged must be a boolean, got {lo['converged']!r}")
         report = LossReport(
             l2=float(lo["l2"]), l1=float(lo["l1"]), total=float(lo["total"]),
             grad_norm=float(lo["grad_norm"]),
-            iters_used=int(lo["iters_used"]),
+            iters_used=_whole_number(
+                lo["iters_used"], "loss iters_used", 0, ValidationError),
             history=tuple(float(t) for t in data["history"]),
-            converged=bool(lo["converged"]),
+            converged=lo["converged"],
             stop_reason=lo.get("stop_reason"),  # absent from older v1 files
         )
     except (KeyError, TypeError, ValueError) as exc:

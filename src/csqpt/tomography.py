@@ -64,6 +64,16 @@ def grid_axes(values):
     return re_axis, im_axis
 
 
+def _whole_number(value, what, low, error):
+    """int(value) for an integer >= ``low``, a whole float such as 1000.0
+    included; bools, strings, fractions and smaller values raise ``error``."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < low:
+        raise error(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TomographyDataset:
     """Wigner values (n_probes, n_betas) for coherent probes through a channel."""
@@ -85,14 +95,8 @@ class TomographyDataset:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DataQualityError(f"dataset contains non-finite {name}")
         for name, low in (("dim", 1), ("shots", 0), ("seed", 0)):
-            value = getattr(self, name)
-            whole = isinstance(value, numbers.Integral) or (
-                isinstance(value, float) and value.is_integer())
-            if isinstance(value, bool) or not whole or value < low:
-                raise DataQualityError(
-                    f"dataset {name} must be an integer >= {low}, got {value!r}"
-                )
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _whole_number(
+                getattr(self, name), f"dataset {name}", low, DataQualityError))
 
 
 _PROBE_KET_CACHE = {}
@@ -185,8 +189,8 @@ class ParityModel:
     coordinates doubled) and runs one real GEMM per block against the
     orbit columns; the four products combine by the 4 x 4 ``_SIGNS`` into
     every member's values, and one column gather picks each beta's.
-    ``wigner`` forms rho_i = sum_k K_k |alpha_i><alpha_i| K_k^dag of a
-    Kraus set in one batched product of the probe images K_k |alpha_i>.
+    ``image_wigner`` forms rho_i = sum_k K_k |alpha_i><alpha_i| K_k^dag of
+    a Kraus set in one batched product of the probe images K_k |alpha_i>.
     The gradient's N_i = sum_j c_ij M_j runs the transpose: c folded per
     orbit with the same signs (repeated betas add up), four GEMMs into the
     coordinate blocks, unpacked to Hermitian d x d by one gather and
@@ -235,11 +239,6 @@ class ParityModel:
         pack = _slots(ops.shape[-1])[0]
         return cls(np.ascontiguousarray(flat.take(pack, axis=1).T),
                    np.arange(n), np.zeros(n, dtype=np.intp))
-
-    def wigner(self, operators, kets):
-        """W (n_probes, n_betas) of the Kraus stack ``operators``, of shape
-        (rank, dim, dim) or (rank*dim, dim), on the probe kets (rows)."""
-        return self.image_wigner(_images(operators, kets))
 
     def image_wigner(self, images):
         """W (n_probes, n_betas) of the output states sum_k a_ik a_ik^dag of
@@ -380,12 +379,10 @@ def simulate_dataset(channel, probes, grid, shots=0, seed=0):
     parity-bit sample of that size.  All counts come from one
     ``np.random.default_rng(seed)`` stream in one draw, in row-major
     (probe, beta) order, so a seed fixes the dataset byte for byte.
-    ``shots`` and ``seed`` must be integers >= 0.
+    ``shots`` and ``seed`` must be integers >= 0 (``_whole_number``).
     """
-    for name, value in (("shots", shots), ("seed", seed)):
-        whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        if not whole or value < 0:
-            raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+    shots = _whole_number(shots, "shots", 0, ValidationError)
+    seed = _whole_number(seed, "seed", 0, ValidationError)
     alphas = np.asarray(probes.alphas, dtype=complex)
     betas = np.asarray(grid.betas, dtype=complex)
     dim = channel.dim
@@ -421,7 +418,7 @@ def subsample_grid(ds, stride=2):
 
 
 def _pairs(arr):
-    return [[float(z.real), float(z.imag)] for z in arr]
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def dataset_to_json(ds):
@@ -433,7 +430,7 @@ def dataset_to_json(ds):
         "normalized": False,  # read by older csqpt releases
         "probes": _pairs(ds.probes),
         "betas": _pairs(ds.betas),
-        "values": [[float(v) for v in row] for row in ds.values],
+        "values": ds.values.tolist(),
     }
 
 

@@ -1,6 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+
+# pyproject's pytest ``pythonpath`` puts src/ on this process's sys.path
+# only; the tests that start ``python -m csqpt`` or ``python -c`` need it in
+# the environment they pass on, so an uninstalled checkout runs them too
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

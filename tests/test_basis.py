@@ -27,7 +27,7 @@ def test_ordered_basis_first_six():
 def test_gellmann_orthonormal_hermitian():
     code = gates.BinomialCode(7)
     gm = basis.gellmann_set(basis.logical_ordered_basis(code))
-    mats = gm.matrices
+    mats = gm.elements(range(len(gm.labels)))
     assert mats.shape == (49, 7, 7)
     assert np.abs(mats - mats.conj().transpose(0, 2, 1)).max() < 1e-14
     gram = np.einsum("iab,jba->ij", mats, mats)
@@ -47,9 +47,10 @@ def test_gellmann_logical_block_elements():
     y_exp = (-1j * np.outer(z, o.conj()) + 1j * np.outer(o, z.conj())) / np.sqrt(2)
     z_exp = (np.outer(z, z.conj()) - np.outer(o, o.conj())) / np.sqrt(2)
     assert gm.labels[:4] == ("I", "X", "Y", "Z")
-    assert np.abs(gm.matrices[1] - x_exp).max() < 1e-14
-    assert np.abs(gm.matrices[2] - y_exp).max() < 1e-14
-    assert np.abs(gm.matrices[3] - z_exp).max() < 1e-14
+    mats = gm.elements(range(len(gm.labels)))
+    assert np.abs(mats[1] - x_exp).max() < 1e-14
+    assert np.abs(mats[2] - y_exp).max() < 1e-14
+    assert np.abs(mats[3] - z_exp).max() < 1e-14
 
 
 def test_display_indices_cover_first_six_block():
@@ -90,11 +91,12 @@ def test_transfer_matrix_against_direct_traces():
     gm = basis.gellmann_set(basis.logical_ordered_basis(code))
     ch = channel.random_channel(6, 3, np_rng)
     tm = basis.transfer_matrix(ch, gm)
+    mats = gm.elements(range(len(gm.labels)))
     direct = np.empty((36, 36))
     for j in range(36):
-        out = sum(k @ gm.matrices[j] @ k.conj().T for k in ch.operators)
+        out = sum(k @ mats[j] @ k.conj().T for k in ch.operators)
         for i in range(36):
-            direct[i, j] = np.trace(gm.matrices[i] @ out).real
+            direct[i, j] = np.trace(mats[i] @ out).real
     assert np.abs(tm.elements - direct).max() < 1e-10
 
 

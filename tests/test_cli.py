@@ -279,6 +279,42 @@ def test_analyze_non_cptp_result_is_numerical_failure(tmp_path):
                  "--out-dir", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("loss", "converged", "false"),
+    ("loss", "iters_used", 2.5),
+    ("loss", "iters_used", "30"),
+    ("config", "rank", True),
+])
+def test_analyze_loose_result_field_is_data_error(tmp_path, capsys, block, key, value):
+    data = json.loads(open(write_ideal_x_result(8, tmp_path / "good.json")).read())
+    data[block][key] = value
+    res_path = tmp_path / "loose.json"
+    res_path.write_text(json.dumps(data))
+    out_dir = tmp_path / "o"
+    assert main(["analyze", "--result", str(res_path), "--out-dir", str(out_dir)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_file_schemas_keep_their_v1_keys(tmp_path):
+    # the keys, in order, that README's "File schemas" section documents: a
+    # field added to a dataclass must not reach a v1 file unnoticed
+    ds_path = small_dataset(tmp_path)
+    out = tmp_path / "res.json"
+    assert main(["reconstruct", "--data", ds_path, "--rank", "1", "--dim", "6",
+                 "--iters", "2", "--out", str(out)]) == 0
+    dataset = json.loads(open(ds_path).read())
+    assert list(dataset) == ["schema", "dim", "shots", "seed", "normalized",
+                             "probes", "betas", "values"]
+    result = json.loads(out.read_text())
+    assert list(result) == ["schema", "config", "kraus", "loss", "history"]
+    assert list(result["config"]) == ["rank", "dim", "gamma", "max_iters",
+                                      "step_size", "grad_tol", "seed", "init"]
+    assert list(result["kraus"]) == ["dim", "rank", "operators"]
+    assert list(result["loss"]) == ["l2", "l1", "total", "grad_norm", "iters_used",
+                                    "converged", "stop_reason"]
+
+
 def test_budget_without_decoherence(tmp_path, capsys):
     out = tmp_path / "budget.csv"
     code = main(["budget", "--dim", "16", "--noise", "inf,inf", "--out", str(out)])

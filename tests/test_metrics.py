@@ -1,5 +1,7 @@
 """Tests for fidelity, leakage, sweep, budget, and decoder analyses."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,7 +357,7 @@ def test_decoder_hides_partial_leakage(code, x_target):
 
 def test_json_exports(code, x_target, ideal_x_channel):
     rep = metrics.avg_gate_fidelity(ideal_x_channel, x_target, code)
-    data = metrics.fidelity_report_to_json(rep)
+    data = asdict(rep)  # what analyze writes to fidelity.json
     assert set(data) == {"f_pro", "leakage", "f_avg", "f_avg_direct", "dim_logical"}
 
 

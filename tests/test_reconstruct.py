@@ -1,5 +1,6 @@
 """Tests for the stacked-isometry reconstruction module."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from csqpt.channel import (
     KrausSet,
     apply,
     kraus_to_choi,
+    kraus_to_json,
     random_channel,
     unitary_channel,
 )
@@ -20,7 +22,7 @@ from csqpt.errors import (
     RetractionError,
     ValidationError,
 )
-from csqpt.fock import displacement, parity
+from csqpt.fock import displacement
 
 # small dims are used on purpose; coherent-probe truncation there is expected
 pytestmark = pytest.mark.filterwarnings("ignore::csqpt.errors.TruncationWarning")
@@ -117,9 +119,10 @@ def test_packed_forward_model_matches_dense_reference(seed):
         out = apply(ks, np.outer(ket, ket.conj()))
         for j, beta in enumerate(betas):
             disp = displacement(beta, d)
-            m = disp @ parity(d) @ disp.conj().T
+            m = disp @ np.diag((-1.0) ** np.arange(d)) @ disp.conj().T
             ref[i, j] = (2 / np.pi) * np.trace(m @ out).real
-    assert np.abs(rec._predict(v, kets, mops) - ref).max() <= 1e-12
+    pred = tomo.ParityModel.of(mops).image_wigner(tomo._images(v, kets))
+    assert np.abs(pred - ref).max() <= 1e-12
     # out is the last probe's output state
     assert abs(tomo.wigner_value(out, betas[-1]) - ref[-1, -1]) <= 1e-12
     ds = tomo.simulate_dataset(ks, tomo.ProbeGrid(alphas), tomo.WignerGrid(betas))
@@ -130,10 +133,10 @@ def test_packed_forward_model_matches_dense_reference(seed):
     n = np.tensordot(resid, mops, axes=([1], [0]))  # N_i = sum_j resid_ij M_j
     nphi = np.einsum("iab,kbi->kai", n, phi)
     g_ref = 2.0 * np.einsum("kai,ic->kac", nphi, kets.conj()).reshape(r * d, d)
-    g = rec._l2_gradient(v, kets, mops, resid)
+    g = rec._gradient(v, kets, mops, resid, 0.0)
     assert np.abs(g - g_ref).max() <= 1e-12
     # a parity stack the cache does not hold is packed on the spot
-    assert np.abs(rec._l2_gradient(v, kets, np.array(mops), resid) - g_ref).max() <= 1e-12
+    assert np.abs(rec._gradient(v, kets, np.array(mops), resid, 0.0) - g_ref).max() <= 1e-12
 
 
 def test_forward_model_caches_read_only_and_bounded():
@@ -251,7 +254,7 @@ def test_weighted_gradient_matches_finite_differences():
     mops = tomo.displaced_parity_ops(ds.betas, d)
 
     def total(m):
-        resid = rec._predict(m, kets, mops) - ds.values
+        resid = tomo.ParityModel.of(mops).image_wigner(tomo._images(m, kets)) - ds.values
         return float((w * resid**2).sum()) + gamma * rec._l1_parts(m)
 
     assert fd_wirtinger_mismatch(total, g, pt.matrix) <= 1e-5
@@ -295,7 +298,7 @@ def test_gradient_matches_finite_differences_random_sizes(shots, d, r, seed):
     mops = tomo.displaced_parity_ops(ds.betas, d)
 
     def total(m):
-        resid = rec._predict(m, kets, mops) - ds.values
+        resid = tomo.ParityModel.of(mops).image_wigner(tomo._images(m, kets)) - ds.values
         return float((w * resid**2).sum()) + gamma * rec._l1_parts(m)
 
     assert fd_wirtinger_mismatch(total, g, pt.matrix, h) <= 1e-5
@@ -306,7 +309,7 @@ def test_gradient_stationary_at_truth():
     truth = random_channel(6, 2, rng)
     ds = small_dataset(truth)
     pt = rec.stack_kraus(truth.operators)
-    xi = rec.tangent_project(pt, rec.euclidean_gradient(pt, ds, 0.0))
+    xi = rec._project(pt.matrix, rec.euclidean_gradient(pt, ds, 0.0))
     assert np.linalg.norm(xi) <= 1e-8
 
 
@@ -334,11 +337,11 @@ def test_tangent_projection_properties():
     rng = np.random.default_rng(11)
     pt = rec.retract(rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4)))
     z = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
-    xi = rec.tangent_project(pt, z)
     v = pt.matrix
+    xi = rec._project(v, z)
     skew = v.conj().T @ xi + xi.conj().T @ v
     assert np.abs(skew).max() < 1e-12
-    assert np.abs(rec.tangent_project(pt, xi) - xi).max() < 1e-12
+    assert np.abs(rec._project(v, xi) - xi).max() < 1e-12
 
 
 def test_retraction_properties():
@@ -350,7 +353,7 @@ def test_retraction_properties():
     with pytest.raises(RetractionError):
         rec.retract(np.zeros((8, 4)))
     # second-order agreement with the tangent step
-    delta = 1e-3 * rec.tangent_project(pt, rng.standard_normal((8, 4)) + 0j)
+    delta = 1e-3 * rec._project(v, rng.standard_normal((8, 4)) + 0j)
     moved = rec.retract(v + delta).matrix
     err = np.linalg.norm(moved - (v + delta))
     assert err < 10 * np.linalg.norm(delta) ** 2
@@ -537,7 +540,7 @@ def test_memoryless_first_step():
     )
     _, rep = rec.reconstruct(ds, cfg)
     point = rec.initial_point(cfg)
-    xi = rec.tangent_project(point, rec.euclidean_gradient(point, ds, cfg.gamma))
+    xi = rec._project(point.matrix, rec.euclidean_gradient(point, ds, cfg.gamma))
     moved = rec._retraction_along(point.matrix, xi)(cfg.step_size)
     kets = rec._probe_kets(ds.probes, 6)
     mops = tomo.parity_model(ds.betas, 6)
@@ -704,3 +707,108 @@ def test_result_json_roundtrip(tmp_path):
     data_bad = dict(data, schema="csqpt-result-v0")
     with pytest.raises(ValidationError):
         rec.result_from_json(data_bad)
+
+
+def unfitted_result(dim=4):
+    """(ks, report, cfg) of the identity channel with no fit behind it."""
+    ks = KrausSet(np.eye(dim)[None])
+    cfg = rec.ReconstructionConfig(rank=1, dim=dim)
+    rep = rec.LossReport(l2=0.0, l1=dim, total=cfg.gamma * dim, grad_norm=0.0,
+                         iters_used=0, history=(cfg.gamma * dim,))
+    return ks, rep, cfg
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("loss", "converged", "false"),
+    ("loss", "converged", 0),
+    ("loss", "iters_used", 2.5),
+    ("loss", "iters_used", "30"),
+    ("loss", "iters_used", True),
+    ("config", "rank", True),
+    ("config", "rank", 2.5),
+    ("config", "dim", 4.5),
+    ("config", "max_iters", 40.5),
+    ("config", "seed", True),
+])
+def test_result_json_counts_and_flags_are_strict(block, key, value):
+    # the dataset loader's rule: a count is a whole number, not a bool, a
+    # string or a fraction; converged is a JSON boolean
+    data = json.loads(json.dumps(rec.result_to_json(*unfitted_result())))
+    data[block][key] = value
+    with pytest.raises(ValidationError, match=key):
+        rec.result_from_json(data)
+
+
+def test_result_json_whole_floats_load_as_integers():
+    data = json.loads(json.dumps(rec.result_to_json(*unfitted_result())))
+    data["loss"]["iters_used"] = 3.0
+    data["config"].update(rank=1.0, dim=4.0, max_iters=40.0, seed=7.0)
+    _, rep, cfg = rec.result_from_json(data)
+    assert type(rep.iters_used) is int and rep.iters_used == 3
+    fields = (cfg.rank, cfg.dim, cfg.max_iters, cfg.seed)
+    assert [type(x) for x in fields] == [int] * 4 and fields == (1, 4, 40, 7)
+
+
+def special_floats(rng, shape):
+    """Random normals with -0.0, subnormals and +-1e300 mixed in."""
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    picks = rng.choice(flat.size, size=6, replace=False)
+    flat[picks] = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.0]
+    return x
+
+
+def pairs_by_element(arr):
+    return [[float(z.real), float(z.imag)] for z in arr]
+
+
+def kraus_by_element(ks):
+    return {
+        "dim": ks.dim, "rank": ks.rank,
+        "operators": [[pairs_by_element(row) for row in op] for op in ks.operators],
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_json_writers_match_element_by_element_encoding(seed):
+    # the ndarray.tolist and dataclasses.asdict writers give the JSON text
+    # of a float()-per-element encoding, with the same keys in the same order
+    rng = np.random.default_rng(seed)
+    d, r, n_p, n_b = 3, 2, 6, 7
+
+    def cplx(*shape):
+        return special_floats(rng, shape) + 1j * special_floats(rng, shape)
+
+    ds = tomo.TomographyDataset(probes=cplx(n_p), betas=cplx(n_b),
+                                values=special_floats(rng, (n_p, n_b)),
+                                dim=d, shots=10, seed=seed)
+    expect = {
+        "schema": tomo.DATASET_SCHEMA, "dim": d, "shots": 10, "seed": seed,
+        "normalized": False, "probes": pairs_by_element(ds.probes),
+        "betas": pairs_by_element(ds.betas),
+        "values": [[float(v) for v in row] for row in ds.values],
+    }
+    assert json.dumps(tomo.dataset_to_json(ds)) == json.dumps(expect)
+
+    with np.errstate(over="ignore"):  # the CPTP defect of 1e300 entries
+        ks = KrausSet(cplx(r, d, d))
+    assert json.dumps(kraus_to_json(ks)) == json.dumps(kraus_by_element(ks))
+
+    t = special_floats(rng, 6).tolist()
+    cfg = rec.ReconstructionConfig(rank=r, dim=d, gamma=5e-324, max_iters=7,
+                                   step_size=1e300, grad_tol=-0.0, seed=seed)
+    rep = rec.LossReport(l2=t[0], l1=t[1], total=t[2], grad_norm=t[3],
+                         iters_used=7, history=tuple(t), converged=False,
+                         stop_reason="max_iters")
+    expect = {
+        "schema": rec.RESULT_SCHEMA,
+        "config": {"rank": r, "dim": d, "gamma": 5e-324, "max_iters": 7,
+                   "step_size": 1e300, "grad_tol": -0.0, "seed": seed,
+                   "init": "identity-perturbed"},
+        "kraus": kraus_by_element(ks),
+        "loss": {"l2": rep.l2, "l1": rep.l1, "total": rep.total,
+                 "grad_norm": rep.grad_norm, "iters_used": 7,
+                 "converged": False, "stop_reason": "max_iters"},
+        "history": list(rep.history),
+    }
+    assert json.dumps(rec.result_to_json(ks, rep, cfg)) == json.dumps(expect)
