@@ -17,11 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._cache import read_only
-from .errors import (
-    DimensionMismatchError,
-    NotAChannelError,
-    ValidationError,
-)
+from .errors import (DimensionMismatchError, NotAChannelError, ValidationError,
+                     read_array, read_int)
 
 # Frobenius defect below which a Kraus set counts as certified CPTP
 CPTP_TOL = 1e-6
@@ -249,12 +246,8 @@ def kraus_from_json(data):
     """KrausSet from its JSON form, re-certified: NotAChannelError if the
     operators are not CPTP within CPTP_TOL."""
     try:
-        arr = np.asarray(data["operators"], dtype=float)
-        dim, rank = int(data["dim"]), int(data["rank"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, rank = (read_int(data[key], f"Kraus {key}", 1) for key in ("dim", "rank"))
+        arr = read_array(data["operators"], (rank, dim, dim, 2), "Kraus operators")
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed Kraus JSON: {exc}") from exc
-    if arr.ndim != 4 or arr.shape != (rank, dim, dim, 2):
-        raise ValidationError(
-            f"operators shape {arr.shape} does not match rank {rank}, dim {dim}"
-        )
     return require_certified(KrausSet(arr[..., 0] + 1j * arr[..., 1]))

@@ -51,13 +51,9 @@ from dataclasses import asdict
 import numpy as np
 
 from .channel import DecoherenceParams, kraus_from_json, unitary_channel
-from .errors import (
-    CsqptError,
-    NotAChannelError,
-    NumericalConsistencyError,
-    RetractionError,
-    ValidationError,
-)
+from .errors import (CsqptError, NotAChannelError, NumericalConsistencyError,
+                     RetractionError, ValidationError, read_int, read_json, read_real,
+                     read_str)
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -69,22 +65,20 @@ SWEEP_CUTS = tuple(range(2, 11))
 
 # Value types: each turns a flag string or a --config JSON value into what
 # the command runs with, raising ValueError or TypeError when it cannot.
+# Text is parsed as a flag is; any other value goes through the shared
+# readers of ``errors``.
 def integer(value):
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError("not an integer")
-    return int(value)
+    return int(value) if isinstance(value, str) else read_int(
+        value, "config value", error=ValueError)
 
 
 def real(value):
-    if isinstance(value, bool):
-        raise ValueError("not a number")
-    return float(value)
+    return float(value) if isinstance(value, str) else read_real(
+        value, "config value", error=ValueError, finite=False)
 
 
 def string(value):
-    if not isinstance(value, str):
-        raise TypeError("not a string")
-    return value
+    return read_str(value, "config value", TypeError)
 
 
 def _pair(value):
@@ -186,14 +180,11 @@ def _resolve(args):
     rows = options(args.command)
     from_file = {}
     if args.config:
-        try:
-            with open(args.config) as fh:
-                from_file = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
+        from_file = read_json(args.config, "config")
         if not isinstance(from_file, dict):
             raise ValidationError("config file must hold a JSON object")
-        unknown = sorted(set(from_file) - {row[0] for row in rows})
+        # a REQUIRED row (--data, --result) is a flag a file cannot supply
+        unknown = sorted(set(from_file) - {r[0] for r in rows if r[2] is not REQUIRED})
         if unknown:
             raise ValidationError(f"unknown config keys {unknown}")
     resolved = {}
@@ -228,21 +219,13 @@ def _print_header(command, resolved):
     _say(f"seed: {seed}")
 
 
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
 def _gate_channel(spec, dim, noise=None):
     """Resolve a gate spec to a SequenceChannel or (Kraus files) a KrausSet."""
     from . import gates
 
     if spec == "x-gate":
         return gates.SequenceChannel(gates.x_gate_sequence(), noise, dim)
-    data = _read_json(spec)
+    data = read_json(spec, "gate file")
     fields = data if isinstance(data, dict) else {}
     if "steps" in fields:
         return gates.SequenceChannel(gates.sequence_from_json(data), noise, dim)

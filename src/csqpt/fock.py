@@ -15,20 +15,15 @@ import warnings
 import numpy as np
 
 from ._cache import cached, read_only
-from .errors import TruncationWarning, ValidationError
+from .errors import TruncationWarning, ValidationError, read_int
 
 # tail mass above which coherent_state warns about truncation loss
 TAIL_WARN = 1e-6
 
 
-def _check_dim(dim):
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValidationError(f"dim must be a positive integer, got {dim!r}")
-
-
 def fock_state(n, dim):
     """Number state |n> as a unit ket."""
-    _check_dim(dim)
+    dim = read_int(dim, "dim", 1)
     if not 0 <= n < dim:
         raise ValidationError(f"Fock index {n} outside [0, {dim})")
     ket = np.zeros(dim, dtype=complex)
@@ -43,7 +38,7 @@ def coherent_state(alpha, dim):
     c_n = exp(-|alpha|^2 / 2) alpha^n / sqrt(n!).  Warns if the truncated
     tail carries more than ``TAIL_WARN`` probability.
     """
-    _check_dim(dim)
+    dim = read_int(dim, "dim", 1)
     alpha = complex(alpha)
     amps = np.empty(dim, dtype=complex)
     amps[0] = 1.0
@@ -83,7 +78,7 @@ def displacements(alphas, dim):
     With alpha = r e^{i theta} the generator is i r Q diag(lam) Q^dag for
     Q = diag(e^{i n (theta - pi/2)}) W, so D(alpha) = Q diag(e^{i r lam}) Q^dag.
     """
-    _check_dim(dim)
+    dim = read_int(dim, "dim", 1)
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     lam, w = _quadrature(dim)
     n = np.arange(dim)
@@ -99,7 +94,7 @@ def displacement(alpha, dim):
 
 def snap(thetas, dim):
     """SNAP unitary diag(exp(i theta_n)); phases beyond len(thetas) are 0."""
-    _check_dim(dim)
+    dim = read_int(dim, "dim", 1)
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ValidationError("thetas must be a 1-D phase vector")

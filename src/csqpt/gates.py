@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import choi_to_kraus, decay, operand, unitary_channel
-from .errors import ValidationError
+from .errors import ValidationError, read_array, read_real
 from .fock import displacement, fock_state, snap
 
 # Calibrated parameters for the binomial-code X gate: four displacement
@@ -68,11 +68,8 @@ class GateStep:
     def __post_init__(self):
         if self.kind not in ("displace", "snap"):
             raise ValidationError(f"unknown step kind {self.kind!r}")
-        if not 0 <= self.duration < np.inf:  # NaN included
-            raise ValidationError(
-                f"{self.kind} step duration must be finite and non-negative, "
-                f"not {self.duration}"
-            )
+        object.__setattr__(self, "duration", read_real(
+            self.duration, f"{self.kind} step duration", 0))
         if not np.isfinite(self.param).all():
             what = "alpha" if self.kind == "displace" else "theta"
             raise ValidationError(
@@ -170,13 +167,12 @@ def sequence_from_json(data):
         if kind not in ("displace", "snap"):
             raise ValidationError(f"unknown step type {kind!r}")
         try:
-            duration = float(entry.get("duration", 0.0))
+            duration = read_real(entry.get("duration", 0.0), "duration", 0, ValueError)
             if kind == "displace":
-                re, im = entry["alpha"]
-                param = complex(re, im)
+                param = complex(*read_array(entry["alpha"], (2,), "alpha", ValueError))
             else:
-                param = np.asarray(entry["thetas"], float)
-        except (KeyError, TypeError, ValueError) as exc:
+                param = read_array(entry["thetas"], (None,), "thetas", ValueError)
+        except (KeyError, ValueError) as exc:
             raise ValidationError(f"malformed {kind} step {entry}: {exc!r}") from exc
         steps.append(GateStep(kind, param, duration))
     return GateSequence(tuple(steps))

@@ -65,12 +65,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import KrausSet, kraus_from_json, kraus_to_json, require_certified
-from .errors import (
-    DimensionMismatchError,
-    RetractionError,
-    ValidationError,
-)
-from .tomography import ParityModel, _images, _whole_number, parity_model, probe_kets
+from .errors import (DimensionMismatchError, RetractionError, ValidationError,
+                     read_array, read_bool, read_int, read_json, read_real)
+from .tomography import ParityModel, _images, parity_model, probe_kets
 
 # the name the gradient checks call the probe-ket cache by
 _probe_kets = probe_kets
@@ -111,20 +108,12 @@ class ReconstructionConfig:
     init: str = "identity-perturbed"
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValidationError("rank must be at least 1")
-        if self.dim < 2:
-            raise ValidationError("dim must be at least 2")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValidationError("gamma must be finite and non-negative")
-        if self.max_iters < 0:
-            raise ValidationError("max_iters must be non-negative")
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
-            raise ValidationError("step_size must be finite and positive")
-        if not self.grad_tol >= 0:  # NaN included
-            raise ValidationError("grad_tol must be non-negative")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
+        for name, low in (("rank", 1), ("dim", 2), ("max_iters", 0), ("seed", 0)):
+            object.__setattr__(self, name, read_int(getattr(self, name), name, low))
+        for name, low in (("gamma", 0), ("step_size", None), ("grad_tol", 0)):
+            object.__setattr__(self, name, read_real(getattr(self, name), name, low))
+        if self.step_size <= 0:
+            raise ValidationError("step_size must be positive")
         if self.init not in INIT_MODES:
             raise ValidationError(f"init must be one of {INIT_MODES}")
 
@@ -505,15 +494,6 @@ def reconstruct(ds, cfg):
     return ks, report
 
 
-def config_from_json(data):
-    try:
-        whole = {k: _whole_number(data[k], f"config {k}", 0, ValidationError)
-                 for k in ("rank", "dim", "max_iters", "seed") if k in data}
-        return ReconstructionConfig(**{**data, **whole})
-    except TypeError as exc:
-        raise ValidationError(f"malformed config JSON: {exc}") from exc
-
-
 def result_to_json(ks, report, cfg):
     loss = asdict(report)
     history = loss.pop("history")
@@ -531,21 +511,17 @@ def result_from_json(data):
         if data["schema"] != RESULT_SCHEMA:
             raise ValidationError(f"unknown result schema {data['schema']!r}")
         ks = kraus_from_json(data["kraus"])
-        cfg = config_from_json(data["config"])
+        cfg = ReconstructionConfig(**data["config"])
         lo = data["loss"]
-        if not isinstance(lo["converged"], bool):
-            raise ValidationError(
-                f"loss converged must be a boolean, got {lo['converged']!r}")
         report = LossReport(
-            l2=float(lo["l2"]), l1=float(lo["l1"]), total=float(lo["total"]),
-            grad_norm=float(lo["grad_norm"]),
-            iters_used=_whole_number(
-                lo["iters_used"], "loss iters_used", 0, ValidationError),
-            history=tuple(float(t) for t in data["history"]),
-            converged=lo["converged"],
+            **{k: read_real(lo[k], f"loss {k}")
+               for k in ("l2", "l1", "total", "grad_norm")},
+            iters_used=read_int(lo["iters_used"], "loss iters_used", 0),
+            history=tuple(read_array(data["history"], (None,), "history").tolist()),
+            converged=read_bool(lo["converged"], "loss converged"),
             stop_reason=lo.get("stop_reason"),  # absent from older v1 files
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed result JSON: {exc}") from exc
     return ks, report, cfg
 
@@ -556,9 +532,4 @@ def save_result(ks, report, cfg, path):
 
 
 def load_result(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read result {path}: {exc}") from exc
-    return result_from_json(data)
+    return result_from_json(read_json(path, "result"))

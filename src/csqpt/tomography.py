@@ -8,13 +8,13 @@ row-major with Re(beta) varying fastest.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._cache import CACHE_ENTRIES, cached, read_only
-from .errors import DataQualityError, ValidationError
+from .errors import (DataQualityError, ValidationError, read_array, read_bool,
+                     read_int, read_json)
 from .fock import _quadrature, coherent_state
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
@@ -64,16 +64,6 @@ def grid_axes(values):
     return re_axis, im_axis
 
 
-def _whole_number(value, what, low, error):
-    """int(value) for an integer >= ``low``, a whole float such as 1000.0
-    included; bools, strings, fractions and smaller values raise ``error``."""
-    whole = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole or value < low:
-        raise error(f"{what} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class TomographyDataset:
     """Wigner values (n_probes, n_betas) for coherent probes through a channel."""
@@ -93,9 +83,9 @@ class TomographyDataset:
             )
         for name in ("probes", "betas", "values"):
             if not np.all(np.isfinite(getattr(self, name))):
-                raise DataQualityError(f"dataset contains non-finite {name}")
+                raise DataQualityError(f"dataset {name} has a non-finite entry")
         for name, low in (("dim", 1), ("shots", 0), ("seed", 0)):
-            object.__setattr__(self, name, _whole_number(
+            object.__setattr__(self, name, read_int(
                 getattr(self, name), f"dataset {name}", low, DataQualityError))
 
 
@@ -379,10 +369,9 @@ def simulate_dataset(channel, probes, grid, shots=0, seed=0):
     parity-bit sample of that size.  All counts come from one
     ``np.random.default_rng(seed)`` stream in one draw, in row-major
     (probe, beta) order, so a seed fixes the dataset byte for byte.
-    ``shots`` and ``seed`` must be integers >= 0 (``_whole_number``).
+    ``shots`` and ``seed`` must be integers >= 0 (``read_int``).
     """
-    shots = _whole_number(shots, "shots", 0, ValidationError)
-    seed = _whole_number(seed, "seed", 0, ValidationError)
+    shots, seed = read_int(shots, "shots", 0), read_int(seed, "seed", 0)
     alphas = np.asarray(probes.alphas, dtype=complex)
     betas = np.asarray(grid.betas, dtype=complex)
     dim = channel.dim
@@ -438,19 +427,21 @@ def dataset_from_json(data):
     try:
         if data["schema"] != DATASET_SCHEMA:
             raise DataQualityError(f"unknown dataset schema {data['schema']!r}")
-        probes = np.array([complex(re, im) for re, im in data["probes"]])
-        betas = np.array([complex(re, im) for re, im in data["betas"]])
-        values = np.asarray(data["values"], dtype=float)
-        if data["normalized"]:
+        if read_bool(data["normalized"], "dataset normalized", DataQualityError):
             # only normalize_dataset of older csqpt releases wrote true
             raise DataQualityError(
                 "dataset holds rescaled (normalized) values, not raw Wigner data"
             )
+        probes, betas, values = (
+            read_array(data[key], shape, f"dataset {key}", DataQualityError)
+            for key, shape in (("probes", (None, 2)), ("betas", (None, 2)),
+                               ("values", (None, None))))
+        # [re, im] rows viewed as complex, the bits kept as complex(re, im)
         return TomographyDataset(
-            probes=probes, betas=betas, values=values,
-            dim=data["dim"], shots=data["shots"], seed=data["seed"],
+            probes=probes.view(complex)[:, 0], betas=betas.view(complex)[:, 0],
+            values=values, dim=data["dim"], shots=data["shots"], seed=data["seed"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DataQualityError(f"malformed dataset JSON: {exc}") from exc
 
 
@@ -460,10 +451,4 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataQualityError(f"cannot read dataset {path}: {exc}") from exc
-    return dataset_from_json(data)
-
+    return dataset_from_json(read_json(path, "dataset", DataQualityError))

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from csqpt import channel, gates, metrics, reconstruct, tomography
 from csqpt.cli import EMIT_CHOICES, build_parser, main, options
@@ -380,7 +382,7 @@ def test_non_finite_gate_sequence_is_data_error(tmp_path, capsys, text, why):
     assert not out_dir.exists() and not out.exists()
 
 
-def test_config_file_merge(tmp_path):
+def test_config_file_merge(tmp_path, capsys):
     gate = write_kraus_json(channel.unitary_channel(np.eye(6, dtype=complex)),
                             tmp_path / "id.json")
     cfg_path = tmp_path / "cfg.json"
@@ -396,9 +398,16 @@ def test_config_file_merge(tmp_path):
         tomography.probe_grid(3, 0.8), tomography.wigner_grid(3, 1.0))
     assert np.abs(ds.values - exact.values).max() < 1e-12
 
+    # an unknown key, or a key that only a flag may give, is refused with
+    # one error line naming it, even when the flag is given too
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"shotz": 5}))
-    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.json")]) == 3
+    for key, argv in (("shotz", ["simulate"]),
+                      ("data", ["reconstruct", "--data", str(out_a)])):
+        bad.write_text(json.dumps({key: "nonexistent.json"}))
+        capsys.readouterr()
+        assert main(argv + ["--config", str(bad), "--out", str(tmp_path / "x.json")]) == 3
+        assert capsys.readouterr().err == f"error: unknown config keys ['{key}']\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 def simulate_flags(tmp_path, skip=()):
@@ -557,7 +566,7 @@ def test_reconstruct_rejects_normalized_dataset(tmp_path, capsys):
     # so is a negative init seed, with an error line and no traceback
     assert main(["reconstruct", "--data", small_dataset(tmp_path), "--rank", "1",
                  "--dim", "6", "--seed", "-1", "--out", str(out)]) == 3
-    assert "error: seed must be non-negative" in capsys.readouterr().err
+    assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -575,8 +584,135 @@ def test_reconstruct_rejects_non_finite_grid(tmp_path, capsys, field, row, value
     assert main(["reconstruct", "--data", str(ds_path), "--rank", "1", "--dim", "6",
                  "--iters", "3", "--out", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: dataset contains non-finite {field}"]
+    assert err == [f"error: dataset {field} has a non-finite entry"]
     assert not out.exists()
+
+
+INT, REAL, BOOL, STR = "int", "real", "bool", "str"
+
+
+def wrong_values(kind, config):
+    """Values of the wrong JSON type for a field of this kind: a bool, a
+    numeric string, a fraction or a whole-looking float for an integer,
+    NaN or an infinity.  A --config number may be numeric text (it converts
+    as a flag does) and noise may be infinite, so a config field gets
+    neither."""
+    nan, inf = float("nan"), float("inf")
+    values = {
+        INT: [True, "6", 6.5, 6 + 2**-40, nan, inf],
+        REAL: [False, "0.5", nan, -inf],
+        BOOL: [0, "false", "1", nan],
+        STR: [True, 5, nan],
+    }[kind]
+    if config:
+        values = [v for v in values if not isinstance(v, str) and abs(v) != inf]
+    return values
+
+
+# The fields of each typed file that a mutation may replace, as (path in
+# the JSON, kind); a path ending in list indices names one array entry.
+TYPED_FIELDS = {
+    "dataset": [
+        (("schema",), STR), (("dim",), INT), (("shots",), INT), (("seed",), INT),
+        (("normalized",), BOOL), (("probes", 0, 0), REAL), (("probes", -1, 1), REAL),
+        (("betas", 0, 1), REAL), (("betas", -1, 0), REAL),
+        (("values", 0, 0), REAL), (("values", -1, -1), REAL),
+    ],
+    "result": [
+        (("schema",), STR),
+        *((("config", k), INT) for k in ("rank", "dim", "max_iters", "seed")),
+        *((("config", k), REAL) for k in ("gamma", "step_size", "grad_tol")),
+        (("config", "init"), STR), (("kraus", "dim"), INT), (("kraus", "rank"), INT),
+        (("kraus", "operators", 0, 0, 0, 0), REAL),
+        (("kraus", "operators", -1, -1, -1, 1), REAL),
+        *((("loss", k), REAL) for k in ("l2", "l1", "total", "grad_norm")),
+        (("loss", "iters_used"), INT), (("loss", "converged"), BOOL),
+        (("loss", "stop_reason"), STR), (("history", 0), REAL),
+    ],
+    "kraus": [
+        (("dim",), INT), (("rank",), INT),
+        (("operators", 0, 0, 0, 0), REAL), (("operators", 0, 5, 4, 1), REAL),
+    ],
+    "sequence": [
+        (("steps", 0, "type"), STR), (("steps", 0, "alpha", 0), REAL),
+        (("steps", 0, "alpha", 1), REAL), (("steps", 0, "duration"), REAL),
+        (("steps", 1, "thetas", -1), REAL), (("steps", 1, "duration"), REAL),
+    ],
+    "config": [
+        (("gate",), STR), (("dim",), INT), (("shots",), INT), (("seed",), INT),
+        (("probe_grid", 0), INT), (("probe_grid", 1), REAL),
+        (("wigner_grid", 0), INT), (("wigner_grid", 1), REAL),
+        (("noise", 0), REAL), (("noise", 1), REAL), (("out",), STR),
+    ],
+}
+
+
+def typed_files(tmp_path):
+    """name -> (valid JSON, argv of the command that reads it) for a dim-6
+    dataset, result, Kraus file, gate sequence and --config file, each
+    written to ``tmp_path / f"{name}.json"``."""
+    ident = channel.unitary_channel(np.eye(6, dtype=complex))
+    ds = tomography.simulate_dataset(ident, tomography.probe_grid(2, 0.5),
+                                     tomography.wigner_grid(3, 1.0), shots=100, seed=1)
+    report = reconstruct.LossReport(
+        l2=0.0, l1=6.0, total=0.0024, grad_norm=0.0, iters_used=0, history=(0.0024,),
+        converged=True, stop_reason="grad_tol")
+    path = {name: str(tmp_path / f"{name}.json") for name in TYPED_FIELDS}
+    out = str(tmp_path / "out.json")
+    grids = ["--dim", "6", "--probe-grid", "2,0.5", "--wigner-grid", "3,1.0",
+             "--out", out]
+    steps = [{"type": "displace", "alpha": [0.3, -0.1], "duration": 0.1},
+             {"type": "snap", "thetas": [0.1, 0.2, 0.3], "duration": 0.7}]
+    files = {
+        "dataset": (tomography.dataset_to_json(ds),
+                    ["reconstruct", "--data", path["dataset"], "--rank", "1",
+                     "--dim", "6", "--iters", "1", "--out", out]),
+        "result": (reconstruct.result_to_json(
+                       ident, report, reconstruct.ReconstructionConfig(rank=1, dim=6)),
+                   ["analyze", "--result", path["result"], "--emit", "ptm",
+                    "--out-dir", str(tmp_path / "reports")]),
+        "kraus": (channel.kraus_to_json(ident),
+                  ["simulate", "--gate", path["kraus"], *grids]),
+        "sequence": ({"steps": steps}, ["simulate", "--gate", path["sequence"], *grids]),
+        "config": ({"gate": path["sequence"], "dim": 6, "shots": 5, "seed": 1,
+                    "probe_grid": [2, 0.5], "wigner_grid": [3, 1.0],
+                    "noise": [315, 478], "out": out},
+                   ["simulate", "--config", path["config"]]),
+    }
+    for name, (data, _) in files.items():
+        with open(path[name], "w") as fh:
+            json.dump(data, fh)
+    return files
+
+
+def test_typed_files_are_valid(tmp_path):
+    for name, (_, argv) in typed_files(tmp_path).items():
+        assert main(argv) == 0, name
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_wrong_json_type_is_one_data_error(tmp_path, capsys, data):
+    # every value of every file csqpt reads passes one typed rule: a field
+    # or array entry replaced by a value of the wrong JSON type stops the
+    # reading command with exit 3 and one error line, never a run or a
+    # traceback
+    name = data.draw(st.sampled_from(sorted(TYPED_FIELDS)), label="file")
+    path, kind = data.draw(st.sampled_from(TYPED_FIELDS[name]), label="field")
+    value = data.draw(st.sampled_from(wrong_values(kind, name == "config")),
+                      label="value")
+    mutated, argv = typed_files(tmp_path)[name]
+    node = mutated
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with open(tmp_path / f"{name}.json", "w") as fh:
+        json.dump(mutated, fh)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_console_entry_point():

@@ -164,6 +164,10 @@ def test_sequence_from_json_rejects_garbage():
     for entry in ({"type": "displace", "duration": 0.1},
                   {"type": "displace", "alpha": "abc", "duration": 0.1},
                   {"type": "snap", "thetas": ["x"], "duration": 0.7},
-                  {"type": "displace", "alpha": [0.61, 0], "duration": "z"}):
+                  {"type": "displace", "alpha": [0.61, 0], "duration": "z"},
+                  # a loose cast would load each of these
+                  {"type": "displace", "alpha": [0.61, 0], "duration": "0.5"},
+                  {"type": "displace", "alpha": [0.61, 0], "duration": True},
+                  {"type": "displace", "alpha": [True, False], "duration": 0.1}):
         with pytest.raises(ValidationError, match=f"malformed {entry['type']} step"):
             gates.sequence_from_json({"steps": [entry]})

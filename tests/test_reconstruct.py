@@ -58,6 +58,17 @@ def test_config_validation():
                 {"step_size": np.nan}, {"grad_tol": np.nan}, {"seed": -1}):
         with pytest.raises(ValidationError):
             rec.ReconstructionConfig(**bad)
+    # library callers get the file rule: a bool, a fraction or a string is
+    # refused at construction, not as a raw TypeError inside the fit, and a
+    # whole float becomes an int
+    for bad in ({"rank": True}, {"rank": 2.5}, {"max_iters": "30"},
+                {"gamma": True}, {"step_size": "0.1"}):
+        (key,) = bad
+        with pytest.raises(ValidationError, match=key):
+            rec.ReconstructionConfig(**bad)
+    cfg = rec.ReconstructionConfig(dim=32.0, max_iters=2.0)
+    assert (type(cfg.dim), type(cfg.max_iters)) == (int, int)
+    assert (cfg.dim, cfg.max_iters) == (32, 2)
 
 
 def test_isometry_point_validation():
@@ -718,24 +729,40 @@ def unfitted_result(dim=4):
     return ks, rep, cfg
 
 
-@pytest.mark.parametrize("block, key, value", [
-    ("loss", "converged", "false"),
-    ("loss", "converged", 0),
-    ("loss", "iters_used", 2.5),
-    ("loss", "iters_used", "30"),
-    ("loss", "iters_used", True),
-    ("config", "rank", True),
-    ("config", "rank", 2.5),
-    ("config", "dim", 4.5),
-    ("config", "max_iters", 40.5),
-    ("config", "seed", True),
-])
-def test_result_json_counts_and_flags_are_strict(block, key, value):
-    # the dataset loader's rule: a count is a whole number, not a bool, a
-    # string or a fraction; converged is a JSON boolean
-    data = json.loads(json.dumps(rec.result_to_json(*unfitted_result())))
-    data[block][key] = value
-    with pytest.raises(ValidationError, match=key):
+@pytest.mark.parametrize("path, value", [
+    (("loss", "converged"), "false"),
+    (("loss", "converged"), 0),
+    (("loss", "iters_used"), 2.5),
+    (("loss", "iters_used"), "30"),
+    (("loss", "iters_used"), True),
+    (("config", "rank"), True),
+    (("config", "rank"), 2.5),
+    (("config", "dim"), 4.5),
+    (("config", "max_iters"), 40.5),
+    (("config", "seed"), True),
+    (("config", "gamma"), True),
+    (("config", "gamma"), "4e-4"),
+    (("loss", "l2"), "0.5"),
+    (("loss", "l2"), float("nan")),
+    (("history", 0), "1e3"),
+    (("kraus", "dim"), 3.7),
+    (("kraus", "dim"), "3"),
+    (("kraus", "rank"), True),
+    (("kraus", "operators", 0, 0, 0, 0), "1.0"),
+], ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else str(x))
+def test_result_json_counts_and_flags_are_strict(path, value):
+    # one rule for every value: a count is a whole number, not a bool, a
+    # string or a fraction; a real is a finite JSON number; converged is a
+    # JSON boolean.  The dim-3 identity block would load as it is if a
+    # loose cast turned 3.7, "3", true or "1.0" into a number.
+    data = json.loads(json.dumps(rec.result_to_json(*unfitted_result(3))))
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    field = [key for key in path if isinstance(key, str)][-1]
+    with pytest.raises(ValidationError, match=field):
         rec.result_from_json(data)
 
 

@@ -303,6 +303,10 @@ def test_dataset_json_rejects_malformed():
         dict(good, shots=True),
         dict(good, shots="10"),
         dict(good, dim=0),
+        # a loose cast would load each of these as a valid dataset
+        dict(good, values=[["0.5"] * 9] * 4),
+        dict(good, probes=[[True, False]] * 4),
+        dict(good, normalized=0),
     ):
         with pytest.raises(DataQualityError):
             tomography.dataset_from_json(bad)
