@@ -131,7 +131,7 @@ class TransferMatrix:
 
     def to_csv(self):
         buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["basis"] + list(self.labels))
         for label, row in zip(self.labels, self.elements):
             writer.writerow([label] + [repr(float(x)) for x in row])
@@ -164,9 +164,16 @@ def logical_ptm(channel, code):
     space), the first element here is I_L/sqrt(2), so the (0, 0) entry
     reads 1 - leakage rather than 1.
     """
-    # B_j = sum_ab sigma_j[a, b] |c_a><c_b| / sqrt(2), all Hermitian
-    ops = np.einsum("jab,abik->jik", PAULIS, code.units()) / np.sqrt(2)
-    lam = np.einsum("iab,jba->ij", ops, channel.apply(ops)).real
+    units = code.units()
+    return logical_ptm_of_images(units, channel.apply(units))
+
+
+def logical_ptm_of_images(units, images):
+    """``logical_ptm`` from the code units |c_a><c_b| and their images."""
+    # ops_j = sqrt(2) B_j = sum_ab sigma_j[a, b] |c_a><c_b|, all Hermitian,
+    # and outs_j = sqrt(2) E(B_j), the same sum of the images by linearity
+    ops, outs = (np.einsum("jab,abik->jik", PAULIS, x) for x in (units, images))
+    lam = np.einsum("iab,jba->ij", ops, outs).real / 2
     return TransferMatrix(lam, ("I", "X", "Y", "Z"))
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cache import read_only
 from .errors import (DimensionMismatchError, NotAChannelError, ValidationError,
                      read_array, read_int)
 
@@ -39,7 +38,8 @@ class KrausSet:
         ops = np.array(self.operators, dtype=complex)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise ValidationError("operators must have shape (rank, dim, dim)")
-        object.__setattr__(self, "operators", read_only(ops))
+        ops.flags.writeable = False
+        object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "certified", cptp_defect(ops) <= CPTP_TOL)
 
     @property

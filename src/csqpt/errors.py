@@ -53,13 +53,15 @@ def read_json(path, what, error=ValidationError):
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-def read_int(value, what, low=None, error=ValidationError):
-    """int(value) for an integer >= ``low`` (any for None), a whole float
-    such as 30.0 included."""
+def read_int(value, what, low=None, error=ValidationError, high=None):
+    """int(value) for an integer >= ``low`` and <= ``high`` (None: no
+    bound), a whole float such as 30.0 included."""
     whole = isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole or low is not None and value < low:
-        bound = "" if low is None else f" >= {low}"
+    if (isinstance(value, bool) or not whole or low is not None and value < low
+            or high is not None and value > high):
+        bound = " and".join(f" {op} {b}" for op, b in ((">=", low), ("<=", high))
+                            if b is not None)
         raise error(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
 

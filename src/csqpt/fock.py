@@ -10,15 +10,21 @@ the Gauss-Hermite nodes and its eigenvectors the normalized Hermite
 functions at those nodes (Golub and Welsch, Math. Comp. 23, 221 (1969)).
 """
 
+import functools
 import warnings
 
 import numpy as np
 
-from ._cache import cached, read_only
 from .errors import TruncationWarning, ValidationError, read_int
 
 # tail mass above which coherent_state warns about truncation loss
 TAIL_WARN = 1e-6
+CACHE_ENTRIES = 4  # most recent entries kept by each forward-model cache
+
+
+def read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 def fock_state(n, dim):
@@ -57,19 +63,13 @@ def coherent_state(alpha, dim):
     return amps / np.sqrt(kept)
 
 
-_QUADRATURE_CACHE = {}
-
-
+@functools.lru_cache(CACHE_ENTRIES)
 def _quadrature(dim):
     """Eigenvalues lam and orthonormal eigenvectors W (columns) of the
-    truncated a + a^dag, read-only; the cache keeps CACHE_ENTRIES dims."""
-
-    def build():
-        n = np.sqrt(np.arange(1.0, dim))
-        lam, w = np.linalg.eigh(np.diag(n, 1) + np.diag(n, -1))
-        return read_only(lam), read_only(w)
-
-    return cached(_QUADRATURE_CACHE, dim, build)
+    truncated a + a^dag, read-only and cached per dim."""
+    n = np.sqrt(np.arange(1.0, dim))
+    lam, w = np.linalg.eigh(np.diag(n, 1) + np.diag(n, -1))
+    return read_only(lam), read_only(w)
 
 
 def displacements(alphas, dim):

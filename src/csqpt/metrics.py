@@ -242,14 +242,15 @@ def decoder_study(channel, code):
     two-level state, the cavity in the channel output; the decoder swaps
     logical information onto the ancilla and the cavity is traced out.
     Leakage hides from the decoded picture (its first row always reads
-    trace preservation), while the direct PTM records it.
+    trace preservation), while the direct PTM records it; one ``apply`` feeds both.
     """
     # the only use of basis here: error_budget runs without loading it
-    from .basis import PAULIS, TransferMatrix, logical_ptm
+    from .basis import PAULIS, TransferMatrix, logical_ptm_of_images
 
     d = code.dim
     u = _decoder_unitary(code)
-    images = channel.apply(code.units())
+    units = code.units()
+    images = channel.apply(units)
     measured = []
     for anc in _CARDINALS:
         # E(|psi><psi|) for psi = sum_a anc_a c_a, by linearity
@@ -262,5 +263,5 @@ def decoder_study(channel, code):
     if np.abs(r.imag).max() > 1e-8:
         raise NumericalConsistencyError("decoded transfer matrix has imaginary residue")
     decoded = TransferMatrix(r.real, ("I", "X", "Y", "Z"))
-    return decoded, logical_ptm(channel, code)
+    return decoded, logical_ptm_of_images(units, images)
 

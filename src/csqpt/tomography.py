@@ -6,18 +6,19 @@ W values on a rectangular beta grid for each coherent probe alpha, stored
 row-major with Re(beta) varying fastest.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._cache import CACHE_ENTRIES, cached, read_only
 from .errors import (DataQualityError, ValidationError, read_array, read_bool,
                      read_int, read_json)
-from .fock import _quadrature, coherent_state
+from .fock import CACHE_ENTRIES, _quadrature, coherent_state, read_only
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
+MAX_SHOTS = 2**63 - 1  # the int64 that numpy's binomial draw takes
 
 
 @dataclass(frozen=True)
@@ -84,22 +85,21 @@ class TomographyDataset:
         for name in ("probes", "betas", "values"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DataQualityError(f"dataset {name} has a non-finite entry")
-        for name, low in (("dim", 1), ("shots", 0), ("seed", 0)):
+        for name, low, high in (("dim", 1, None), ("shots", 0, MAX_SHOTS),
+                                ("seed", 0, None)):
             object.__setattr__(self, name, read_int(
-                getattr(self, name), f"dataset {name}", low, DataQualityError))
-
-
-_PROBE_KET_CACHE = {}
-_PARITY_CACHE = {}
+                getattr(self, name), f"dataset {name}", low, DataQualityError, high))
 
 
 def probe_kets(alphas, dim):
     """Coherent kets |alpha_i> as rows (n_probes, dim), cached and read-only."""
-    alphas = np.asarray(alphas, dtype=complex)
-    return cached(
-        _PROBE_KET_CACHE, (dim, alphas.tobytes()),
-        lambda: read_only(np.stack([coherent_state(a, dim) for a in alphas])),
-    )
+    return _cached_kets(np.asarray(alphas, dtype=complex).tobytes(), dim)
+
+
+@functools.lru_cache(CACHE_ENTRIES)
+def _cached_kets(alphas, dim):
+    alphas = np.frombuffer(alphas, dtype=complex)
+    return read_only(np.stack([coherent_state(a, dim) for a in alphas]))
 
 
 def _images(operators, kets):
@@ -215,14 +215,10 @@ class ParityModel:
 
     @classmethod
     def of(cls, ops):
-        """The model of a parity stack: ``ops`` itself if it is a model, the
-        cached model whose ``ops`` is that very array, else a new one
-        packed from the stack, one orbit per operator."""
+        """The model of a parity stack: ``ops`` itself if it is a model,
+        else a new one packed from the dense stack, one orbit per operator."""
         if isinstance(ops, cls):
             return ops
-        for model in _PARITY_CACHE.values():
-            if model._ops is ops:
-                return model
         ops = np.ascontiguousarray(ops, dtype=complex)
         n = ops.shape[0]
         flat = ops.reshape(n, -1).view(float)
@@ -337,11 +333,13 @@ def _grid_model(betas, dim):
 
 
 def parity_model(betas, dim):
-    """The ParityModel of a beta grid, read-only and cached per
-    (betas, dim); the cache keeps CACHE_ENTRIES grids."""
-    betas = np.asarray(betas, dtype=complex)
-    key = (dim, betas.tobytes())
-    return cached(_PARITY_CACHE, key, lambda: _grid_model(betas, dim))
+    """The ParityModel of a beta grid, read-only and cached per (betas, dim)."""
+    return _cached_model(np.asarray(betas, dtype=complex).tobytes(), dim)
+
+
+@functools.lru_cache(CACHE_ENTRIES)
+def _cached_model(betas, dim):
+    return _grid_model(np.frombuffer(betas, dtype=complex), dim)
 
 
 def displaced_parity_ops(betas, dim):
@@ -369,9 +367,10 @@ def simulate_dataset(channel, probes, grid, shots=0, seed=0):
     parity-bit sample of that size.  All counts come from one
     ``np.random.default_rng(seed)`` stream in one draw, in row-major
     (probe, beta) order, so a seed fixes the dataset byte for byte.
-    ``shots`` and ``seed`` must be integers >= 0 (``read_int``).
+    ``shots`` and ``seed`` must be integers >= 0 (``read_int``), ``shots``
+    at most ``MAX_SHOTS``.
     """
-    shots, seed = read_int(shots, "shots", 0), read_int(seed, "seed", 0)
+    shots, seed = read_int(shots, "shots", 0, high=MAX_SHOTS), read_int(seed, "seed", 0)
     alphas = np.asarray(probes.alphas, dtype=complex)
     betas = np.asarray(grid.betas, dtype=complex)
     dim = channel.dim

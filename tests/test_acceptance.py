@@ -189,7 +189,7 @@ def test_08_cptp_and_gradient_correctness(
         ds = tomography.simulate_dataset(truth, probes, grid, shots=0)
         point = rec.retract(rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6)))
         g = rec.euclidean_gradient(point, ds, gamma)
-        kets = rec._probe_kets(ds.probes, 6)
+        kets = tomography.probe_kets(ds.probes, 6)
         mops = tomography.displaced_parity_ops(ds.betas, 6)
 
         def total(m):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,12 +148,16 @@ def test_simulate_bad_inputs(tmp_path):
     for shots in ("10", "0"):
         assert main(["simulate", "--gate", gate, "--dim", "6", "--shots", shots,
                      "--seed", "-1", "--out", str(tmp_path / "x.json")]) == 3
+    # and a shot count past the int64 that the binomial draw takes
+    assert main(["simulate", "--gate", gate, "--dim", "6", "--shots", str(2**63),
+                 "--out", str(tmp_path / "x.json")]) == 3
     assert not (tmp_path / "x.json").exists()
     # so is any count that is not a whole number >= 0, also from the library
     ident = channel.unitary_channel(np.eye(6, dtype=complex))
     pg, wg = tomography.probe_grid(2, 0.5), tomography.wigner_grid(3, 1.0)
     for bad in (dict(shots=-1), dict(seed=-1), dict(shots=2.5), dict(shots=True),
-                dict(seed=1.5), dict(seed=True), dict(shots=10, seed=0.5)):
+                dict(seed=1.5), dict(seed=True), dict(shots=10, seed=0.5),
+                dict(shots=2**63)):
         with pytest.raises(ValidationError):
             tomography.simulate_dataset(ident, pg, wg, **bad)
 
@@ -271,7 +276,7 @@ def test_analyze_target_errors(tmp_path):
 def test_analyze_non_cptp_result_is_numerical_failure(tmp_path):
     res_path = tmp_path / "broken.json"
     good = write_ideal_x_result(8, tmp_path / "good.json")
-    data = json.loads(open(good).read())
+    data = json.loads(Path(good).read_text())
     # scale the single Kraus operator: breaks the CPTP certificate
     for row in data["kraus"]["operators"][0]:
         for pair in row:
@@ -288,7 +293,7 @@ def test_analyze_non_cptp_result_is_numerical_failure(tmp_path):
     ("config", "rank", True),
 ])
 def test_analyze_loose_result_field_is_data_error(tmp_path, capsys, block, key, value):
-    data = json.loads(open(write_ideal_x_result(8, tmp_path / "good.json")).read())
+    data = json.loads(Path(write_ideal_x_result(8, tmp_path / "good.json")).read_text())
     data[block][key] = value
     res_path = tmp_path / "loose.json"
     res_path.write_text(json.dumps(data))
@@ -305,7 +310,7 @@ def test_file_schemas_keep_their_v1_keys(tmp_path):
     out = tmp_path / "res.json"
     assert main(["reconstruct", "--data", ds_path, "--rank", "1", "--dim", "6",
                  "--iters", "2", "--out", str(out)]) == 0
-    dataset = json.loads(open(ds_path).read())
+    dataset = json.loads(Path(ds_path).read_text())
     assert list(dataset) == ["schema", "dim", "shots", "seed", "normalized",
                              "probes", "betas", "values"]
     result = json.loads(out.read_text())
@@ -315,6 +320,25 @@ def test_file_schemas_keep_their_v1_keys(tmp_path):
     assert list(result["kraus"]) == ["dim", "rank", "operators"]
     assert list(result["loss"]) == ["l2", "l1", "total", "grad_norm", "iters_used",
                                     "converged", "stop_reason"]
+
+
+def test_artifacts_end_their_lines_in_newline(tmp_path):
+    # every file a command writes, the CSV matrices included, ends its
+    # lines in "\n" alone
+    res = tmp_path / "res.json"
+    assert main(["reconstruct", "--data", small_dataset(tmp_path), "--rank", "1",
+                 "--dim", "6", "--iters", "2", "--out", str(res)]) == 0
+    assert main(["analyze", "--result", write_ideal_x_result(8, tmp_path / "x.json"),
+                 "--out-dir", str(tmp_path / "an")]) == 0
+    assert main(["budget", "--dim", "12", "--out", str(tmp_path / "budget.csv")]) == 0
+    assert main(["decode-study", "--dim", "12", "--noise", "315,478",
+                 "--out-dir", str(tmp_path / "study")]) == 0
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert {p.name for p in files} >= {
+        "ds_0.json", "res.json", "gtm.csv", "ptm.csv", "poptm.csv", "fidelity.json",
+        "sweep.csv", "budget.csv", "decoded_ptm.csv", "direct_ptm.csv"}
+    for p in files:
+        assert b"\r" not in p.read_bytes(), p.name
 
 
 def test_budget_without_decoherence(tmp_path, capsys):
@@ -546,7 +570,7 @@ def test_reconstruct_defaults_are_the_library_defaults(tmp_path, capsys):
 
 
 def test_reconstruct_rejects_normalized_dataset(tmp_path, capsys):
-    data = json.loads(open(small_dataset(tmp_path)).read())
+    data = json.loads(Path(small_dataset(tmp_path)).read_text())
     assert data["normalized"] is False
     data["normalized"] = True
     ds_path = tmp_path / "normalized.json"
@@ -563,6 +587,15 @@ def test_reconstruct_rejects_normalized_dataset(tmp_path, capsys):
                  "--out", str(out)]) == 3
     assert "shots must be an integer >= 0" in capsys.readouterr().err
     assert not out.exists()
+    # so is a shot count too large for the int64 of a binomial draw
+    data.update(shots=10**400, seed=0)
+    ds_path.write_text(json.dumps(data))
+    assert main(["reconstruct", "--data", str(ds_path), "--rank", "1", "--dim", "6",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: dataset shots must be an integer >= 0 and <= 9223372036854775807")
+    assert not out.exists()
     # so is a negative init seed, with an error line and no traceback
     assert main(["reconstruct", "--data", small_dataset(tmp_path), "--rank", "1",
                  "--dim", "6", "--seed", "-1", "--out", str(out)]) == 3
@@ -576,7 +609,7 @@ def test_reconstruct_rejects_normalized_dataset(tmp_path, capsys):
 ])
 def test_reconstruct_rejects_non_finite_grid(tmp_path, capsys, field, row, value):
     # a NaN beta or an infinite probe is a data error: no fit, no result
-    data = json.loads(open(small_dataset(tmp_path)).read())
+    data = json.loads(Path(small_dataset(tmp_path)).read_text())
     data[field][row] = value
     ds_path = tmp_path / "bad.json"
     ds_path.write_text(json.dumps(data))

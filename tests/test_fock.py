@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from scipy.stats import poisson
 
 from csqpt import fock
-from csqpt._cache import CACHE_ENTRIES
 from csqpt.errors import TruncationWarning, ValidationError
 
 np_rng = np.random.default_rng(20260813)
@@ -113,9 +112,10 @@ def test_quadrature_cache_read_only_and_bounded():
     d = fock.displacement(0.4j, 9)
     d[:] = 0
     assert np.abs(fock.displacement(0.4j, 9) - _expm_displacement(0.4j, 9)).max() <= 1e-13
-    for dim in range(2, 2 + CACHE_ENTRIES + 2):
+    for dim in range(2, 2 + fock.CACHE_ENTRIES + 2):
         fock.displacement(0.1, dim)
-    assert len(fock._QUADRATURE_CACHE) == CACHE_ENTRIES
+    info = fock._quadrature.cache_info()
+    assert info.currsize == info.maxsize == fock.CACHE_ENTRIES
 
 
 def test_displacement_inverse():

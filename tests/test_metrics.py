@@ -338,6 +338,25 @@ def test_decoder_study_ideal(code, ideal_x_channel):
     assert decoded.labels == ("I", "X", "Y", "Z")
 
 
+def test_decoder_study_applies_the_gate_once(code, monkeypatch):
+    # the direct PTM comes from the code units' images that the decoder
+    # already has, by linearity, not from a second run of the noisy gate
+    noisy = gates.SequenceChannel(
+        gates.x_gate_sequence(), DecoherenceParams(315.0, 478.0), code.dim)
+    calls = []
+    apply = gates.SequenceChannel.apply
+
+    def counting(self, x):
+        calls.append(np.shape(x))
+        return apply(self, x)
+
+    monkeypatch.setattr(gates.SequenceChannel, "apply", counting)
+    _, direct = metrics.decoder_study(noisy, code)
+    assert calls == [(2, 2, code.dim, code.dim)]
+    want = basis.logical_ptm(noisy, code).elements
+    assert np.abs(direct.elements - want).max() <= 1e-12
+
+
 def test_decoder_study_full_leakage(code):
     full = unitary_channel(leak_unitary(code, np.pi / 2))
     decoded, direct = metrics.decoder_study(full, code)

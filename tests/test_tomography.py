@@ -293,6 +293,8 @@ def test_dataset_json_rejects_malformed():
         )
     )
     assert tomography.dataset_from_json(dict(good, shots=10.0)).shots == 10
+    big = tomography.dataset_from_json(dict(good, shots=2**63 - 1))
+    assert big.shots == tomography.MAX_SHOTS
     for bad in (
         dict(good, values=[[float("nan")] * 9] * 4),
         dict(good, shots=-5, seed=-3),
@@ -301,6 +303,8 @@ def test_dataset_json_rejects_malformed():
         dict(good, shots=2.5),
         dict(good, seed=0.5),
         dict(good, shots=True),
+        # past the int64 that numpy's binomial draw takes
+        dict(good, shots=2**63),
         dict(good, shots="10"),
         dict(good, dim=0),
         # a loose cast would load each of these as a valid dataset
