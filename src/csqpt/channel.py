@@ -250,4 +250,5 @@ def kraus_from_json(data):
         arr = read_array(data["operators"], (rank, dim, dim, 2), "Kraus operators")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed Kraus JSON: {exc}") from exc
-    return require_certified(KrausSet(arr[..., 0] + 1j * arr[..., 1]))
+    # [re, im] pairs viewed as complex, the bits (signed zeros too) kept
+    return require_certified(KrausSet(arr.view(complex)[..., 0]))

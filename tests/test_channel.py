@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -152,6 +153,16 @@ def test_kraus_choi_kraus_roundtrip():
         # compare as channels (Kraus sets are only defined up to unitary mixing)
         dist = np.linalg.norm(channel.kraus_to_super(back) - channel.kraus_to_super(ch))
         assert dist < 1e-9
+
+
+def test_kraus_json_round_trip_keeps_signed_zeros():
+    # i I written with -0.0 real parts: re + 1j * im would load +0.0
+    ks = channel.KrausSet(np.diag(np.full(3, complex(-0.0, 1.0)))[None])
+    text = json.dumps(channel.kraus_to_json(ks))
+    assert "[-0.0, 1.0]" in text
+    back = channel.kraus_from_json(json.loads(text))
+    assert back.certified
+    assert json.dumps(channel.kraus_to_json(back)) == text
 
 
 @settings(derandomize=True, deadline=None)

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ import pytest
 
 import csqpt
 
+PERFBENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 SUBMODULES = ("basis", "channel", "errors", "fock", "gates", "metrics",
               "reconstruct", "tomography")
 # Every name the package re-exports, by the submodule that defines it.
@@ -64,3 +67,20 @@ def test_thread_cap_applies_to_numpy_imported_after_the_package():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def test_every_perfbench_probe_resolves(monkeypatch):
+    # the benchmark's worker counts a probe whose function is gone as
+    # missing, which only its slow traced run would show
+    monkeypatch.syspath_prepend(PERFBENCH)
+    names = ("spec", "tracer", "worker")  # the worker's top-level imports
+    saved = {name: sys.modules.pop(name) for name in names if name in sys.modules}
+    try:
+        worker = importlib.import_module("worker")
+        needs = {name for probe in worker.PROBES for name in probe[1]}
+        assert needs
+        assert [name for name in sorted(needs) if not worker._has(csqpt, name)] == []
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)

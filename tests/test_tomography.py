@@ -146,8 +146,27 @@ def test_cold_builds_allocate_no_dense_stacks():
         gtm_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert parity_peak <= 12e6
+    assert parity_peak <= 2.5e6  # the 1 MB orbit columns, built as rows and copied
     assert gtm_peak <= 8e6
+
+
+def test_reading_ops_leaves_the_cached_model_unchanged():
+    # ops is unpacked on every read and not kept: the cached model gains
+    # no attribute and holds no dense stack once the caller drops it
+    betas = tomography.wigner_grid().betas * (1 + 2e-12)  # not in the cache
+    model = tomography.parity_model(betas, 32)
+    before = dict(vars(model))
+    tracemalloc.start()
+    try:
+        ops = model.ops
+        assert ops.shape == (441, 32, 32) and not ops.flags.writeable
+        del ops
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert vars(model).keys() == before.keys()
+    assert all(vars(model)[k] is v for k, v in before.items())
+    assert held <= 1e5  # the stack alone is 7.2 MB
 
 
 def test_wigner_coherent_gaussian():
