@@ -60,19 +60,18 @@ class GellMannSet:
     """dim^2 orthonormal Hermitian matrices over an ordered basis.
 
     Element 0 is I/sqrt(dim); elements 1-3 are the logical-block X, Y, Z.
-    ``supports`` records which ordered-basis vectors each element touches.
     Element i is V C V^dag for the basis vectors V (columns) and a
     coefficient matrix C given by ``keys[i] = (k, l)`` and ``phases[i]``:
     phase/sqrt(2) at C[k, l] and its conjugate at C[l, k] when k < l
     (phase 1 for sym, -1j for asym); diag(1, ..., 1, -m, 0, ...) over
-    sqrt(m(m+1)) when k = l = m > 0; I/sqrt(dim) when k = l = 0.  Labels
-    and supports cover every element, but ``elements`` builds only the
+    sqrt(m(m+1)) when k = l = m > 0; I/sqrt(dim) when k = l = 0, so element
+    i > 0 touches ordered-basis vectors 0 to ``keys[i, 1]`` at most.  Labels
+    and keys cover every element, but ``elements`` builds only the
     matrices asked for.
     """
 
     vectors: np.ndarray
     labels: tuple
-    supports: tuple
     keys: np.ndarray
     phases: np.ndarray
 
@@ -108,20 +107,18 @@ def gellmann_set(basis):
                            np.stack([diag, diag], axis=1)])
     phases = np.concatenate([[1, 1, -1j, 1], np.ones(len(pairs)),
                              np.full(len(pairs), -1j), np.ones(diag.size)])
-    pairs, diag = [tuple(p) for p in pairs.tolist()], diag.tolist()
+    pairs, diag = pairs.tolist(), diag.tolist()
     labels = (("I", "X", "Y", "Z")
               + tuple(f"sym({k},{l})" for k, l in pairs)
               + tuple(f"asym({k},{l})" for k, l in pairs)
               + tuple(f"diag({m})" for m in diag))
-    supports = ((tuple(range(d)), (0, 1), (0, 1), (0, 1)) + 2 * tuple(pairs)
-                + tuple(tuple(range(m + 1)) for m in diag))
-    return GellMannSet(basis.vectors, labels, supports, keys, phases)
+    return GellMannSet(basis.vectors, labels, keys, phases)
 
 
 def display_indices(gm, n_vectors=6):
     """Indices of the elements supported on the first ``n_vectors`` vectors."""
-    return [i for i, sup in enumerate(gm.supports)
-            if i == 0 or max(sup) < n_vectors]
+    return [i for i in range(len(gm.labels))
+            if i == 0 or gm.keys[i, 1] < n_vectors]
 
 
 @dataclass(frozen=True)

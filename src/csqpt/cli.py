@@ -55,7 +55,6 @@ from .errors import (CsqptError, NotAChannelError, NumericalConsistencyError,
                      RetractionError, ValidationError, read_int, read_json, read_real,
                      read_str)
 
-USAGE_EXIT = 2
 DATA_EXIT = 3
 NUMERIC_EXIT = 4
 

@@ -42,16 +42,29 @@ def coherent_state(alpha, dim):
 
     Amplitudes are computed from the analytic series
     c_n = exp(-|alpha|^2 / 2) alpha^n / sqrt(n!).  Warns if the truncated
-    tail carries more than ``TAIL_WARN`` probability.
+    tail carries more than ``TAIL_WARN`` probability.  Raises
+    ValidationError if the kept probability is not a normal float (for a
+    non-finite alpha, past |alpha| = 37.6 at any dim and past 29.0 at dim
+    32), since the renormalization would then be 0 / 0 or lose bits.
     """
     dim = read_int(dim, "dim", 1)
     alpha = complex(alpha)
-    amps = np.empty(dim, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
-    amps *= np.exp(-0.5 * abs(alpha) ** 2)
-    kept = float(np.sum(np.abs(amps) ** 2))
+    tiny = np.finfo(float).tiny
+    kept = 0.0
+    # below |alpha|^2 = -2 ln(tiny), exp(-|alpha|^2 / 2) is a normal float
+    # and no alpha^n / sqrt(n!), at most exp(|alpha|^2 / 2), overflows
+    if abs(alpha) < np.sqrt(-2 * np.log(tiny)):
+        amps = np.empty(dim, dtype=complex)
+        amps[0] = 1.0
+        for n in range(1, dim):
+            amps[n] = amps[n - 1] * alpha / np.sqrt(n)
+        amps *= np.exp(-0.5 * abs(alpha) ** 2)
+        kept = float(np.sum(np.abs(amps) ** 2))
+    if not kept >= tiny:
+        raise ValidationError(
+            f"no coherent state with |alpha|={abs(alpha):.4g} is representable "
+            f"at dim={dim}: its kept probability underflows"
+        )
     tail = 1.0 - kept
     if tail > TAIL_WARN:
         warnings.warn(
@@ -72,24 +85,16 @@ def _quadrature(dim):
     return read_only(lam), read_only(w)
 
 
-def displacements(alphas, dim):
-    """Stack (m, dim, dim) of D(alpha) = exp(alpha a^dag - conj(alpha) a).
+def displacement(alpha, dim):
+    """Displacement unitary D(alpha) = exp(alpha a^dag - conj(alpha) a).
 
     With alpha = r e^{i theta} the generator is i r Q diag(lam) Q^dag for
     Q = diag(e^{i n (theta - pi/2)}) W, so D(alpha) = Q diag(e^{i r lam}) Q^dag.
     """
     dim = read_int(dim, "dim", 1)
-    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     lam, w = _quadrature(dim)
-    n = np.arange(dim)
-    q = np.exp(1j * np.multiply.outer(np.angle(alphas) - np.pi / 2, n))[:, :, None] * w
-    e = np.exp(1j * np.multiply.outer(np.abs(alphas), lam))
-    return (q * e[:, None, :]) @ q.conj().swapaxes(1, 2)
-
-
-def displacement(alpha, dim):
-    """Displacement unitary D(alpha) = exp(alpha a^dag - conj(alpha) a)."""
-    return displacements(alpha, dim)[0]
+    q = np.exp(1j * ((np.angle(alpha) - np.pi / 2) * np.arange(dim)))[:, None] * w
+    return (q * np.exp(1j * (np.abs(alpha) * lam))) @ q.conj().T
 
 
 def snap(thetas, dim):

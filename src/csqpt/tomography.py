@@ -117,38 +117,29 @@ def _images(operators, kets):
 _SIGNS = np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
 
 
-def _blocks(dim):
-    """(order, bounds): ``order`` sorts the d^2 real coordinates of a
-    Hermitian d x d matrix, listed as the diagonal, then Re and Im of the
-    strict upper triangle (row-major), into the four blocks of ``_SIGNS``,
-    keeping their order within a block: Re for even k (the diagonal
-    first), Re for odd k, Im for even k, Im for odd k.  Block b is
-    coordinates bounds[b]:bounds[b + 1]."""
+def _layout(dim):
+    """(pack, src, sign, bounds) of the d^2 real coordinates of a Hermitian
+    d x d matrix: the diagonal, then Re and Im of the strict upper triangle
+    (row-major), sorted stably into the four blocks of ``_SIGNS`` (Re for
+    even k, the diagonal first; Re for odd k; Im for even k; Im for odd k),
+    block b being coordinates bounds[b]:bounds[b + 1].  ``pack`` lists each
+    coordinate's slot in the real view (.., 2 d^2) of the matrix, Re(z_ab)
+    at 2(a d + b) and Im(z_ab) after it; ``src`` and ``sign`` give each
+    slot's coordinate and sign, the lower triangle mirroring the upper with
+    Im negated and the diagonal's Im slots reading zero."""
     iu, ju = np.triu_indices(dim, 1)
     odd = (ju - iu) % 2
     block = np.concatenate([np.zeros(dim, dtype=np.intp), odd, 2 + odd])
     order = np.argsort(block, kind="stable")
-    return order, np.searchsorted(block[order], np.arange(5))
-
-
-def _slots(dim):
-    """Where the d^2 real coordinates of a Hermitian d x d matrix, in the
-    block order of ``_blocks``, sit in the real view (.., 2 d^2) of the
-    complex matrix, Re(z_ab) at 2(a d + b) and Im(z_ab) after it: ``pack``
-    lists each coordinate's slot; ``src`` and ``sign`` give, for each
-    slot, the coordinate it reads and its sign, the lower triangle
-    mirroring the upper with Im negated and the diagonal's Im slots
-    reading zero."""
-    iu, ju = np.triu_indices(dim, 1)
     upper, lower = 2 * (iu * dim + ju), 2 * (ju * dim + iu)
     diag = 2 * np.arange(dim) * (dim + 1)
-    pack = np.concatenate([diag, upper, upper + 1])[_blocks(dim)[0]]
+    pack = np.concatenate([diag, upper, upper + 1])[order]
     src = np.zeros(2 * dim * dim, dtype=np.intp)
     sign = np.zeros(2 * dim * dim)
     src[pack], sign[pack] = np.arange(dim * dim), 1.0
     src[lower], sign[lower] = src[upper], 1.0
     src[lower + 1], sign[lower + 1] = src[upper + 1], -1.0
-    return pack, src, sign
+    return pack, src, sign, np.searchsorted(block[order], np.arange(5))
 
 
 def _orbits(betas):
@@ -166,7 +157,7 @@ class ParityModel:
 
     M_j = (2/pi) D(beta_j) P D^dag(beta_j), built from ``fock.displacement``
     (see ``_grid_model``), is Hermitian, so it has d^2 real coordinates,
-    grouped into the four blocks of ``_blocks``.  M(-beta) and
+    grouped into the four blocks of ``_layout``.  M(-beta) and
     M(conj beta) differ from M(beta) only by the block signs ``_SIGNS``,
     so the model holds one column per orbit {beta, -beta, conj beta,
     -conj beta} of the grid: ``packed`` (d^2, n_orbits) at the
@@ -191,10 +182,9 @@ class ParityModel:
     def __init__(self, packed, orbit, member):
         self.packed = read_only(packed)
         self.dim = dim = math.isqrt(packed.shape[0])
-        self._pack, self._src, self._sign = _slots(dim)
-        order, bounds = _blocks(dim)
-        self._scale = np.concatenate(
-            [np.ones(dim), np.full(dim * dim - dim, 2.0)])[order]
+        self._pack, self._src, self._sign, bounds = _layout(dim)
+        # Tr[M rho] counts each coordinate once per slot that reads it
+        self._scale = np.bincount(self._src, self._sign != 0, dim * dim)
         self._sizes = np.diff(bounds)
         self._rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         self._orbit, self._member = orbit, member
@@ -220,7 +210,7 @@ class ParityModel:
         ops = np.ascontiguousarray(ops, dtype=complex)
         n = ops.shape[0]
         flat = ops.reshape(n, -1).view(float)
-        pack = _slots(ops.shape[-1])[0]
+        pack = _layout(ops.shape[-1])[0]
         return cls(np.ascontiguousarray(flat.take(pack, axis=1).T),
                    np.arange(n), np.zeros(n, dtype=np.intp))
 
@@ -283,13 +273,14 @@ def _grid_model(betas, dim):
     or not, so P D^dag(beta) = D(beta) P and (2/pi) D(beta) P D^dag(beta)
     = (2/pi) D(2 beta) P (Royer, Phys. Rev. A 15, 449 (1977)): each
     representative's column is ``fock.displacement`` at 2 beta with
-    column n signed (2/pi)(-1)^n, packed like ``ParityModel.of`` packs a
-    dense stack.  A non-finite beta raises ValidationError: it has no
-    parity operator, and ``np.unique`` would fold every NaN into one orbit."""
+    column n signed (2/pi)(-1)^n, packed by ``_layout(dim)[0]`` as
+    ``ParityModel.of`` packs a dense stack.  A non-finite beta raises
+    ValidationError: it has no parity operator, and ``np.unique`` would
+    fold every NaN into one orbit."""
     if not np.all(np.isfinite(betas)):
         raise ValidationError("parity operators need finite betas")
     reps, orbit, member = _orbits(betas)
-    pack = _slots(dim)[0]
+    pack = _layout(dim)[0]
     sign = (2 / np.pi) * (-1.0) ** np.arange(dim)
     # Rows first, then one transposed copy into the (d^2, n_orbits) layout
     # of the block GEMMs.  Freeing the row block (1 MB on the contract grid)

@@ -61,7 +61,7 @@ def test_display_indices_cover_first_six_block():
     assert len(idx) == 36
     assert idx[:4] == [0, 1, 2, 3]
     for i in idx[1:]:
-        assert max(gm.supports[i]) < 6
+        assert gm.keys[i, 1] < 6
     # labels for all 100 elements, in family order: sym, asym, diag
     pairs = [(k, l) for k in range(10) for l in range(k + 1, 10)][1:]
     assert gm.labels == (("I", "X", "Y", "Z")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +619,37 @@ def test_reconstruct_rejects_non_finite_grid(tmp_path, capsys, field, row, value
                  "--iters", "3", "--out", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: dataset {field} has a non-finite entry"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, size, alpha", [
+    ("simulate", "40", "56.57"),  # the first probe is the corner -40(1 + i)
+    ("simulate", "1e200", "1.414e+200"),
+    ("reconstruct", 40.0, "40"),
+    ("reconstruct", 1e200, "1e+200"),
+])
+def test_unrepresentable_probe_is_data_error(tmp_path, capsys, command, size, alpha):
+    # a probe whose truncated coherent state underflows (or whose |alpha|^2
+    # overflows) is refused before any warning: one error line, no file
+    if command == "simulate":
+        gate = write_kraus_json(channel.unitary_channel(np.eye(6, dtype=complex)),
+                                tmp_path / "id.json")
+        argv = ["simulate", "--gate", gate, "--dim", "6", "--probe-grid", f"3,{size}"]
+    else:
+        data = json.loads(Path(small_dataset(tmp_path)).read_text())
+        data["probes"][0] = [size, 0.0]
+        ds_path = tmp_path / "far.json"
+        ds_path.write_text(json.dumps(data))
+        argv = ["reconstruct", "--data", str(ds_path), "--rank", "1", "--dim", "6",
+                "--iters", "3"]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: no coherent state with |alpha|={alpha} is representable "
+                   "at dim=6: its kept probability underflows"]
     assert not out.exists()
 
 

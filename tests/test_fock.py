@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,22 @@ def test_coherent_truncation_warns():
         fock.coherent_state(3.0, 10)
 
 
+@pytest.mark.parametrize("alpha, dim", [
+    (40.0, 32), (1e200, 32), (29.0, 32), (26.7, 1), (np.nan, 4), (1j * np.inf, 4),
+])
+def test_coherent_state_refuses_unrepresentable_alpha(alpha, dim):
+    # the kept probability underflows (or |alpha|^2 overflows): refused with
+    # |alpha| and dim named, before any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=rf"\|alpha\|=.* at dim={dim}:"):
+            fock.coherent_state(alpha, dim)
+    # just inside the normal range the state is still kept, at unit norm
+    with pytest.warns(TruncationWarning):
+        ket = fock.coherent_state(28.9, 32)
+    assert abs(np.linalg.norm(ket) - 1) < 1e-12
+
+
 def test_displacement_unitary_and_vacuum():
     for alpha in (0.3, -1.2 + 0.8j, 1.5):
         D = fock.displacement(alpha, 32)
@@ -92,15 +109,6 @@ def test_displacement_matches_expm(dim, r, theta):
     d = fock.displacement(alpha, dim)
     assert np.abs(d - _expm_displacement(alpha, dim)).max() <= 1e-13
     assert np.abs(d.conj().T @ d - np.eye(dim)).max() <= 1e-13
-
-
-def test_displacements_stack():
-    # one (m, d, d) array equal to the single displacements
-    alphas = [0.0, 1.2j, -0.7 + 0.3j]
-    stack = fock.displacements(alphas, 12)
-    assert stack.shape == (3, 12, 12)
-    for alpha, d in zip(alphas, stack):
-        assert np.abs(d - _expm_displacement(alpha, 12)).max() <= 1e-13
 
 
 def test_quadrature_cache_read_only_and_bounded():

@@ -79,30 +79,33 @@ _linspace_axis = np.linspace(-2.62, 2.62, 21)
     ((_linspace_axis[None, :] + 1j * _linspace_axis[:, None]).reshape(-1), 169),
     ([0.3 + 0.4j, 0.3 + 0.4j, -0.3 + 0.4j, 0.1, 0.3 + 0.4j], 2),  # repeated
 ], ids=["origin", "axes", "generic", "asymmetric", "linspace", "repeated"])
+@pytest.mark.filterwarnings("ignore::csqpt.errors.TruncationWarning")
 def test_orbit_model_matches_dense_oracle(betas, n_orbits):
     # expect, gradient and ops of the orbit model against the dense expm
-    # stack, <= 1e-12; a repeated beta's coefficients add up in the gradient
+    # stack, <= 1e-12; a repeated beta's coefficients add up in the gradient.
+    # Dims 1 and 2 leave coordinate blocks empty: zero-width block GEMMs
     betas = np.asarray(betas, dtype=complex)
-    dim, rank = 7, 2
-    model = tomography.parity_model(betas, dim)
-    assert model.packed.shape == (dim * dim, n_orbits)
-    ref = dense_parity(betas, dim)
-    assert np.abs(model.ops - ref).max() <= 1e-12
+    for dim in (7, 1, 2):
+        rank = min(2, dim * dim)
+        model = tomography.parity_model(betas, dim)
+        assert model.packed.shape == (dim * dim, n_orbits)
+        ref = dense_parity(betas, dim)
+        assert np.abs(model.ops - ref).max() <= 1e-12
 
-    rng = np.random.default_rng(betas.size)
-    kraus = channel.random_channel(dim, rank, rng).operators
-    kets = tomography.probe_kets([0.3 - 0.2j, -0.5j, 0.6], dim)
-    images = np.einsum("kab,ib->ika", kraus, kets)  # K_k |alpha_i>
-    rho = np.einsum("ika,ikb->iab", images, images.conj())
-    w_ref = np.einsum("jab,iba->ij", ref, rho).real
-    assert np.abs(model.expect(rho) - w_ref).max() <= 1e-12
-    w = model.image_wigner(tomography._images(kraus, kets))
-    assert np.abs(w - w_ref).max() <= 1e-12
+        rng = np.random.default_rng(betas.size)
+        kraus = channel.random_channel(dim, rank, rng).operators
+        kets = tomography.probe_kets([0.3 - 0.2j, -0.5j, 0.6], dim)
+        images = np.einsum("kab,ib->ika", kraus, kets)  # K_k |alpha_i>
+        rho = np.einsum("ika,ikb->iab", images, images.conj())
+        w_ref = np.einsum("jab,iba->ij", ref, rho).real
+        assert np.abs(model.expect(rho) - w_ref).max() <= 1e-12
+        w = model.image_wigner(tomography._images(kraus, kets))
+        assert np.abs(w - w_ref).max() <= 1e-12
 
-    coeffs = rng.standard_normal((kets.shape[0], betas.size))
-    n = np.einsum("ij,jab->iab", coeffs, ref)  # N_i = sum_j c_ij M_j
-    g_ref = np.einsum("iab,ikb,ic->kac", n, images, kets.conj())
-    assert np.abs(model.gradient(kraus, kets, coeffs) - g_ref).max() <= 1e-12
+        coeffs = rng.standard_normal((kets.shape[0], betas.size))
+        n = np.einsum("ij,jab->iab", coeffs, ref)  # N_i = sum_j c_ij M_j
+        g_ref = np.einsum("iab,ikb,ic->kac", n, images, kets.conj())
+        assert np.abs(model.gradient(kraus, kets, coeffs) - g_ref).max() <= 1e-12
 
 
 def test_square_grids_mirror_exactly():
