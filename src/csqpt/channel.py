@@ -21,6 +21,8 @@ from .errors import (DimensionMismatchError, NotAChannelError, ValidationError,
 
 # Frobenius defect below which a Kraus set counts as certified CPTP
 CPTP_TOL = 1e-6
+# the same defect, ||V^dag V - I|| of the stack V, for an isometry
+ISOMETRY_TOL = 1e-8
 
 # Choi eigenvalues below this are dropped when extracting Kraus operators
 EIG_CUTOFF = 1e-10
@@ -50,6 +52,11 @@ class KrausSet:
     def rank(self):
         return self.operators.shape[0]
 
+    @property
+    def matrix(self):
+        """The read-only (rank*dim, dim) vertical stack V of the operators."""
+        return self.operators.reshape(-1, self.dim)
+
     def apply(self, x):
         """The Kraus action on one operator or a stack; see ``apply``."""
         return apply(self, x)
@@ -73,15 +80,21 @@ def require_certified(ks):
     return ks
 
 
+def require_isometry(ks, error=ValidationError):
+    """Return ``ks``; raise ``error`` unless its stack V is an isometry,
+    ||V^dag V - I|| <= ISOMETRY_TOL (so ``ks`` is certified too)."""
+    defect = cptp_defect(ks.operators)
+    if defect > ISOMETRY_TOL:
+        raise error(f"Kraus stack is not an isometry: ||V^dag V - I|| = {defect:.2e}")
+    return ks
+
+
 def unitary_channel(u):
-    """Wrap a unitary as a rank-1 certified channel."""
+    """Wrap a unitary as a rank-1 channel, else NotAChannelError."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("expected a square operator")
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > 1e-8:
-        raise NotAChannelError(f"operator is not unitary (defect {defect:.2e})")
-    return KrausSet(u[None, :, :])
+    return require_isometry(KrausSet(u[None, :, :]), NotAChannelError)
 
 
 def operand(x, dim):

@@ -22,7 +22,8 @@ Conventions shared by all subcommands:
   sequence JSON file ({"steps": [...]}), or a path to a Kraus JSON file;
 - exit codes: 0 success (warnings included), 2 usage (a malformed number
   given as a flag included), 3 unreadable or invalid data (any config
-  value that does not convert included), 4 numerical failure;
+  value that does not convert and a size the machine cannot allocate
+  included), 4 numerical failure;
 - a closed stdout (a reader such as ``head`` that has gone) is not an
   error: the rest of the run's stdout is discarded, its files are still
   written and it exits with the code it would have had.
@@ -50,7 +51,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .channel import DecoherenceParams, kraus_from_json, unitary_channel
+from .channel import (DecoherenceParams, kraus_from_json, require_isometry,
+                      unitary_channel)
 from .errors import (CsqptError, NotAChannelError, NumericalConsistencyError,
                      RetractionError, ValidationError, read_int, read_json, read_real,
                      read_str)
@@ -256,10 +258,7 @@ def _resolve_target(spec, code):
     elif ch.rank != 1:
         raise ValidationError("target Kraus file must have rank 1 (a unitary)")
     else:
-        u = ch.operators[0]
-        defect = np.linalg.norm(u.conj().T @ u - np.eye(code.dim))
-        if defect > 1e-8:
-            raise ValidationError(f"target operator is not unitary (defect {defect:.2e})")
+        u = require_isometry(ch).operators[0]
     p = code.projector()
     return p @ u @ p, u
 
@@ -444,6 +443,9 @@ def main(argv=None):
         return NUMERIC_EXIT
     except (CsqptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DATA_EXIT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return DATA_EXIT
 
 

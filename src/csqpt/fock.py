@@ -20,6 +20,9 @@ from .errors import TruncationWarning, ValidationError, read_int
 # tail mass above which coherent_state warns about truncation loss
 TAIL_WARN = 1e-6
 CACHE_ENTRIES = 4  # most recent entries kept by each forward-model cache
+# the largest dim: a d^2 x d^2 superoperator, csqpt's largest array, then
+# takes 2^60 bytes, which numpy can count, so it raises only MemoryError
+MAX_DIM = 2**14
 
 
 def read_only(arr):
@@ -29,7 +32,7 @@ def read_only(arr):
 
 def fock_state(n, dim):
     """Number state |n> as a unit ket."""
-    dim = read_int(dim, "dim", 1)
+    dim = read_int(dim, "dim", 1, high=MAX_DIM)
     if not 0 <= n < dim:
         raise ValidationError(f"Fock index {n} outside [0, {dim})")
     ket = np.zeros(dim, dtype=complex)
@@ -47,7 +50,7 @@ def coherent_state(alpha, dim):
     non-finite alpha, past |alpha| = 37.6 at any dim and past 29.0 at dim
     32), since the renormalization would then be 0 / 0 or lose bits.
     """
-    dim = read_int(dim, "dim", 1)
+    dim = read_int(dim, "dim", 1, high=MAX_DIM)
     alpha = complex(alpha)
     tiny = np.finfo(float).tiny
     kept = 0.0
@@ -91,7 +94,7 @@ def displacement(alpha, dim):
     With alpha = r e^{i theta} the generator is i r Q diag(lam) Q^dag for
     Q = diag(e^{i n (theta - pi/2)}) W, so D(alpha) = Q diag(e^{i r lam}) Q^dag.
     """
-    dim = read_int(dim, "dim", 1)
+    dim = read_int(dim, "dim", 1, high=MAX_DIM)
     lam, w = _quadrature(dim)
     q = np.exp(1j * ((np.angle(alpha) - np.pi / 2) * np.arange(dim)))[:, None] * w
     return (q * np.exp(1j * (np.abs(alpha) * lam))) @ q.conj().T
@@ -99,7 +102,7 @@ def displacement(alpha, dim):
 
 def snap(thetas, dim):
     """SNAP unitary diag(exp(i theta_n)); phases beyond len(thetas) are 0."""
-    dim = read_int(dim, "dim", 1)
+    dim = read_int(dim, "dim", 1, high=MAX_DIM)
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ValidationError("thetas must be a 1-D phase vector")

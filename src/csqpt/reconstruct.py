@@ -5,7 +5,8 @@ operators, an (r*d) x d matrix.  Trace preservation is exactly the isometry
 constraint V^dag V = I, so the feasible set is a complex Stiefel manifold
 and the optimizer is Riemannian L-BFGS: Wirtinger gradient, tangent-space
 projection, a limited-memory quasi-Newton direction, Armijo backtracking,
-polar retraction.
+polar retraction.  The public helpers take V as an isometric KrausSet: one
+whose stack ``KrausSet.matrix`` passes ``channel.require_isometry``.
 
 Each trial point is the polar retraction of the tangent step, the polar
 factor of V - t xi (Absil, Mahony & Sepulchre, Optimization Algorithms on
@@ -64,17 +65,19 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import KrausSet, kraus_from_json, kraus_to_json, require_certified
-from .errors import (DimensionMismatchError, RetractionError, ValidationError,
-                     read_array, read_bool, read_int, read_json, read_real)
+from .channel import KrausSet, kraus_from_json, kraus_to_json, require_isometry
+from .errors import (DimensionMismatchError, NotAChannelError, RetractionError,
+                     ValidationError, read_array, read_bool, read_int, read_json,
+                     read_real)
+from .fock import MAX_DIM
 from .tomography import ParityModel, _images, parity_model, probe_kets
 
 RESULT_SCHEMA = "csqpt-result-v1"
 
-# V^dag V may drift this far from I before a point is rejected
-ISOMETRY_TOL = 1e-8
-
 INIT_MODES = ("identity-perturbed", "random-isometry")
+
+# the most Kraus operators a fit takes: see tomography.MAX_GRID
+MAX_RANK = 2**24
 
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
@@ -105,46 +108,16 @@ class ReconstructionConfig:
     init: str = "identity-perturbed"
 
     def __post_init__(self):
-        for name, low in (("rank", 1), ("dim", 2), ("max_iters", 0), ("seed", 0)):
-            object.__setattr__(self, name, read_int(getattr(self, name), name, low))
+        for name, low, high in (("rank", 1, MAX_RANK), ("dim", 2, MAX_DIM),
+                                ("max_iters", 0, None), ("seed", 0, None)):
+            object.__setattr__(
+                self, name, read_int(getattr(self, name), name, low, high=high))
         for name, low in (("gamma", 0), ("step_size", None), ("grad_tol", 0)):
             object.__setattr__(self, name, read_real(getattr(self, name), name, low))
         if self.step_size <= 0:
             raise ValidationError("step_size must be positive")
         if self.init not in INIT_MODES:
             raise ValidationError(f"init must be one of {INIT_MODES}")
-
-
-@dataclass(frozen=True)
-class IsometryPoint:
-    """Vertical stack of Kraus operators with V^dag V = I within 1e-8."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[1] < 1 or m.shape[0] % m.shape[1] != 0:
-            raise DimensionMismatchError(
-                f"stack shape {m.shape} is not (r*d, d) for integer r"
-            )
-        defect = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1]))
-        if defect > ISOMETRY_TOL:
-            raise ValidationError(
-                f"stack is not an isometry: ||V^dag V - I|| = {defect:.2e}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[1]
-
-    @property
-    def rank(self):
-        return self.matrix.shape[0] // self.matrix.shape[1]
-
-    def kraus(self):
-        """The stack split back into its (rank, dim, dim) Kraus operators."""
-        return self.matrix.reshape(self.rank, self.dim, self.dim)
 
 
 @dataclass(frozen=True)
@@ -174,15 +147,12 @@ class LossReport:
 
 
 def stack_kraus(operators):
-    """IsometryPoint from Kraus operators of shape (rank, dim, dim)."""
-    ops = np.asarray(operators, dtype=complex)
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-        raise DimensionMismatchError("operators must have shape (rank, dim, dim)")
-    return IsometryPoint(ops.reshape(-1, ops.shape[2]))
+    """The KrausSet of (rank, dim, dim) operators; see ``require_isometry``."""
+    return require_isometry(KrausSet(operators))
 
 
-def predict_wigner(point, probes, grid):
-    """Wigner predictions of the channel encoded by an isometry point.
+def predict_wigner(ks, probes, grid):
+    """Wigner predictions of an isometric KrausSet, e.g. a fit result or a truth.
 
     ``ParityModel.image_wigner`` of the probe images K_k |alpha_i>, formed
     in one batched product: ``ParityModel.expect``, which
@@ -192,9 +162,10 @@ def predict_wigner(point, probes, grid):
     ProbeGrid and WignerGrid or their amplitude arrays.  Probe kets and
     parity operators are built once per (grid, dim) and cached.
     """
-    kets = probe_kets(getattr(probes, "alphas", probes), point.dim)
-    model = parity_model(getattr(grid, "betas", grid), point.dim)
-    return model.image_wigner(_images(point.matrix, kets))
+    require_isometry(ks)
+    kets = probe_kets(getattr(probes, "alphas", probes), ks.dim)
+    model = parity_model(getattr(grid, "betas", grid), ks.dim)
+    return model.image_wigner(_images(ks.operators, kets))
 
 
 def _l1_parts(v):
@@ -251,14 +222,14 @@ def _loss_terms(v, kets, mops, y_data, gamma, weights=None):
     return l2, l1, l2 + gamma * l1, wresid, images
 
 
-def loss(point, ds, gamma):
-    """LossReport of an isometry point against a dataset (no optimization).
+def loss(ks, ds, gamma):
+    """LossReport of an isometric KrausSet against a dataset (no optimization).
 
     ``l2`` is the residual term ``reconstruct`` minimises: variance-weighted
     for a shot-noise dataset, the plain sum of squares for exact data.
     """
-    kets, mops, y, weights = _objective(ds, point.dim, "stack")
-    l2, l1, total = _loss_terms(point.matrix, kets, mops, y, gamma, weights)[:3]
+    kets, mops, y, weights = _objective(ds, require_isometry(ks).dim, "stack")
+    l2, l1, total = _loss_terms(ks.matrix, kets, mops, y, gamma, weights)[:3]
     return LossReport(
         l2=l2, l1=l1, total=total, grad_norm=0.0, iters_used=0,
         history=(total,),
@@ -275,14 +246,14 @@ def _gradient(v, kets, mops, wresid, gamma, images=None, fold=None):
     return g
 
 
-def euclidean_gradient(point, ds, gamma):
+def euclidean_gradient(ks, ds, gamma):
     """Wirtinger gradient with respect to conj(V) of the loss ``loss`` reports.
 
     For a shot-noise dataset the residuals are variance-weighted, as in
     ``reconstruct``.
     """
-    kets, mops, y, weights = _objective(ds, point.dim, "stack")
-    v = point.matrix
+    kets, mops, y, weights = _objective(ds, require_isometry(ks).dim, "stack")
+    v = ks.matrix
     _, _, _, wresid, images = _loss_terms(v, kets, mops, y, gamma, weights)
     return _gradient(v, kets, mops, wresid, gamma, images)
 
@@ -344,7 +315,7 @@ def _newton_schulz(x):
     I; RetractionError after ``NS_MAX_SWEEPS``, which only non-finite or
     rank-deficient input reaches.  The Gram squares x's condition number,
     so the result's isometry defect grows as its square (about 2e-9 at
-    condition 1e4, where ``IsometryPoint`` still accepts it).
+    condition 1e4, where ``require_isometry`` still accepts it).
     """
     eye = np.eye(x.shape[1])
     gram = x.conj().T @ x
@@ -382,22 +353,27 @@ def _retraction_along(v, xi):
     return at
 
 
+def _kraus_set(v, error=ValidationError):
+    """The KrausSet whose stack is the isometry v, else ``error``."""
+    return require_isometry(KrausSet(v.reshape(-1, v.shape[1], v.shape[1])), error)
+
+
 def retract(matrix):
-    """Nearest isometry V (V^dag V)^(-1/2) via the polar decomposition."""
+    """KrausSet of the nearest isometry V (V^dag V)^(-1/2), the polar factor."""
     w = np.asarray(matrix, dtype=complex)
     if w.ndim != 2 or w.shape[1] < 1 or w.shape[0] % w.shape[1] != 0:
         raise DimensionMismatchError(
             f"stack shape {w.shape} is not (r*d, d) for integer r"
         )
-    return IsometryPoint(_polar(w))
+    return _kraus_set(_polar(w))
 
 
 def initial_point(cfg):
     """Seeded starting stack for the configured init mode: the polar factor
     of the seeded start by Newton-Schulz sweeps, after dividing the start
     by its Frobenius norm, which bounds its singular values by 1.  The
-    sweeps square its condition number: on a result that ``IsometryPoint``
-    refuses (defect above ``ISOMETRY_TOL``) they run once more."""
+    sweeps square its condition number: on a result that
+    ``require_isometry`` refuses they run once more."""
     rng = np.random.default_rng(cfg.seed)
     shape = (cfg.rank * cfg.dim, cfg.dim)
     if cfg.init == "identity-perturbed":
@@ -408,9 +384,9 @@ def initial_point(cfg):
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     x = _newton_schulz(v / np.linalg.norm(v))
     try:
-        return IsometryPoint(x)
+        return _kraus_set(x)
     except ValidationError:
-        return IsometryPoint(_newton_schulz(x))
+        return _kraus_set(_newton_schulz(x))
 
 
 def reconstruct(ds, cfg):
@@ -432,12 +408,16 @@ def reconstruct(ds, cfg):
     converged=True), "line_search_floor" (no trial step above ``MIN_STEP``
     decreased the loss) or "max_iters" (cfg.max_iters steps were accepted).
 
-    Returns (KrausSet, LossReport).  The returned set is re-certified CPTP;
-    NotAChannelError if that fails is a hard error.
+    Returns (KrausSet, LossReport).  The returned set passes
+    ``require_isometry``; NotAChannelError if it does not is a hard error.
     """
     kets, model, y, weights = _objective(ds, cfg.dim, "config")
     fold = model.fold_index(kets.shape[0])
 
+    # freeing a 1 MB block lifts glibc's mmap and trim thresholds above the
+    # loop's 200-410 KB temporaries, so the heap reuses them: without it, a
+    # contract fit page-faults 30 times as often and runs 30 % slower
+    np.empty(1 << 20, np.uint8)
     v = initial_point(cfg).matrix
     l2, l1, total, wresid, images = _loss_terms(
         v, kets, model, y, cfg.gamma, weights
@@ -488,7 +468,7 @@ def reconstruct(ds, cfg):
         history.append(total)
         xi_old = xi
 
-    ks = require_certified(KrausSet(IsometryPoint(v).kraus()))
+    ks = _kraus_set(v, NotAChannelError)
     report = LossReport(
         l2=l2, l1=l1, total=total, grad_norm=grad_norm,
         iters_used=len(history) - 1, history=tuple(history),

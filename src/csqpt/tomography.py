@@ -19,6 +19,9 @@ from .fock import CACHE_ENTRIES, coherent_state, displacement, read_only
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
 MAX_SHOTS = 2**63 - 1  # the int64 that numpy's binomial draw takes
+# the most points per grid axis: with fock.MAX_DIM and reconstruct.MAX_RANK
+# the largest array, the (n^2 probes, rank, dim) images, takes 2^62 bytes
+MAX_GRID = 2**10
 
 
 @dataclass(frozen=True)
@@ -32,8 +35,8 @@ class WignerGrid:
 
 
 def _square_grid(n, extent):
-    if n < 1 or not 0 < extent < np.inf:  # NaN included
-        raise ValidationError("grid needs n >= 1 and a finite positive extent")
+    if not 1 <= n <= MAX_GRID or not 0 < extent < np.inf:  # NaN included
+        raise ValidationError(f"grid needs 1 <= n <= {MAX_GRID}, finite extent > 0")
     axis = np.linspace(-extent, extent, n)
     axis = (axis - axis[::-1]) / 2  # -axis is axis[::-1] exactly
     re, im = np.meshgrid(axis, axis, indexing="xy")  # Re varies fastest
@@ -282,15 +285,10 @@ def _grid_model(betas, dim):
     reps, orbit, member = _orbits(betas)
     pack = _layout(dim)[0]
     sign = (2 / np.pi) * (-1.0) ** np.arange(dim)
-    # Rows first, then one transposed copy into the (d^2, n_orbits) layout
-    # of the block GEMMs.  Freeing the row block (1 MB on the contract grid)
-    # also lifts glibc's dynamic mmap and trim thresholds above a fit's
-    # per-iteration temporaries: written in place, a contract fit
-    # page-faults ten times as often and runs 20-30 % slower.
-    rows = np.empty((reps.size, dim * dim))
-    for row, rep in zip(rows, reps):
-        row[:] = (displacement(2 * rep, dim) * sign).view(float).take(pack)
-    return ParityModel(np.ascontiguousarray(rows.T), orbit, member)
+    packed = np.empty((dim * dim, reps.size))
+    for j, rep in enumerate(reps):
+        packed[:, j] = (displacement(2 * rep, dim) * sign).view(float).take(pack)
+    return ParityModel(packed, orbit, member)
 
 
 def parity_model(betas, dim):

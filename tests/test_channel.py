@@ -53,6 +53,9 @@ def test_kraus_set_certification_cannot_go_stale():
 def test_unitary_channel_rejects_nonunitary():
     with pytest.raises(NotAChannelError):
         channel.unitary_channel(np.diag([1.0, 0.5]).astype(complex))
+    # a defect that CPTP_TOL would certify is still no unitary
+    with pytest.raises(NotAChannelError, match="not an isometry"):
+        channel.unitary_channel((1 + 1e-8) * np.eye(4, dtype=complex))
 
 
 def test_apply_matches_explicit_kraus_sum():

@@ -262,7 +262,7 @@ def test_analyze_emit_selection(tmp_path):
     assert not (out_dir / "gtm.csv").exists()
 
 
-def test_analyze_target_errors(tmp_path):
+def test_analyze_target_errors(tmp_path, capsys):
     res = write_ideal_x_result(8, tmp_path / "res.json")
     two_kraus = channel.random_channel(8, 2, np.random.default_rng(0))
     target = write_kraus_json(two_kraus, tmp_path / "t2.json")
@@ -272,6 +272,16 @@ def test_analyze_target_errors(tmp_path):
                                  tmp_path / "t6.json")
     assert main(["analyze", "--result", res, "--target", wrong_dim,
                  "--out-dir", str(tmp_path / "o2")]) == 3
+    # a rank-1 target with defect 1e-7 loads as a certified channel but is
+    # no unitary
+    loose = channel.KrausSet((1 + 1e-7 / (2 * np.sqrt(8))) * np.eye(8)[None])
+    assert loose.certified and 9e-8 < channel.cptp_defect(loose.operators) < 1.1e-7
+    capsys.readouterr()
+    assert main(["analyze", "--result", res, "--target",
+                 write_kraus_json(loose, tmp_path / "loose.json"),
+                 "--out-dir", str(tmp_path / "o3")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not an isometry" in err[0]
 
 
 def test_analyze_non_cptp_result_is_numerical_failure(tmp_path):
@@ -650,6 +660,44 @@ def test_unrepresentable_probe_is_data_error(tmp_path, capsys, command, size, al
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: no coherent state with |alpha|={alpha} is representable "
                    "at dim=6: its kept probability underflows"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, what", [
+    ("simulate", "--dim", "99999999999999999999", "dim"),
+    ("simulate", "--dim", "40000", "dim"),
+    ("simulate", "--probe-grid", "100000,1", "grid"),
+    ("simulate", "--wigner-grid", "100000,1", "grid"),
+    ("reconstruct", "--rank", str(10**13), "rank"),
+    ("budget", "--dim", "99999999999999999999", "dim"),
+])
+def test_size_beyond_its_bound_is_one_data_error(tmp_path, capsys, command, flag,
+                                                 value, what):
+    # each would need an array of more than 2^50 bytes; the bound refuses
+    # it before anything is allocated
+    out = tmp_path / "out"
+    argv = [command, flag, value, "--out", str(out)]
+    if command == "reconstruct":
+        argv += ["--data", small_dataset(tmp_path, dim=12), "--dim", "12"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {what}"), err
+    assert not out.exists()
+
+
+def test_out_of_memory_is_one_data_error(tmp_path, capsys, monkeypatch):
+    # a size within the bounds that the machine cannot map: 2^51 bytes is
+    # past any address space, so nothing is paged in
+    def unmappable(*args, **kwargs):
+        return np.empty(2**51, np.uint8)
+
+    monkeypatch.setattr(tomography, "simulate_dataset", unmappable)
+    out = tmp_path / "ds.json"
+    capsys.readouterr()
+    assert main(["simulate", "--dim", "6", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: "), err
     assert not out.exists()
 
 

@@ -29,7 +29,7 @@ def test_fock_state_bounds():
         fock.fock_state(-1, 8)
     # dim follows the shared integer rule: a bool or a fraction is refused,
     # a whole float counts
-    for dim in (True, 2.5, "4", 0):
+    for dim in (True, 2.5, "4", 0, fock.MAX_DIM + 1):
         with pytest.raises(ValidationError, match="dim"):
             fock.fock_state(0, dim)
     assert np.array_equal(fock.fock_state(1, 3.0), fock.fock_state(1, 3))

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -69,9 +70,10 @@ def test_thread_cap_applies_to_numpy_imported_after_the_package():
     assert proc.stdout.strip() == "1"
 
 
-def test_every_perfbench_probe_resolves(monkeypatch):
+def test_every_perfbench_probe_resolves(monkeypatch, tmp_path):
     # the benchmark's worker counts a probe whose function is gone as
-    # missing, which only its slow traced run would show
+    # missing, and one whose call raises as an error, which only its slow
+    # traced run would show; so every probe also runs here at smoke sizes
     monkeypatch.syspath_prepend(PERFBENCH)
     names = ("spec", "tracer", "worker")  # the worker's top-level imports
     saved = {name: sys.modules.pop(name) for name in names if name in sys.modules}
@@ -80,7 +82,20 @@ def test_every_perfbench_probe_resolves(monkeypatch):
         needs = {name for probe in worker.PROBES for name in probe[1]}
         assert needs
         assert [name for name in sorted(needs) if not worker._has(csqpt, name)] == []
+        stems = [probe[0] for probe in worker.PROBES]
+        sizes = sys.modules["spec"].SIZES["smoke"]
     finally:
         for name in names:
             sys.modules.pop(name, None)
         sys.modules.update(saved)
+    out = tmp_path / "probes.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "worker.py"), "probes",
+         "--sizes", json.dumps(sizes), "--stems", ",".join(stems),
+         "--workdir", str(tmp_path), "--out", str(out),
+         "--spans", str(tmp_path / "spans.jsonl")],
+        capture_output=True, text=True, env=dict(os.environ, CSQPT_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["missing"] == [] and result["errors"] == []
+    assert result["attempted"] == len(stems)

@@ -12,6 +12,7 @@ from csqpt import gates, reconstruct as rec, tomography as tomo
 from csqpt.channel import (
     KrausSet,
     apply,
+    cptp_defect,
     kraus_to_choi,
     kraus_to_json,
     random_channel,
@@ -55,7 +56,8 @@ def test_config_validation():
         rec.ReconstructionConfig(init="warm")
     # non-finite values would pass a sign check and break the fit
     for bad in ({"gamma": np.inf}, {"gamma": np.nan}, {"step_size": np.inf},
-                {"step_size": np.nan}, {"grad_tol": np.nan}, {"seed": -1}):
+                {"step_size": np.nan}, {"grad_tol": np.nan}, {"seed": -1},
+                {"rank": rec.MAX_RANK + 1}, {"dim": rec.MAX_DIM + 1}):
         with pytest.raises(ValidationError):
             rec.ReconstructionConfig(**bad)
     # library callers get the file rule: a bool, a fraction or a string is
@@ -71,14 +73,37 @@ def test_config_validation():
     assert (cfg.dim, cfg.max_iters) == (32, 2)
 
 
-def test_isometry_point_validation():
+def test_stack_kraus_validation():
     with pytest.raises(ValidationError):
-        rec.IsometryPoint(2.0 * np.eye(4))
+        rec.stack_kraus(2.0 * np.eye(4)[None])
     with pytest.raises(DimensionMismatchError):
-        rec.IsometryPoint(np.ones((7, 3)))
+        rec.retract(np.ones((7, 3)))
+    with pytest.raises(ValidationError, match="shape"):
+        rec.stack_kraus(np.ones((7, 3)))
     pt = rec.stack_kraus(np.stack([np.eye(3), np.zeros((3, 3))]))
     assert pt.rank == 2 and pt.dim == 3
-    assert np.array_equal(pt.kraus()[0], np.eye(3))
+    assert np.array_equal(pt.operators[0], np.eye(3))
+    # the stack view of the same read-only operators
+    assert pt.matrix.shape == (6, 3) and not pt.matrix.flags.writeable
+    assert np.array_equal(pt.matrix[:3], np.eye(3))
+
+
+def test_fit_helpers_refuse_a_certified_set_that_is_no_isometry():
+    # one rule, ISOMETRY_TOL, for every stack the fit helpers take; a
+    # defect between it and CPTP_TOL still certifies the set as a channel
+    rng = np.random.default_rng(4)
+    truth = random_channel(6, 2, rng)
+    ds = small_dataset(truth)
+    loose = KrausSet((1 + 1e-8) * truth.operators)
+    assert 1e-8 < cptp_defect(loose.operators) < 1e-6 and loose.certified
+    for call in (lambda ks: rec.loss(ks, ds, 0.0),
+                 lambda ks: rec.predict_wigner(ks, ds.probes, ds.betas),
+                 lambda ks: rec.euclidean_gradient(ks, ds, 0.0)):
+        call(truth)
+        with pytest.raises(ValidationError, match="not an isometry"):
+            call(loose)
+    with pytest.raises(ValidationError, match="not an isometry"):
+        rec.stack_kraus(loose.operators)
 
 
 def test_predict_identity_stack():
@@ -301,7 +326,7 @@ def test_gradient_matches_finite_differences_random_sizes(shots, d, r, seed):
         shots=shots, seed=seed,
     )
     w = shot_weights(ds) if shots else 1.0
-    pt = rec.IsometryPoint(random_isometry(rng, r, d))
+    pt = rec.stack_kraus(random_isometry(rng, r, d).reshape(r, d, d))
     h = 1e-5
     assume(min(np.abs(pt.matrix.real).min(), np.abs(pt.matrix.imag).min()) > 10 * h)
     gamma = 4e-4
@@ -484,8 +509,7 @@ def test_fit_iterates_stay_on_manifold(monkeypatch):
     assert len(defects) > cfg.max_iters and max(defects) <= 1e-12
     # the last accepted iterate is returned as it is, not re-polarised, so
     # the report's loss is exactly that of the returned set
-    returned = rec.loss(rec.stack_kraus(ks.operators), ds, cfg.gamma).total
-    assert report.total == returned
+    assert rec.loss(ks, ds, cfg.gamma).total == report.total
 
 
 def test_fit_linear_algebra_counts(monkeypatch):

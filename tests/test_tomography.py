@@ -117,7 +117,8 @@ def test_square_grids_mirror_exactly():
             assert np.array_equal(-axis, axis[::-1])
     betas = tomography.wigner_grid().betas
     assert tomography.parity_model(betas, 32).packed.shape == (1024, 121)
-    for n, extent in ((0, 1.0), (3, 0.0), (3, -1.0), (3, np.inf), (3, np.nan)):
+    for n, extent in ((0, 1.0), (tomography.MAX_GRID + 1, 1.0), (3, 0.0),
+                      (3, -1.0), (3, np.inf), (3, np.nan)):
         with pytest.raises(ValidationError):
             tomography.wigner_grid(n, extent)
     # a non-finite beta has no parity operator (np.unique used to fold every
