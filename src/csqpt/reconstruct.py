@@ -193,33 +193,50 @@ def _residual_weights(ds):
     return w / w.mean()
 
 
-def _objective(ds, dim, what):
-    """(kets, model, y, weights): the fixed inputs of the loss for a dataset.
+class _Objective:
+    """The loss L = l2 + gamma * l1 of a dataset at one fit dim: what ``loss``,
+    ``euclidean_gradient`` and ``reconstruct`` minimise.  It owns the probe
+    kets, the parity model, the data, the weights (None: w = 1), gamma, the
+    fold index and a ``ParityModel.workspace``, so the cached model is only read."""
 
-    The one place that decides what ``loss``, ``euclidean_gradient`` and
-    ``reconstruct`` minimise; ``what`` names the dim the dataset must match.
-    """
-    if ds.dim != dim:
-        raise DimensionMismatchError(
-            f"dataset dim {ds.dim} does not match {what} dim {dim}"
-        )
-    kets = probe_kets(ds.probes, dim)
-    model = parity_model(ds.betas, dim)
-    return kets, model, ds.values, _residual_weights(ds)
+    def __init__(self, kets, mops, y, weights, gamma):
+        self.kets, self.y, self.weights = kets, y, weights
+        self.gamma = read_real(gamma, "gamma", 0)
+        self.model = model = ParityModel.of(mops)
+        self.fold, self.work = model.fold_index(len(kets)), model.workspace(len(kets))
+
+    @classmethod
+    def of(cls, ds, dim, gamma, what):
+        """The objective of a dataset; ``what`` names the dim it must match."""
+        if ds.dim != dim:
+            raise DimensionMismatchError(
+                f"dataset dim {ds.dim} does not match {what} dim {dim}")
+        return cls(probe_kets(ds.probes, dim), parity_model(ds.betas, dim),
+                   ds.values, _residual_weights(ds), gamma)
+
+    def terms(self, v):
+        """(l2, l1, total, wresid, images) with l2 = sum w r^2 and wresid = w r:
+        ``gradient`` takes ``wresid`` and the probe images K_k |alpha_i>."""
+        images = _images(v, self.kets)
+        resid = self.model.image_wigner(images, self.work) - self.y
+        wresid = resid if self.weights is None else self.weights * resid
+        l2, l1 = float((resid * wresid).sum()), _l1_parts(v)
+        return l2, l1, l2 + self.gamma * l1, wresid, images
+
+    def gradient(self, v, wresid, images):
+        """Wirtinger gradient of the total loss at v from ``terms(v)``: 2
+        ``ParityModel.gradient`` plus gamma/2 (sign Re + i sign Im), 0 at 0:
+        twice d(|Re z| + |Im z|)/d(conj z)."""
+        g = 2.0 * self.model.gradient(v, self.kets, wresid, images, self.fold,
+                                      self.work)
+        if self.gamma > 0:
+            g += (0.5 * self.gamma) * np.sign(v.view(float)).view(complex)
+        return g
 
 
 def _loss_terms(v, kets, mops, y_data, gamma, weights=None):
-    """(l2, l1, total, wresid, images) with l2 = sum w r^2 and wresid = w r.
-
-    ``weights=None`` is the unweighted loss (w = 1).  ``wresid`` and the
-    probe images K_k |alpha_i> of v are what ``_gradient`` takes.
-    """
-    images = _images(v, kets)
-    resid = ParityModel.of(mops).image_wigner(images) - y_data
-    wresid = resid if weights is None else weights * resid
-    l2 = float((resid * wresid).sum())
-    l1 = _l1_parts(v)
-    return l2, l1, l2 + gamma * l1, wresid, images
+    """``_Objective.terms`` of v for these inputs."""
+    return _Objective(kets, mops, y_data, weights, gamma).terms(v)
 
 
 def loss(ks, ds, gamma):
@@ -228,22 +245,12 @@ def loss(ks, ds, gamma):
     ``l2`` is the residual term ``reconstruct`` minimises: variance-weighted
     for a shot-noise dataset, the plain sum of squares for exact data.
     """
-    kets, mops, y, weights = _objective(ds, require_isometry(ks).dim, "stack")
-    l2, l1, total = _loss_terms(ks.matrix, kets, mops, y, gamma, weights)[:3]
+    objective = _Objective.of(ds, require_isometry(ks).dim, gamma, "stack")
+    l2, l1, total = objective.terms(ks.matrix)[:3]
     return LossReport(
         l2=l2, l1=l1, total=total, grad_norm=0.0, iters_used=0,
         history=(total,),
     )
-
-
-def _gradient(v, kets, mops, wresid, gamma, images=None, fold=None):
-    """Wirtinger gradient of the total loss, given the weighted residual:
-    2 ``ParityModel.gradient`` (also for ``images`` and ``fold``) plus
-    gamma/2 (sign Re + i sign Im), 0 at 0: twice d(|Re z| + |Im z|)/d(conj z)."""
-    g = 2.0 * ParityModel.of(mops).gradient(v, kets, wresid, images, fold)
-    if gamma > 0:
-        g += (0.5 * gamma) * np.sign(v.view(float)).view(complex)
-    return g
 
 
 def euclidean_gradient(ks, ds, gamma):
@@ -252,10 +259,8 @@ def euclidean_gradient(ks, ds, gamma):
     For a shot-noise dataset the residuals are variance-weighted, as in
     ``reconstruct``.
     """
-    kets, mops, y, weights = _objective(ds, require_isometry(ks).dim, "stack")
-    v = ks.matrix
-    _, _, _, wresid, images = _loss_terms(v, kets, mops, y, gamma, weights)
-    return _gradient(v, kets, mops, wresid, gamma, images)
+    objective = _Objective.of(ds, require_isometry(ks).dim, gamma, "stack")
+    return objective.gradient(ks.matrix, *objective.terms(ks.matrix)[3:])
 
 
 def _project(v, z):
@@ -411,24 +416,16 @@ def reconstruct(ds, cfg):
     Returns (KrausSet, LossReport).  The returned set passes
     ``require_isometry``; NotAChannelError if it does not is a hard error.
     """
-    kets, model, y, weights = _objective(ds, cfg.dim, "config")
-    fold = model.fold_index(kets.shape[0])
-
-    # freeing a 1 MB block lifts glibc's mmap and trim thresholds above the
-    # loop's 200-410 KB temporaries, so the heap reuses them: without it, a
-    # contract fit page-faults 30 times as often and runs 30 % slower
-    np.empty(1 << 20, np.uint8)
+    objective = _Objective.of(ds, cfg.dim, cfg.gamma, "config")
     v = initial_point(cfg).matrix
-    l2, l1, total, wresid, images = _loss_terms(
-        v, kets, model, y, cfg.gamma, weights
-    )
+    l2, l1, total, wresid, images = objective.terms(v)
     history = [total]
     pairs = deque(maxlen=LBFGS_MEMORY)
     stop_reason = "max_iters"
 
     # one pass more than max_iters, to report the gradient at the last point
     for it in range(cfg.max_iters + 1):
-        g = _gradient(v, kets, model, wresid, cfg.gamma, images, fold)
+        g = objective.gradient(v, wresid, images)
         xi = _project(v, g)
         grad_norm = math.sqrt(_inner(xi, xi))
         if grad_norm <= cfg.grad_tol:
@@ -455,7 +452,7 @@ def reconstruct(ds, cfg):
         along = _retraction_along(v, d)
         while t > MIN_STEP:
             v_new = along(t)
-            trial = _loss_terms(v_new, kets, model, y, cfg.gamma, weights)
+            trial = objective.terms(v_new)
             if trial[2] <= total - ARMIJO_SLOPE * t * decrease_rate:
                 break
             t *= ARMIJO_FACTOR

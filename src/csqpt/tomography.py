@@ -185,24 +185,28 @@ class ParityModel:
     def __init__(self, packed, orbit, member):
         self.packed = read_only(packed)
         self.dim = dim = math.isqrt(packed.shape[0])
-        self._pack, self._src, self._sign, bounds = _layout(dim)
+        self._pack, self._src, self._sign, bounds = map(read_only, _layout(dim))
         # Tr[M rho] counts each coordinate once per slot that reads it
-        self._scale = np.bincount(self._src, self._sign != 0, dim * dim)
-        self._sizes = np.diff(bounds)
+        self._scale = read_only(np.bincount(self._src, self._sign != 0, dim * dim))
+        self._sizes = read_only(np.diff(bounds))
         self._rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._orbit, self._member = orbit, member
+        self._orbit, self._member = read_only(orbit), read_only(member)
         # beta_j's column among the member-major 4 x n_orbits columns
-        self._gather = member * packed.shape[1] + orbit
+        self._gather = read_only(member * packed.shape[1] + orbit)
 
     @property
     def ops(self):
         signs = np.repeat(_SIGNS[:, self._member].T, self._sizes, axis=1)
-        return read_only(self._unpack(self.packed.T[self._orbit] * signs))
+        out = np.empty((self._orbit.size, self.dim, self.dim), dtype=complex)
+        return read_only(self._unpack(self.packed.T[self._orbit] * signs, out))
 
-    def _unpack(self, coords):
-        """Hermitian (n, d, d) matrices from coordinate rows (n, d^2)."""
-        slots = coords.take(self._src, axis=1) * self._sign
-        return slots.view(complex).reshape(-1, self.dim, self.dim)
+    def _unpack(self, coords, out):
+        """Hermitian (n, d, d) matrices from coordinate rows (n, d^2), in ``out``."""
+        slots = out.reshape(len(coords), -1).view(float)
+        # mode "raise" would copy through a temporary; every index is in range
+        coords.take(self._src, axis=1, out=slots, mode="clip")
+        slots *= self._sign
+        return out
 
     @classmethod
     def of(cls, ops):
@@ -217,17 +221,26 @@ class ParityModel:
         return cls(np.ascontiguousarray(flat.take(pack, axis=1).T),
                    np.arange(n), np.zeros(n, dtype=np.intp))
 
-    def image_wigner(self, images):
+    def workspace(self, rows):
+        """Buffers for ``rows`` states or N_i and their coordinates, which ``expect``
+        and ``image_wigner`` allocate if given none; no result shares their memory."""
+        d = self.dim
+        return np.empty((rows, d, d), dtype=complex), np.empty((rows, d * d))
+
+    def image_wigner(self, images, work=None):
         """W (n_probes, n_betas) of the output states sum_k a_ik a_ik^dag of
         the probe images a = ``_images(operators, kets)``."""
-        return self.expect(images.swapaxes(1, 2) @ images.conj())
+        work = self.workspace(len(images)) if work is None else work
+        rho = np.matmul(images.swapaxes(1, 2), images.conj(), out=work[0])
+        return self.expect(rho, work)
 
-    def expect(self, rho):
+    def expect(self, rho, work=None):
         """W (n, n_betas), W_ij = Tr[M_j rho_i], of a Hermitian stack
         (n, dim, dim); only its diagonal and upper triangle are read."""
         rho = np.ascontiguousarray(rho, dtype=complex)
         n = rho.shape[0]
-        x = rho.reshape(n, -1).view(float).take(self._pack, axis=1)
+        x = (self.workspace(n) if work is None else work)[1]
+        rho.reshape(n, -1).view(float).take(self._pack, axis=1, out=x, mode="clip")
         x *= self._scale
         y = np.empty((n, 4, self.packed.shape[1]))
         for b, s in enumerate(self._rows):
@@ -242,27 +255,22 @@ class ParityModel:
         size = 4 * self.packed.shape[1]
         return np.add.outer(np.arange(rows) * size, self._gather).ravel()
 
-    def gradient(self, operators, kets, coeffs, images=None, fold=None):
+    def gradient(self, operators, kets, coeffs, images, fold, work):
         """d/d(conj K) of sum_ij coeffs_ij W_ij, shaped like ``operators``.
 
         Operator k of it is sum_i N_i K_k |alpha_i><alpha_i| with the
-        Hermitian N_i = sum_j coeffs_ij M_j.  ``images`` and ``fold``, if
-        given, are ``_images(operators, kets)`` and
-        ``fold_index(len(coeffs))``, which a fit already has.
+        Hermitian N_i = sum_j coeffs_ij M_j.  ``images``, ``fold`` and ``work``
+        are ``_images(operators, kets)``, ``fold_index(len(coeffs))`` and
+        ``workspace(len(coeffs))``, which a fit already has.
         """
         rows = coeffs.shape[0]
-        if fold is None:
-            fold = self.fold_index(rows)
-        if images is None:
-            images = _images(operators, kets)
         # c[i, q, o] sums coeffs_ij over the betas j that are member q of
         # orbit o, so a repeated beta counts each time
         c = np.bincount(fold, coeffs.ravel(), rows * 4 * self.packed.shape[1])
         f = _SIGNS @ c.reshape(rows, 4, -1)
-        coords = np.empty((rows, self.dim * self.dim))
         for b, s in enumerate(self._rows):
-            np.matmul(f[:, b], self.packed[s].T, out=coords[:, s])
-        n = self._unpack(coords)
+            np.matmul(f[:, b], self.packed[s].T, out=work[1][:, s])
+        n = self._unpack(work[1], work[0])
         # row k of nk[i] is (N_i K_k |alpha_i>)^T
         nk = images @ n.swapaxes(1, 2)
         g = nk.reshape(kets.shape[0], -1).T @ kets.conj()

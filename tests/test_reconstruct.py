@@ -1,6 +1,9 @@
 """Tests for the stacked-isometry reconstruction module."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -169,10 +172,12 @@ def test_packed_forward_model_matches_dense_reference(seed):
     n = np.tensordot(resid, mops, axes=([1], [0]))  # N_i = sum_j resid_ij M_j
     nphi = np.einsum("iab,kbi->kai", n, phi)
     g_ref = 2.0 * np.einsum("kai,ic->kac", nphi, kets.conj()).reshape(r * d, d)
-    g = rec._gradient(v, kets, mops, resid, 0.0)
+    images = tomo._images(v, kets)
+    g = rec._Objective(kets, mops, ref, None, 0.0).gradient(v, resid, images)
     assert np.abs(g - g_ref).max() <= 1e-12
     # a writable copy of the stack is packed the same way
-    assert np.abs(rec._gradient(v, kets, np.array(mops), resid, 0.0) - g_ref).max() <= 1e-12
+    objective = rec._Objective(kets, np.array(mops), ref, None, 0.0)
+    assert np.abs(objective.gradient(v, resid, images) - g_ref).max() <= 1e-12
 
 
 def test_forward_model_caches_read_only_and_bounded():
@@ -180,17 +185,21 @@ def test_forward_model_caches_read_only_and_bounded():
     truth = random_channel(5, 2, rng)
     ds = small_dataset(truth)
     cfg = rec.ReconstructionConfig(rank=2, dim=5, max_iters=20, seed=2)
+    model = tomo.parity_model(ds.betas, 5)
+    keys = set(vars(model))
     before, _ = rec.reconstruct(ds, cfg)
+    # the fit's workspace is its objective's: the cached model gains nothing
+    assert tomo.parity_model(ds.betas, 5) is model and set(vars(model)) == keys
     cached = (
         tomo.probe_kets(ds.probes, 5),
         tomo.displaced_parity_ops(ds.betas, 5),
-        tomo.parity_model(ds.betas, 5).packed,
+        *(x for x in vars(model).values() if isinstance(x, np.ndarray)),
     )
     for arr in cached:
         with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
+            arr[(0,) * arr.ndim] = 1
         with pytest.raises(ValueError):
-            arr *= 2.0
+            arr *= 2
     after, _ = rec.reconstruct(ds, cfg)
     assert np.array_equal(after.operators, before.operators)
 
@@ -229,6 +238,104 @@ def test_loss_l1_accounting():
     assert abs(r1.total - (r1.l2 + 2e-3 * r1.l1)) < 1e-12
     assert abs((r2.total - r2.l2) - 2 * (r1.total - r1.l2)) < 1e-12
     assert r0.l2 == r1.l2 == r2.l2
+
+
+@pytest.mark.parametrize("gamma, valid", [
+    (0, True), (4e-4, True),
+    (np.nan, False), (-1.0, False), (np.inf, False), (True, False), ("0.1", False),
+])
+def test_loss_and_gradient_read_gamma_like_the_config(gamma, valid):
+    # gamma is read once, by the objective, with ReconstructionConfig's rule:
+    # before, loss(nan) was NaN while the gradient dropped the L1 term, -1
+    # gave a negative loss, inf a non-finite gradient, True counted as 1
+    # and "0.1" raised a raw TypeError
+    rng = np.random.default_rng(24)
+    ds = small_dataset(random_channel(5, 2, rng))
+    pt = rec.retract(rng.standard_normal((10, 5)) + 1j * rng.standard_normal((10, 5)))
+    if not valid:
+        for fn in (rec.loss, rec.euclidean_gradient):
+            with pytest.raises(ValidationError, match="gamma"):
+                fn(pt, ds, gamma)
+        return
+    rep = rec.loss(pt, ds, gamma)
+    assert rep.total == rep.l2 + gamma * rep.l1
+    assert rep.l2 == rec.loss(pt, ds, 0.0).l2
+    sign = np.sign(pt.matrix.view(float)).view(complex)
+    expected = rec.euclidean_gradient(pt, ds, 0.0) + (0.5 * gamma) * sign
+    assert np.array_equal(rec.euclidean_gradient(pt, ds, gamma), expected)
+
+
+def test_objective_workspace_is_reused_scratch():
+    # an objective writes its output states, coordinate rows and N_i into
+    # one workspace on every evaluation: at A after a visit to B it gives a
+    # fresh objective's terms and gradient bit for bit, and the model's
+    # without a workspace; no array it returns shares the buffers, so a fit
+    # cannot hold on to a value the next evaluation overwrites
+    rng = np.random.default_rng(26)
+    ds = small_dataset(random_channel(5, 2, rng), shots=200)  # weighted
+
+    def point():
+        w = rng.standard_normal((10, 5)) + 1j * rng.standard_normal((10, 5))
+        return rec.retract(w).matrix
+
+    a, b = point(), point()
+    objective = rec._Objective.of(ds, 5, 1e-3, "stack")
+    evaluations = []
+    for v in (a, b, a):
+        terms = objective.terms(v)
+        evaluations.append((*terms, objective.gradient(v, *terms[3:])))
+    fresh = rec._Objective.of(ds, 5, 1e-3, "stack")
+    terms = fresh.terms(a)
+    reference = (*terms, fresh.gradient(a, *terms[3:]))
+    for got in (evaluations[0], evaluations[2]):
+        assert got[:3] == reference[:3]
+        assert all(np.array_equal(x, y) for x, y in zip(got[3:], reference[3:]))
+
+    model, work = objective.model, objective.work
+    images = tomo._images(a, objective.kets)
+    w = model.image_wigner(images)
+    assert np.array_equal(w, model.expect(images.swapaxes(1, 2) @ images.conj()))
+    assert np.array_equal(reference[3], objective.weights * (w - ds.values))
+    returned = [x for e in evaluations for x in e[3:]]
+    returned += [model.image_wigner(images, work), model.expect(work[0], work)]
+    for x in returned:
+        assert not any(np.shares_memory(x, buf) for buf in work)
+
+
+FIT_FAULTS = """
+import resource
+from csqpt import gates, reconstruct as rec, tomography as tomo
+truth = gates.noisy_gate_process(gates.x_gate_sequence(), None, 32)
+ds = tomo.simulate_dataset(truth, tomo.probe_grid(), tomo.wigner_grid())
+faults = []
+terms = rec._Objective.terms
+
+def counting(self, v):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return terms(self, v)
+
+rec._Objective.terms = counting
+rec.reconstruct(ds, rec.ReconstructionConfig(max_iters=120))
+print(len(faults), (faults[-1] - faults[20]) / (len(faults) - 21))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads getrusage's minor-fault count as Linux keeps it")
+def test_fit_reuses_its_memory():
+    # the first fit of a process at the contract settings: once its loop
+    # runs, a loss evaluation takes a few minor faults.  An objective that
+    # allocates its workspace per evaluation takes about 160, because glibc
+    # maps and unmaps the 200-410 KB buffers each time
+    env = dict(os.environ, CSQPT_THREADS="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)  # csqpt derives them from CSQPT_THREADS
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", FIT_FAULTS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    calls, per_call = proc.stdout.split()
+    assert int(calls) > 120
+    assert float(per_call) <= 20
 
 
 def fd_wirtinger_mismatch(total, g, m0, h=1e-5):
@@ -498,13 +605,13 @@ def test_fit_iterates_stay_on_manifold(monkeypatch):
     ds = small_dataset(truth, n_probe=5, n_beta=11, b_max=2.0)
     cfg = rec.ReconstructionConfig(rank=2, dim=8)
     defects = []
-    real_terms = rec._loss_terms
+    real_terms = rec._Objective.terms
 
-    def recording(v, *args, **kwargs):
+    def recording(self, v):
         defects.append(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
-        return real_terms(v, *args, **kwargs)
+        return real_terms(self, v)
 
-    monkeypatch.setattr(rec, "_loss_terms", recording)
+    monkeypatch.setattr(rec._Objective, "terms", recording)
     ks, report = rec.reconstruct(ds, cfg)
     assert len(defects) > cfg.max_iters and max(defects) <= 1e-12
     # the last accepted iterate is returned as it is, not re-polarised, so
@@ -556,13 +663,13 @@ def test_line_search_evaluations_per_step(monkeypatch):
         rank=2, dim=6, gamma=1e-4, max_iters=200, grad_tol=0.0, seed=7,
     )
     calls = []
-    real = rec._loss_terms
+    real = rec._Objective.terms
 
-    def counting(*args, **kwargs):
+    def counting(self, v):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(self, v)
 
-    monkeypatch.setattr(rec, "_loss_terms", counting)
+    monkeypatch.setattr(rec._Objective, "terms", counting)
     counts = []
     for _ in range(2):
         calls.clear()
@@ -570,7 +677,9 @@ def test_line_search_evaluations_per_step(monkeypatch):
         counts.append(len(calls))
     assert rep.iters_used == 200
     assert counts[0] == counts[1]  # deterministic, rerun for rerun
-    # one evaluation at the start, then the trials of the accepted steps
+    # one evaluation at the start, then the trials of the accepted steps:
+    # at least one each, so a count that misses the fit's evaluations fails
+    assert counts[0] >= rep.iters_used + 1
     assert (counts[0] - 1) / rep.iters_used <= 1.5
     assert np.all(np.diff(rep.history) <= 0)
 

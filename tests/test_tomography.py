@@ -105,7 +105,10 @@ def test_orbit_model_matches_dense_oracle(betas, n_orbits):
         coeffs = rng.standard_normal((kets.shape[0], betas.size))
         n = np.einsum("ij,jab->iab", coeffs, ref)  # N_i = sum_j c_ij M_j
         g_ref = np.einsum("iab,ikb,ic->kac", n, images, kets.conj())
-        assert np.abs(model.gradient(kraus, kets, coeffs) - g_ref).max() <= 1e-12
+        rows = len(coeffs)
+        g = model.gradient(kraus, kets, coeffs, tomography._images(kraus, kets),
+                           model.fold_index(rows), model.workspace(rows))
+        assert np.abs(g - g_ref).max() <= 1e-12
 
 
 def test_square_grids_mirror_exactly():
