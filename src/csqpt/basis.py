@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, ValidationError
+from .errors import NumericalConsistencyError, ValidationError, read_int
 from .fock import fock_state
 
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
@@ -39,9 +39,7 @@ def logical_ordered_basis(code):
     the bare Fock states |6>, |7>, ... so vector index k >= 6 sits at Fock
     level k.
     """
-    d = code.dim
-    if d < 6:
-        raise ValidationError("ordered basis needs dim >= 6")
+    d = read_int(code.dim, "ordered basis dim", 6)
     cols = [code.zero_l, code.one_l, code.error_vec,
             fock_state(1, d), fock_state(3, d), fock_state(5, d)]
     labels = ["0L", "1L", "E", "f1", "f3", "f5"]
@@ -148,8 +146,8 @@ def transfer_matrix(channel, gm, rows=None):
     mats = gm.elements(idx)
     outs = channel.apply(mats)
     # Tr[B_i^dag X] is the dot product of the flattened conj(B_i) and X
-    lam = mats.reshape(len(idx), -1).conj() @ outs.reshape(len(idx), -1).T
-    if np.abs(lam.imag).max() > 1e-8:
+    lam = mats.reshape(len(idx), d * d).conj() @ outs.reshape(len(idx), d * d).T
+    if np.abs(lam.imag).max(initial=0.0) > 1e-8:
         raise NumericalConsistencyError("transfer matrix has imaginary residue")
     return TransferMatrix(lam.real, tuple(gm.labels[i] for i in idx))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionMismatchError, NotAChannelError, ValidationError,
-                     read_array, read_int)
+                     read_array, read_int, read_real)
 
 # Frobenius defect below which a Kraus set counts as certified CPTP
 CPTP_TOL = 1e-6
@@ -155,7 +155,7 @@ def choi_to_kraus(choi):
     if d * d != n or choi.shape != (n, n):
         raise ValidationError("Choi matrix must be d^2 x d^2")
     herm_defect = np.linalg.norm(choi - choi.conj().T)
-    if herm_defect > 1e-8:
+    if not herm_defect <= 1e-8:  # NaN included
         raise NotAChannelError(f"Choi matrix not Hermitian (defect {herm_defect:.2e})")
     vals, vecs = np.linalg.eigh((choi + choi.conj().T) / 2)
     if vals.min() < -1e-6:
@@ -181,7 +181,9 @@ class DecoherenceParams:
     t2: float
 
     def __post_init__(self):
-        if not (self.t1 > 0 and self.t2 > 0):
+        object.__setattr__(self, "t1", read_real(self.t1, "T1", finite=False))
+        object.__setattr__(self, "t2", read_real(self.t2, "T2", finite=False))
+        if not (self.t1 > 0 and self.t2 > 0):  # NaN included
             raise ValidationError("decay times must be positive")
         if self.dephasing_rate < 0:
             raise ValidationError(
@@ -210,8 +212,7 @@ def decay(params, duration, x):
     |m><n| -> sum_l c_l(m) c_l(n) |m-l><n-l|,
     c_l(n)^2 = C(n, l) eta^(n-l) (1-eta)^l, eta = exp(-t/T1).
     """
-    if duration < 0:
-        raise ValidationError("duration must be non-negative")
+    duration = read_real(duration, "duration", 0)
     x = np.asarray(x, dtype=complex)
     d = x.shape[-1]
     n = np.arange(d)
@@ -236,8 +237,7 @@ def decay_superoperator(params, duration, dim):
 
 def random_channel(dim, rank, rng):
     """Random CPTP channel from a Haar-ish random stacked isometry."""
-    if rank < 1 or rank > dim * dim:
-        raise ValidationError(f"rank {rank} outside [1, dim^2]")
+    rank = read_int(rank, "rank", 1, high=dim * dim)
     g = rng.standard_normal((rank * dim, dim)) + 1j * rng.standard_normal(
         (rank * dim, dim)
     )

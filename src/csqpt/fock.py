@@ -11,6 +11,7 @@ functions at those nodes (Golub and Welsch, Math. Comp. 23, 221 (1969)).
 """
 
 import functools
+import numbers
 import warnings
 
 import numpy as np
@@ -33,10 +34,8 @@ def read_only(arr):
 def fock_state(n, dim):
     """Number state |n> as a unit ket."""
     dim = read_int(dim, "dim", 1, high=MAX_DIM)
-    if not 0 <= n < dim:
-        raise ValidationError(f"Fock index {n} outside [0, {dim})")
     ket = np.zeros(dim, dtype=complex)
-    ket[n] = 1.0
+    ket[read_int(n, "Fock index", 0, high=dim - 1)] = 1.0
     return ket
 
 
@@ -95,6 +94,9 @@ def displacement(alpha, dim):
     Q = diag(e^{i n (theta - pi/2)}) W, so D(alpha) = Q diag(e^{i r lam}) Q^dag.
     """
     dim = read_int(dim, "dim", 1, high=MAX_DIM)
+    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Number)
+                                       and np.isfinite(alpha)):
+        raise ValidationError(f"alpha must be a finite number, got {alpha!r}")
     lam, w = _quadrature(dim)
     q = np.exp(1j * ((np.angle(alpha) - np.pi / 2) * np.arange(dim)))[:, None] * w
     return (q * np.exp(1j * (np.abs(alpha) * lam))) @ q.conj().T

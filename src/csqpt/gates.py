@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import choi_to_kraus, decay, operand, unitary_channel
-from .errors import ValidationError, read_array, read_real
-from .fock import displacement, fock_state, snap
+from .errors import ValidationError, read_array, read_int, read_real
+from .fock import MAX_DIM, displacement, fock_state, snap
 
 # Calibrated parameters for the binomial-code X gate: four displacement
 # amplitudes interleaved with three SNAP phase vectors, applied in listed
@@ -31,8 +31,7 @@ class BinomialCode:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 5:
-            raise ValidationError("binomial code needs dim >= 5")
+        object.__setattr__(self, "dim", read_int(self.dim, "dim", 5, high=MAX_DIM))
 
     @property
     def zero_l(self):

@@ -23,6 +23,7 @@ from .errors import (
     NotAChannelError,
     NumericalConsistencyError,
     ValidationError,
+    read_int,
 )
 from .gates import SequenceChannel, ideal_logical_x
 
@@ -113,8 +114,7 @@ def mc_avg_gate_fidelity(channel, u, code, samples=10000, seed=0):
     could be evaluated in parallel with a deterministic reduction.
     """
     _check_dims(channel, u, code)
-    if samples < 2:
-        raise ValidationError("need at least 2 samples")
+    samples, seed = read_int(samples, "samples", 2), read_int(seed, "seed", 0)
     z, o = code.zero_l, code.one_l
     vals = np.empty(samples)
     done = 0
@@ -151,9 +151,8 @@ def process_fidelity_choi(a, b, subspace_cut=None):
     if a.dim != b.dim:
         raise DimensionMismatchError(f"channel dims {a.dim} and {b.dim} differ")
     d = a.dim
-    cut = d - 1 if subspace_cut is None else subspace_cut
-    if not 0 <= cut < d:
-        raise ValidationError(f"subspace_cut {subspace_cut} outside [0, {d - 1}]")
+    cut = d - 1 if subspace_cut is None else read_int(
+        subspace_cut, "subspace_cut", 0, high=d - 1)
     va = a.operators[:, :, : cut + 1].reshape(a.rank, -1)
     vb = b.operators[:, :, : cut + 1].reshape(b.rank, -1)
     ta, tb = np.vdot(va, va).real, np.vdot(vb, vb).real

@@ -370,6 +370,8 @@ def retract(matrix):
         raise DimensionMismatchError(
             f"stack shape {w.shape} is not (r*d, d) for integer r"
         )
+    if not np.isfinite(w).all():
+        raise RetractionError("stack has a non-finite entry")
     return _kraus_set(_polar(w))
 
 

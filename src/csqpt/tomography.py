@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DataQualityError, ValidationError, read_array, read_bool,
-                     read_int, read_json)
+                     read_int, read_json, read_real)
 from .fock import CACHE_ENTRIES, coherent_state, displacement, read_only
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
@@ -35,8 +35,9 @@ class WignerGrid:
 
 
 def _square_grid(n, extent):
-    if not 1 <= n <= MAX_GRID or not 0 < extent < np.inf:  # NaN included
-        raise ValidationError(f"grid needs 1 <= n <= {MAX_GRID}, finite extent > 0")
+    n = read_int(n, "grid n", 1, high=MAX_GRID)
+    if not read_real(extent, "grid extent") > 0:
+        raise ValidationError(f"grid extent must be > 0, got {extent!r}")
     axis = np.linspace(-extent, extent, n)
     axis = (axis - axis[::-1]) / 2  # -axis is axis[::-1] exactly
     re, im = np.meshgrid(axis, axis, indexing="xy")  # Re varies fastest
@@ -356,8 +357,7 @@ def simulate_dataset(channel, probes, grid, shots=0, seed=0):
 
 def subsample_grid(ds, stride=2):
     """Keep every stride-th beta along each grid axis (anchored at index 0)."""
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
+    stride = read_int(stride, "stride", 1)
     re_axis, im_axis = grid_axes(ds.betas)  # row-major, Re fastest
     shape = (im_axis.size, re_axis.size)
     betas = ds.betas.reshape(shape)[::stride, ::stride]

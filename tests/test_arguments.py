@@ -1,0 +1,98 @@
+"""Every scalar argument of the library functions is read by one rule: a
+value is converted or refused with a CsqptError, never left to end in a
+raw TypeError, ValueError, IndexError or LinAlgError, or in a non-finite
+or non-unit result."""
+
+import functools
+
+import numpy as np
+import pytest
+
+from csqpt import basis, channel, fock, gates, metrics, reconstruct, tomography
+from csqpt.errors import CsqptError, NotAChannelError, RetractionError
+
+ODD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "-1": -1, "2.5": 2.5,
+       "True": True, "'1'": "1"}
+
+
+@functools.cache
+def _dataset():
+    return tomography.simulate_dataset(channel.unitary_channel(np.eye(8)),
+                                       tomography.probe_grid(2, 0.5),
+                                       tomography.wigner_grid(9, 1.0))
+
+
+def _code_of_dim(dim):
+    code = gates.BinomialCode(6)
+    object.__setattr__(code, "dim", dim)  # past BinomialCode's own reader
+    return code
+
+
+def _mc(samples=8, seed=0):
+    code = gates.BinomialCode(6)
+    u = gates.ideal_logical_x_unitary(code)
+    return metrics.mc_avg_gate_fidelity(channel.unitary_channel(u), u, code,
+                                        samples, seed)
+
+
+def _params(t1, t2):
+    p = channel.DecoherenceParams(t1, t2)
+    return [p.loss_rate, p.dephasing_rate]
+
+
+# argument: (call returning the array that must be finite, the labels of
+# ODD that it accepts, one more valid value); a whole float stands for an
+# integer, and each call uses the converted value as a size or an index
+SITES = {
+    "fock_state n": (lambda v: fock.fock_state(v, 4), (), 3.0),
+    "displacement alpha": (lambda v: fock.displacement(v, 4), ("-1", "2.5"), 0.5j),
+    "DecoherenceParams t1": (lambda v: _params(v, 1.0), ("inf", "2.5"), 3),
+    "DecoherenceParams t2": (lambda v: _params(10.0, v), ("2.5",), 20),
+    "decay duration": (lambda v: channel.decay(
+        channel.DecoherenceParams(10.0, 10.0), v, np.eye(4) / 4), ("2.5",), 0),
+    "random_channel rank": (lambda v: channel.random_channel(
+        4, v, np.random.default_rng(0)).operators, (), 2.0),
+    "BinomialCode dim": (lambda v: np.zeros(gates.BinomialCode(v).dim), (), 6.0),
+    "logical_ordered_basis dim": (
+        lambda v: basis.logical_ordered_basis(_code_of_dim(v)).vectors, (), 6.0),
+    "mc_avg_gate_fidelity samples": (lambda v: _mc(samples=v), (), 4.0),
+    "mc_avg_gate_fidelity seed": (lambda v: _mc(seed=v), (), 7.0),
+    "process_fidelity_choi subspace_cut": (lambda v: metrics.process_fidelity_choi(
+        channel.unitary_channel(np.eye(4)), channel.unitary_channel(np.eye(4)), v),
+        (), 2.0),
+    "subsample_grid stride": (
+        lambda v: tomography.subsample_grid(_dataset(), v).values, (), 2.0),
+    "probe_grid n": (lambda v: tomography.probe_grid(v).alphas, (), 3.0),
+    "probe_grid alpha_max": (lambda v: tomography.probe_grid(3, v).alphas,
+                             ("2.5",), 1),
+}
+
+
+@pytest.mark.parametrize("site, label", [
+    (site, label) for site in SITES for label in (*ODD, "valid")])
+def test_library_arguments_are_read_or_refused(site, label):
+    call, accepted, valid = SITES[site]
+    value = valid if label == "valid" else ODD[label]
+    if label == "valid" or label in accepted:
+        out = np.asarray(call(value))
+        assert np.isfinite(out).all()
+        if site == "fock_state n":
+            assert np.linalg.norm(out) == 1
+    else:
+        with pytest.raises(CsqptError):
+            call(value)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_non_finite_operands_raise_the_package_errors(fill):
+    # numpy warns on an infinite matrix's Hermitian defect, inf - inf
+    with np.errstate(invalid="ignore"), pytest.raises(NotAChannelError):
+        channel.choi_to_kraus(np.full((4, 4), fill))
+    with pytest.raises(RetractionError):
+        reconstruct.retract(np.full((4, 2), fill))
+
+
+def test_transfer_matrix_of_no_rows_is_empty():
+    gm = basis.gellmann_set(basis.logical_ordered_basis(gates.BinomialCode(6)))
+    lam = basis.transfer_matrix(channel.unitary_channel(np.eye(6)), gm, rows=[])
+    assert lam.elements.shape == (0, 0) and lam.labels == ()
