@@ -115,6 +115,7 @@ def gellmann_set(basis):
 
 def display_indices(gm, n_vectors=6):
     """Indices of the elements supported on the first ``n_vectors`` vectors."""
+    n_vectors = read_int(n_vectors, "n_vectors", 1)
     return [i for i in range(len(gm.labels))
             if i == 0 or gm.keys[i, 1] < n_vectors]
 
@@ -176,7 +177,7 @@ def population_transfer_matrix(channel, basis, n_keep=6):
     """P_ij = <b_i| E(|b_j><b_j|) |b_i> over the first ``n_keep`` vectors."""
     if channel.dim != basis.dim:
         raise ValidationError("channel and basis dims differ")
-    n_keep = min(n_keep, basis.dim)
+    n_keep = min(read_int(n_keep, "n_keep", 1), basis.dim)
     v = basis.vectors[:, :n_keep]
     outs = channel.apply(np.einsum("aj,bj->jab", v, v.conj()))
     p = np.einsum("ai,jab,bi->ij", v.conj(), outs, v).real

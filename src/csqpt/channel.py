@@ -30,10 +30,11 @@ EIG_CUTOFF = 1e-10
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A channel given by its own read-only copy of a stack of Kraus
-    operators of shape (rank, dim, dim), so ``certified`` cannot go stale."""
+    """A channel given by its own read-only copy of a Kraus stack of shape
+    (rank, dim, dim), so ``defect`` and ``certified`` cannot go stale."""
 
     operators: np.ndarray
+    defect: float = field(init=False)  # cptp_defect(operators)
     certified: bool = field(init=False)
 
     def __post_init__(self):
@@ -42,7 +43,8 @@ class KrausSet:
             raise ValidationError("operators must have shape (rank, dim, dim)")
         ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "certified", cptp_defect(ops) <= CPTP_TOL)
+        object.__setattr__(self, "defect", cptp_defect(ops))
+        object.__setattr__(self, "certified", self.defect <= CPTP_TOL)
 
     @property
     def dim(self):
@@ -75,7 +77,7 @@ def require_certified(ks):
     if not ks.certified:
         raise NotAChannelError(
             f"Kraus set is not CPTP: ||sum K^dag K - I|| = "
-            f"{cptp_defect(ks.operators):.2e} > {CPTP_TOL:.0e}"
+            f"{ks.defect:.2e} > {CPTP_TOL:.0e}"
         )
     return ks
 
@@ -83,18 +85,15 @@ def require_certified(ks):
 def require_isometry(ks, error=ValidationError):
     """Return ``ks``; raise ``error`` unless its stack V is an isometry,
     ||V^dag V - I|| <= ISOMETRY_TOL (so ``ks`` is certified too)."""
-    defect = cptp_defect(ks.operators)
-    if defect > ISOMETRY_TOL:
-        raise error(f"Kraus stack is not an isometry: ||V^dag V - I|| = {defect:.2e}")
+    if ks.defect > ISOMETRY_TOL:
+        raise error(
+            f"Kraus stack is not an isometry: ||V^dag V - I|| = {ks.defect:.2e}")
     return ks
 
 
 def unitary_channel(u):
-    """Wrap a unitary as a rank-1 channel, else NotAChannelError."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError("expected a square operator")
-    return require_isometry(KrausSet(u[None, :, :]), NotAChannelError)
+    """Wrap a square unitary as a rank-1 channel, else NotAChannelError."""
+    return require_isometry(KrausSet([u]), NotAChannelError)
 
 
 def operand(x, dim):
@@ -237,6 +236,7 @@ def decay_superoperator(params, duration, dim):
 
 def random_channel(dim, rank, rng):
     """Random CPTP channel from a Haar-ish random stacked isometry."""
+    dim = read_int(dim, "dim", 1)
     rank = read_int(rank, "rank", 1, high=dim * dim)
     g = rng.standard_normal((rank * dim, dim)) + 1j * rng.standard_normal(
         (rank * dim, dim)

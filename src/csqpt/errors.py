@@ -1,11 +1,12 @@
 """Exception and warning types shared across the package, and the typed
-readers every value csqpt loads from JSON passes through: each returns its
-value converted or raises ``error`` naming ``what``, and none takes a
-boolean or a string for a number, or a number for either.
+readers every loaded JSON value and every number a library caller passes
+go through: each returns its value converted or raises ``error`` naming
+``what``; none takes a boolean or a string for a number, or vice versa.
 """
 
 import json
 import numbers
+import reprlib
 import sys
 
 import numpy as np
@@ -77,6 +78,31 @@ def read_real(value, what, low=None, error=ValidationError, finite=True):
     return float(value)
 
 
+def read_numbers(value, what, dtype=float, error=ValidationError, finite=True,
+                 ndim=None):
+    """A number or array-like of numbers (of ``ndim`` axes unless None) as a
+    ``dtype`` ndarray, 0-d for a scalar; ``error`` for a bool, string or other
+    object, ragged input, complex input for a real ``dtype``, an integer too
+    large for a float and, if ``finite``, NaN or inf."""
+    number = numbers.Complex if np.dtype(dtype).kind == "c" else numbers.Real
+    # a list is read leaf by leaf: numpy would take its bools for numbers
+    arr = np.asarray(value, object if isinstance(value, (list, tuple)) else None)
+    types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+    odd = ndim not in (None, arr.ndim) or not all(
+        issubclass(t, number) and t is not bool for t in types)
+    try:
+        arr = arr if odd else arr.astype(dtype, copy=False)
+    except OverflowError:  # an integer too large for a float
+        odd = True
+    if odd:
+        kind = "number" if number is numbers.Complex else "real number"
+        form = {0: f"a {kind}", None: f"{kind}s"}.get(ndim, f"{ndim}-D {kind}s")
+        raise error(f"{what} must be {form}, got {reprlib.repr(value)}")
+    if finite and not np.isfinite(arr).all():
+        raise error(f"{what} has a non-finite entry")
+    return arr
+
+
 def read_bool(value, what, error=ValidationError):
     if not isinstance(value, bool):
         raise error(f"{what} must be true or false, got {value!r}")
@@ -90,23 +116,8 @@ def read_str(value, what, error=ValidationError):
 
 
 def read_array(value, shape, what, error=ValidationError):
-    """The float array of nested lists of ``shape`` (None: any length on
-    that axis) whose entries are finite JSON numbers, walked one level per
-    axis with the leaves' types checked in one pass."""
-    level, dims = [value], []
-    for n in shape:
-        sizes = {len(x) if isinstance(x, (list, tuple)) else -1 for x in level}
-        if len(sizes) != 1 or -1 in sizes or n not in (None, *sizes):
-            raise error(f"{what} must be nested lists of shape {shape}")
-        dims.append(sizes.pop())
-        level = [x for row in level for x in row]
-    if not set(map(type, level)) <= {int, float}:
-        raise error(f"{what} must hold numbers only")
-    try:
-        arr = np.array(level, dtype=float).reshape(dims)
-        finite = np.isfinite(arr).all()
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise error(f"{what} has a non-finite entry")
+    """``read_numbers`` of nested lists of ``shape`` (None: any length there)."""
+    arr = read_numbers(value, what, error=error, ndim=len(shape))
+    if any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise error(f"{what} must be nested lists of shape {shape}")
     return arr

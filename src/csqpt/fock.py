@@ -11,12 +11,11 @@ functions at those nodes (Golub and Welsch, Math. Comp. 23, 221 (1969)).
 """
 
 import functools
-import numbers
 import warnings
 
 import numpy as np
 
-from .errors import TruncationWarning, ValidationError, read_int
+from .errors import TruncationWarning, ValidationError, read_int, read_numbers
 
 # tail mass above which coherent_state warns about truncation loss
 TAIL_WARN = 1e-6
@@ -50,7 +49,7 @@ def coherent_state(alpha, dim):
     32), since the renormalization would then be 0 / 0 or lose bits.
     """
     dim = read_int(dim, "dim", 1, high=MAX_DIM)
-    alpha = complex(alpha)
+    alpha = complex(read_numbers(alpha, "alpha", complex, finite=False, ndim=0))
     tiny = np.finfo(float).tiny
     kept = 0.0
     # below |alpha|^2 = -2 ln(tiny), exp(-|alpha|^2 / 2) is a normal float
@@ -94,9 +93,7 @@ def displacement(alpha, dim):
     Q = diag(e^{i n (theta - pi/2)}) W, so D(alpha) = Q diag(e^{i r lam}) Q^dag.
     """
     dim = read_int(dim, "dim", 1, high=MAX_DIM)
-    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Number)
-                                       and np.isfinite(alpha)):
-        raise ValidationError(f"alpha must be a finite number, got {alpha!r}")
+    alpha = read_numbers(alpha, "alpha", complex, ndim=0)
     lam, w = _quadrature(dim)
     q = np.exp(1j * ((np.angle(alpha) - np.pi / 2) * np.arange(dim)))[:, None] * w
     return (q * np.exp(1j * (np.abs(alpha) * lam))) @ q.conj().T
@@ -105,9 +102,7 @@ def displacement(alpha, dim):
 def snap(thetas, dim):
     """SNAP unitary diag(exp(i theta_n)); phases beyond len(thetas) are 0."""
     dim = read_int(dim, "dim", 1, high=MAX_DIM)
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1:
-        raise ValidationError("thetas must be a 1-D phase vector")
+    thetas = read_numbers(thetas, "thetas", ndim=1)
     if thetas.size > dim:
         raise ValidationError(
             f"phase vector of length {thetas.size} exceeds dim {dim}"

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import choi_to_kraus, decay, operand, unitary_channel
-from .errors import ValidationError, read_array, read_int, read_real
+from .errors import ValidationError, read_array, read_int, read_numbers, read_real
 from .fock import MAX_DIM, displacement, fock_state, snap
 
 # Calibrated parameters for the binomial-code X gate: four displacement
@@ -69,11 +69,10 @@ class GateStep:
             raise ValidationError(f"unknown step kind {self.kind!r}")
         object.__setattr__(self, "duration", read_real(
             self.duration, f"{self.kind} step duration", 0))
-        if not np.isfinite(self.param).all():
-            what = "alpha" if self.kind == "displace" else "theta"
-            raise ValidationError(
-                f"{self.kind} step has non-finite {what} {self.param}"
-            )
+        displace = self.kind == "displace"
+        object.__setattr__(self, "param", read_numbers(
+            self.param, f"{self.kind} step {'alpha' if displace else 'thetas'}",
+            complex if displace else float, ndim=0 if displace else 1)[()])
 
 
 @dataclass(frozen=True)

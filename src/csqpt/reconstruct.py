@@ -68,7 +68,7 @@ import numpy as np
 from .channel import KrausSet, kraus_from_json, kraus_to_json, require_isometry
 from .errors import (DimensionMismatchError, NotAChannelError, RetractionError,
                      ValidationError, read_array, read_bool, read_int, read_json,
-                     read_real)
+                     read_numbers, read_real)
 from .fock import MAX_DIM
 from .tomography import ParityModel, _images, parity_model, probe_kets
 
@@ -365,13 +365,11 @@ def _kraus_set(v, error=ValidationError):
 
 def retract(matrix):
     """KrausSet of the nearest isometry V (V^dag V)^(-1/2), the polar factor."""
-    w = np.asarray(matrix, dtype=complex)
+    w = read_numbers(matrix, "stack", complex, RetractionError)
     if w.ndim != 2 or w.shape[1] < 1 or w.shape[0] % w.shape[1] != 0:
         raise DimensionMismatchError(
             f"stack shape {w.shape} is not (r*d, d) for integer r"
         )
-    if not np.isfinite(w).all():
-        raise RetractionError("stack has a non-finite entry")
     return _kraus_set(_polar(w))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DataQualityError, ValidationError, read_array, read_bool,
-                     read_int, read_json, read_real)
+                     read_int, read_json, read_numbers, read_real)
 from .fock import CACHE_ENTRIES, coherent_state, displacement, read_only
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
@@ -81,14 +81,14 @@ class TomographyDataset:
     seed: int
 
     def __post_init__(self):
+        for name, dtype in (("probes", complex), ("betas", complex), ("values", float)):
+            object.__setattr__(self, name, read_numbers(
+                getattr(self, name), f"dataset {name}", dtype, DataQualityError))
         if self.values.shape != (self.probes.size, self.betas.size):
             raise DataQualityError(
                 f"values shape {self.values.shape} does not match "
                 f"{self.probes.size} probes x {self.betas.size} betas"
             )
-        for name in ("probes", "betas", "values"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise DataQualityError(f"dataset {name} has a non-finite entry")
         for name, low, high in (("dim", 1, None), ("shots", 0, MAX_SHOTS),
                                 ("seed", 0, None)):
             object.__setattr__(self, name, read_int(
@@ -97,7 +97,7 @@ class TomographyDataset:
 
 def probe_kets(alphas, dim):
     """Coherent kets |alpha_i> as rows (n_probes, dim), cached and read-only."""
-    return _cached_kets(np.asarray(alphas, dtype=complex).tobytes(), dim)
+    return _cached_kets(read_numbers(alphas, "alphas", complex).tobytes(), dim)
 
 
 @functools.lru_cache(CACHE_ENTRIES)
@@ -286,11 +286,8 @@ def _grid_model(betas, dim):
     = (2/pi) D(2 beta) P (Royer, Phys. Rev. A 15, 449 (1977)): each
     representative's column is ``fock.displacement`` at 2 beta with
     column n signed (2/pi)(-1)^n, packed by ``_layout(dim)[0]`` as
-    ``ParityModel.of`` packs a dense stack.  A non-finite beta raises
-    ValidationError: it has no parity operator, and ``np.unique`` would
-    fold every NaN into one orbit."""
-    if not np.all(np.isfinite(betas)):
-        raise ValidationError("parity operators need finite betas")
+    ``ParityModel.of`` packs a dense stack.  The betas are finite
+    (``read_numbers``): ``np.unique`` would fold every NaN into one orbit."""
     reps, orbit, member = _orbits(betas)
     pack = _layout(dim)[0]
     sign = (2 / np.pi) * (-1.0) ** np.arange(dim)
@@ -302,7 +299,7 @@ def _grid_model(betas, dim):
 
 def parity_model(betas, dim):
     """The ParityModel of a beta grid, read-only and cached per (betas, dim)."""
-    return _cached_model(np.asarray(betas, dtype=complex).tobytes(), dim)
+    return _cached_model(read_numbers(betas, "betas", complex).tobytes(), dim)
 
 
 @functools.lru_cache(CACHE_ENTRIES)
@@ -321,7 +318,7 @@ def wigner_value(rho, beta):
     non-Hermitian ``rho``.  The one-point model is built uncached, so a
     one-off beta never evicts a fit's grid from the parity cache."""
     rho = np.asarray(rho, dtype=complex)
-    model = _grid_model(np.array([beta], dtype=complex), rho.shape[0])
+    model = _grid_model(read_numbers(beta, "beta", complex, ndim=0)[None], len(rho))
     return float(model.expect((rho + rho.conj().T)[None] / 2)[0, 0])
 
 
@@ -339,19 +336,18 @@ def simulate_dataset(channel, probes, grid, shots=0, seed=0):
     at most ``MAX_SHOTS``.
     """
     shots, seed = read_int(shots, "shots", 0, high=MAX_SHOTS), read_int(seed, "seed", 0)
-    alphas = np.asarray(probes.alphas, dtype=complex)
-    betas = np.asarray(grid.betas, dtype=complex)
     dim = channel.dim
-    kets = probe_kets(alphas, dim)
+    kets = probe_kets(probes.alphas, dim)
     rho = channel.apply(kets[:, :, None] * kets[:, None, :].conj())
-    values = parity_model(betas, dim).expect(rho)
+    values = parity_model(grid.betas, dim).expect(rho)
     if shots > 0:
         # parity bit is +1 with probability (1 + pi W / 2) / 2
         prob = np.clip((1 + values * np.pi / 2) / 2, 0.0, 1.0)
         k = np.random.default_rng(seed).binomial(shots, prob)
         values = (2 / np.pi) * (2 * k / shots - 1)
     return TomographyDataset(
-        probes=alphas, betas=betas, values=values, dim=dim, shots=shots, seed=seed,
+        probes=probes.alphas, betas=grid.betas, values=values, dim=dim,
+        shots=shots, seed=seed,
     )
 
 

@@ -1,7 +1,8 @@
-"""Every scalar argument of the library functions is read by one rule: a
-value is converted or refused with a CsqptError, never left to end in a
-raw TypeError, ValueError, IndexError or LinAlgError, or in a non-finite
-or non-unit result."""
+"""Every scalar, amplitude and array argument of the library functions is
+read by one rule: a value, or any entry of an array, is converted or
+refused with a CsqptError, never left to end in a raw TypeError,
+ValueError, IndexError or LinAlgError, or in a non-finite or non-unit
+result."""
 
 import functools
 
@@ -12,7 +13,7 @@ from csqpt import basis, channel, fock, gates, metrics, reconstruct, tomography
 from csqpt.errors import CsqptError, NotAChannelError, RetractionError
 
 ODD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "-1": -1, "2.5": 2.5,
-       "True": True, "'1'": "1"}
+       "True": True, "'1'": "1", "None": None}
 
 
 @functools.cache
@@ -35,6 +36,11 @@ def _mc(samples=8, seed=0):
                                         samples, seed)
 
 
+@functools.cache
+def _gellmann():
+    return basis.gellmann_set(basis.logical_ordered_basis(gates.BinomialCode(6)))
+
+
 def _params(t1, t2):
     p = channel.DecoherenceParams(t1, t2)
     return [p.loss_rate, p.dephasing_rate]
@@ -42,7 +48,8 @@ def _params(t1, t2):
 
 # argument: (call returning the array that must be finite, the labels of
 # ODD that it accepts, one more valid value); a whole float stands for an
-# integer, and each call uses the converted value as a size or an index
+# integer, and each call uses the converted value as a size or an index.
+# At an array argument the value is one entry of an otherwise valid array.
 SITES = {
     "fock_state n": (lambda v: fock.fock_state(v, 4), (), 3.0),
     "displacement alpha": (lambda v: fock.displacement(v, 4), ("-1", "2.5"), 0.5j),
@@ -59,13 +66,32 @@ SITES = {
     "mc_avg_gate_fidelity seed": (lambda v: _mc(seed=v), (), 7.0),
     "process_fidelity_choi subspace_cut": (lambda v: metrics.process_fidelity_choi(
         channel.unitary_channel(np.eye(4)), channel.unitary_channel(np.eye(4)), v),
-        (), 2.0),
+        ("None",), 2.0),  # None, the default, compares the whole space
     "subsample_grid stride": (
         lambda v: tomography.subsample_grid(_dataset(), v).values, (), 2.0),
     "probe_grid n": (lambda v: tomography.probe_grid(v).alphas, (), 3.0),
     "probe_grid alpha_max": (lambda v: tomography.probe_grid(3, v).alphas,
                              ("2.5",), 1),
+    "coherent_state alpha": (lambda v: fock.coherent_state(v, 32), ("-1", "2.5"), 0.5j),
+    "GateStep displace alpha": (lambda v: gates.step_unitary(
+        gates.GateStep("displace", v, 0.1), 4), ("-1", "2.5"), 0.5j),
+    "GateStep snap thetas": (lambda v: gates.step_unitary(
+        gates.GateStep("snap", [0.1, v], 0.7), 4), ("-1", "2.5"), 0.5),
+    "snap thetas": (lambda v: fock.snap([0.1, v], 4), ("-1", "2.5"), 0.5),
+    "wigner_value beta": (lambda v: tomography.wigner_value(np.eye(4) / 4, v),
+                          ("-1", "2.5"), 0.5j),
+    "probe_kets alphas": (lambda v: tomography.probe_kets([0.1, v], 32),
+                          ("-1", "2.5"), 0.5j),
+    "random_channel dim": (lambda v: channel.random_channel(
+        v, 1, np.random.default_rng(0)).operators, (), 2.0),
+    "population_transfer_matrix n_keep": (lambda v: basis.population_transfer_matrix(
+        channel.unitary_channel(np.eye(6)),
+        basis.logical_ordered_basis(gates.BinomialCode(6)), v).elements, (), 3.0),
+    "display_indices n_vectors": (lambda v: basis.display_indices(_gellmann(), v),
+                                  (), 3.0),
 }
+AMPLITUDES = ("displacement alpha", "coherent_state alpha", "GateStep displace alpha",
+              "wigner_value beta", "probe_kets alphas")
 
 
 @pytest.mark.parametrize("site, label", [
@@ -81,6 +107,22 @@ def test_library_arguments_are_read_or_refused(site, label):
     else:
         with pytest.raises(CsqptError):
             call(value)
+
+
+@pytest.mark.parametrize("site", AMPLITUDES)
+def test_numpy_complex_scalars_are_amplitudes(site):
+    call = SITES[site][0]
+    assert np.array_equal(call(np.complex64(0.5j)), call(0.5j))
+
+
+# refusals name the argument as the site does, but for the decay times
+# ("decay times", "T1") and the probe extent ("grid extent")
+@pytest.mark.parametrize("site, label", [
+    (site, label) for site in SITES for label in ODD if label not in SITES[site][1]
+    and not site.startswith(("DecoherenceParams", "probe_grid alpha_max"))])
+def test_refusals_name_the_argument(site, label):
+    with pytest.raises(CsqptError, match=site.split()[-1]):
+        SITES[site][0](ODD[label])
 
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf])
