@@ -20,7 +20,7 @@ PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
                    [[1, 0], [0, -1]]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderedBasis:
     """Orthonormal basis vectors as columns, logical pair first."""
 
@@ -53,7 +53,7 @@ def logical_ordered_basis(code):
     return OrderedBasis(vectors, tuple(labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GellMannSet:
     """dim^2 orthonormal Hermitian matrices over an ordered basis.
 
@@ -120,7 +120,7 @@ def display_indices(gm, n_vectors=6):
             if i == 0 or gm.keys[i, 1] < n_vectors]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferMatrix:
     elements: np.ndarray
     labels: tuple

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionMismatchError, NotAChannelError, ValidationError,
-                     read_array, read_int, read_real)
+                     read_int, read_numbers, read_real)
 
 # Frobenius defect below which a Kraus set counts as certified CPTP
 CPTP_TOL = 1e-6
@@ -28,18 +28,19 @@ ISOMETRY_TOL = 1e-8
 EIG_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
-    """A channel given by its own read-only copy of a Kraus stack of shape
-    (rank, dim, dim), so ``defect`` and ``certified`` cannot go stale."""
+    """A channel given by its own read-only copy of a finite Kraus stack of
+    shape (rank, dim, dim), so ``defect`` and ``certified`` cannot go stale."""
 
     operators: np.ndarray
     defect: float = field(init=False)  # cptp_defect(operators)
     certified: bool = field(init=False)
 
     def __post_init__(self):
-        ops = np.array(self.operators, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        ops = np.array(read_numbers(self.operators, "Kraus operators", complex,
+                                    shape=(None, None, None)))
+        if ops.shape[1] != ops.shape[2]:
             raise ValidationError("operators must have shape (rank, dim, dim)")
         ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
@@ -85,7 +86,7 @@ def require_certified(ks):
 def require_isometry(ks, error=ValidationError):
     """Return ``ks``; raise ``error`` unless its stack V is an isometry,
     ||V^dag V - I|| <= ISOMETRY_TOL (so ``ks`` is certified too)."""
-    if ks.defect > ISOMETRY_TOL:
+    if not ks.defect <= ISOMETRY_TOL:  # NaN included
         raise error(
             f"Kraus stack is not an isometry: ||V^dag V - I|| = {ks.defect:.2e}")
     return ks
@@ -260,7 +261,8 @@ def kraus_from_json(data):
     operators are not CPTP within CPTP_TOL."""
     try:
         dim, rank = (read_int(data[key], f"Kraus {key}", 1) for key in ("dim", "rank"))
-        arr = read_array(data["operators"], (rank, dim, dim, 2), "Kraus operators")
+        arr = read_numbers(data["operators"], "Kraus operators",
+                           shape=(rank, dim, dim, 2))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed Kraus JSON: {exc}") from exc
     # [re, im] pairs viewed as complex, the bits (signed zeros too) kept

@@ -79,16 +79,17 @@ def read_real(value, what, low=None, error=ValidationError, finite=True):
 
 
 def read_numbers(value, what, dtype=float, error=ValidationError, finite=True,
-                 ndim=None):
-    """A number or array-like of numbers (of ``ndim`` axes unless None) as a
-    ``dtype`` ndarray, 0-d for a scalar; ``error`` for a bool, string or other
-    object, ragged input, complex input for a real ``dtype``, an integer too
-    large for a float and, if ``finite``, NaN or inf."""
+                 shape=None):
+    """A number or array of numbers as a ``dtype`` ndarray of ``shape`` (None:
+    any; a None axis: any length); ``error`` for a bool, string or other
+    object, ragged input, another shape, complex input for a real ``dtype``,
+    an integer too large for a float and, if ``finite``, NaN or inf."""
     number = numbers.Complex if np.dtype(dtype).kind == "c" else numbers.Real
     # a list is read leaf by leaf: numpy would take its bools for numbers
     arr = np.asarray(value, object if isinstance(value, (list, tuple)) else None)
     types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
-    odd = ndim not in (None, arr.ndim) or not all(
+    odd = shape is not None and (len(shape) != arr.ndim or any(
+        n not in (None, m) for n, m in zip(shape, arr.shape))) or not all(
         issubclass(t, number) and t is not bool for t in types)
     try:
         arr = arr if odd else arr.astype(dtype, copy=False)
@@ -96,7 +97,8 @@ def read_numbers(value, what, dtype=float, error=ValidationError, finite=True,
         odd = True
     if odd:
         kind = "number" if number is numbers.Complex else "real number"
-        form = {0: f"a {kind}", None: f"{kind}s"}.get(ndim, f"{ndim}-D {kind}s")
+        form = f"a {kind}" if shape == () else f"{kind}s" + (
+            f" of shape {shape}" if shape else "")
         raise error(f"{what} must be {form}, got {reprlib.repr(value)}")
     if finite and not np.isfinite(arr).all():
         raise error(f"{what} has a non-finite entry")
@@ -113,11 +115,3 @@ def read_str(value, what, error=ValidationError):
     if not isinstance(value, str):
         raise error(f"{what} must be a string, got {value!r}")
     return value
-
-
-def read_array(value, shape, what, error=ValidationError):
-    """``read_numbers`` of nested lists of ``shape`` (None: any length there)."""
-    arr = read_numbers(value, what, error=error, ndim=len(shape))
-    if any(n not in (None, m) for n, m in zip(shape, arr.shape)):
-        raise error(f"{what} must be nested lists of shape {shape}")
-    return arr

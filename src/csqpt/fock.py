@@ -49,7 +49,7 @@ def coherent_state(alpha, dim):
     32), since the renormalization would then be 0 / 0 or lose bits.
     """
     dim = read_int(dim, "dim", 1, high=MAX_DIM)
-    alpha = complex(read_numbers(alpha, "alpha", complex, finite=False, ndim=0))
+    alpha = complex(read_numbers(alpha, "alpha", complex, finite=False, shape=()))
     tiny = np.finfo(float).tiny
     kept = 0.0
     # below |alpha|^2 = -2 ln(tiny), exp(-|alpha|^2 / 2) is a normal float
@@ -93,7 +93,7 @@ def displacement(alpha, dim):
     Q = diag(e^{i n (theta - pi/2)}) W, so D(alpha) = Q diag(e^{i r lam}) Q^dag.
     """
     dim = read_int(dim, "dim", 1, high=MAX_DIM)
-    alpha = read_numbers(alpha, "alpha", complex, ndim=0)
+    alpha = read_numbers(alpha, "alpha", complex, shape=())
     lam, w = _quadrature(dim)
     q = np.exp(1j * ((np.angle(alpha) - np.pi / 2) * np.arange(dim)))[:, None] * w
     return (q * np.exp(1j * (np.abs(alpha) * lam))) @ q.conj().T
@@ -102,7 +102,7 @@ def displacement(alpha, dim):
 def snap(thetas, dim):
     """SNAP unitary diag(exp(i theta_n)); phases beyond len(thetas) are 0."""
     dim = read_int(dim, "dim", 1, high=MAX_DIM)
-    thetas = read_numbers(thetas, "thetas", ndim=1)
+    thetas = read_numbers(thetas, "thetas", shape=(None,))
     if thetas.size > dim:
         raise ValidationError(
             f"phase vector of length {thetas.size} exceeds dim {dim}"

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import choi_to_kraus, decay, operand, unitary_channel
-from .errors import ValidationError, read_array, read_int, read_numbers, read_real
+from .errors import ValidationError, read_int, read_numbers, read_real
 from .fock import MAX_DIM, displacement, fock_state, snap
 
 # Calibrated parameters for the binomial-code X gate: four displacement
@@ -56,7 +56,7 @@ class BinomialCode:
         return np.einsum("ai,bj->abij", c, c.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateStep:
     """One sequence step: kind 'displace' (complex alpha) or 'snap' (phases)."""
 
@@ -72,7 +72,7 @@ class GateStep:
         displace = self.kind == "displace"
         object.__setattr__(self, "param", read_numbers(
             self.param, f"{self.kind} step {'alpha' if displace else 'thetas'}",
-            complex if displace else float, ndim=0 if displace else 1)[()])
+            complex if displace else float, shape=() if displace else (None,))[()])
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,9 @@ def sequence_from_json(data):
         if kind not in ("displace", "snap"):
             raise ValidationError(f"unknown step type {kind!r}")
         try:
-            duration = read_real(entry.get("duration", 0.0), "duration", 0, ValueError)
-            if kind == "displace":
-                param = complex(*read_array(entry["alpha"], (2,), "alpha", ValueError))
-            else:
-                param = read_array(entry["thetas"], (None,), "thetas", ValueError)
-        except (KeyError, ValueError) as exc:
+            param = (complex(*read_numbers(entry["alpha"], "alpha", shape=(2,)))
+                     if kind == "displace" else entry["thetas"])
+            steps.append(GateStep(kind, param, entry.get("duration", 0.0)))
+        except (KeyError, ValidationError) as exc:
             raise ValidationError(f"malformed {kind} step {entry}: {exc!r}") from exc
-        steps.append(GateStep(kind, param, duration))
     return GateSequence(tuple(steps))

@@ -24,6 +24,7 @@ from .errors import (
     NumericalConsistencyError,
     ValidationError,
     read_int,
+    read_numbers,
 )
 from .gates import SequenceChannel, ideal_logical_x
 
@@ -62,12 +63,14 @@ def _unit_interval(x, what):
     return float(min(max(x, 0.0), 1.0))
 
 
-def _check_dims(channel, u, code):
+def _read_target(channel, u, code):
+    u = read_numbers(u, "target", complex, shape=(None, None))
     if channel.dim != code.dim or u.shape != (channel.dim, channel.dim):
         raise DimensionMismatchError(
             f"channel dim {channel.dim}, target shape {u.shape}, "
             f"code dim {code.dim} must all agree"
         )
+    return u
 
 
 def avg_gate_fidelity(channel, u, code):
@@ -79,7 +82,7 @@ def avg_gate_fidelity(channel, u, code):
     (2 F_pro + 1 - L)/3 and the direct trace form must agree to 1e-12;
     disagreement means the channel violates the identity's assumptions.
     """
-    _check_dims(channel, u, code)
+    u = _read_target(channel, u, code)
     p = code.projector()
     off_code = np.linalg.norm(u - u @ p)
     if off_code > 1e-8:
@@ -113,7 +116,7 @@ def mc_avg_gate_fidelity(channel, u, code, samples=10000, seed=0):
     substream (seed, b), so the estimate is reproducible and the blocks
     could be evaluated in parallel with a deterministic reduction.
     """
-    _check_dims(channel, u, code)
+    u = _read_target(channel, u, code)
     samples, seed = read_int(samples, "samples", 2), read_int(seed, "seed", 0)
     z, o = code.zero_l, code.one_l
     vals = np.empty(samples)

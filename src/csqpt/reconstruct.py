@@ -67,8 +67,8 @@ import numpy as np
 
 from .channel import KrausSet, kraus_from_json, kraus_to_json, require_isometry
 from .errors import (DimensionMismatchError, NotAChannelError, RetractionError,
-                     ValidationError, read_array, read_bool, read_int, read_json,
-                     read_numbers, read_real)
+                     ValidationError, read_bool, read_int, read_json, read_numbers,
+                     read_real)
 from .fock import MAX_DIM
 from .tomography import ParityModel, _images, parity_model, probe_kets
 
@@ -497,7 +497,8 @@ def result_from_json(data):
             **{k: read_real(lo[k], f"loss {k}")
                for k in ("l2", "l1", "total", "grad_norm")},
             iters_used=read_int(lo["iters_used"], "loss iters_used", 0),
-            history=tuple(read_array(data["history"], (None,), "history").tolist()),
+            history=tuple(read_numbers(data["history"], "history",
+                                       shape=(None,)).tolist()),
             converged=read_bool(lo["converged"], "loss converged"),
             stop_reason=lo.get("stop_reason"),  # absent from older v1 files
         )

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DataQualityError, ValidationError, read_array, read_bool,
-                     read_int, read_json, read_numbers, read_real)
+from .errors import (DataQualityError, ValidationError, read_bool, read_int,
+                     read_json, read_numbers, read_real)
 from .fock import CACHE_ENTRIES, coherent_state, displacement, read_only
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
@@ -24,12 +24,12 @@ MAX_SHOTS = 2**63 - 1  # the int64 that numpy's binomial draw takes
 MAX_GRID = 2**10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeGrid:
     alphas: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerGrid:
     betas: np.ndarray
 
@@ -69,7 +69,7 @@ def grid_axes(values):
     return re_axis, im_axis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyDataset:
     """Wigner values (n_probes, n_betas) for coherent probes through a channel."""
 
@@ -317,8 +317,10 @@ def wigner_value(rho, beta):
     """W(beta) = (2/pi) Tr[D^dag(beta) rho D(beta) P], the real part for a
     non-Hermitian ``rho``.  The one-point model is built uncached, so a
     one-off beta never evicts a fit's grid from the parity cache."""
-    rho = np.asarray(rho, dtype=complex)
-    model = _grid_model(read_numbers(beta, "beta", complex, ndim=0)[None], len(rho))
+    rho = read_numbers(rho, "rho", complex, shape=(None, None))
+    if rho.shape[0] != rho.shape[1]:
+        raise ValidationError(f"rho must be square, got shape {rho.shape}")
+    model = _grid_model(read_numbers(beta, "beta", complex, shape=())[None], len(rho))
     return float(model.expect((rho + rho.conj().T)[None] / 2)[0, 0])
 
 
@@ -394,14 +396,14 @@ def dataset_from_json(data):
             raise DataQualityError(
                 "dataset holds rescaled (normalized) values, not raw Wigner data"
             )
-        probes, betas, values = (
-            read_array(data[key], shape, f"dataset {key}", DataQualityError)
-            for key, shape in (("probes", (None, 2)), ("betas", (None, 2)),
-                               ("values", (None, None))))
         # [re, im] rows viewed as complex, the bits kept as complex(re, im)
+        probes, betas = (
+            read_numbers(data[key], f"dataset {key}", float, DataQualityError,
+                         shape=(None, 2)).view(complex)[:, 0]
+            for key in ("probes", "betas"))
         return TomographyDataset(
-            probes=probes.view(complex)[:, 0], betas=betas.view(complex)[:, 0],
-            values=values, dim=data["dim"], shots=data["shots"], seed=data["seed"],
+            probes=probes, betas=betas, values=data["values"], dim=data["dim"],
+            shots=data["shots"], seed=data["seed"],
         )
     except (KeyError, TypeError) as exc:
         raise DataQualityError(f"malformed dataset JSON: {exc}") from exc

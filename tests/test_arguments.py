@@ -36,6 +36,18 @@ def _mc(samples=8, seed=0):
                                         samples, seed)
 
 
+def _x_channel():
+    return channel.unitary_channel(gates.ideal_logical_x_unitary(gates.BinomialCode(6)))
+
+
+def _target(v):
+    # row 1 of the ideal X is zero: an entry v at column 2 (0_L is |2>)
+    # keeps every row in the code space and every code-word overlap
+    rows = gates.ideal_logical_x(gates.BinomialCode(6)).tolist()
+    rows[1][2] = v
+    return rows
+
+
 @functools.cache
 def _gellmann():
     return basis.gellmann_set(basis.logical_ordered_basis(gates.BinomialCode(6)))
@@ -89,6 +101,14 @@ SITES = {
         basis.logical_ordered_basis(gates.BinomialCode(6)), v).elements, (), 3.0),
     "display_indices n_vectors": (lambda v: basis.display_indices(_gellmann(), v),
                                   (), 3.0),
+    "KrausSet operators": (lambda v: channel.KrausSet([[[1, 0], [0, v]]]).operators,
+                           ("-1", "2.5"), 0.5j),
+    "wigner_value rho": (lambda v: tomography.wigner_value([[0.5, 0], [0, v]], 0.5j),
+                         ("-1", "2.5"), 0.5),
+    "avg_gate_fidelity target": (lambda v: metrics.avg_gate_fidelity(
+        _x_channel(), _target(v), gates.BinomialCode(6)).f_avg, ("-1", "2.5"), 0.5j),
+    "mc_avg_gate_fidelity target": (lambda v: metrics.mc_avg_gate_fidelity(
+        _x_channel(), _target(v), gates.BinomialCode(6), 8), ("-1", "2.5"), 0.5j),
 }
 AMPLITUDES = ("displacement alpha", "coherent_state alpha", "GateStep displace alpha",
               "wigner_value beta", "probe_kets alphas")
@@ -123,6 +143,24 @@ def test_numpy_complex_scalars_are_amplitudes(site):
 def test_refusals_name_the_argument(site, label):
     with pytest.raises(CsqptError, match=site.split()[-1]):
         SITES[site][0](ODD[label])
+
+
+# a matrix of the wrong shape, or with a string, boolean or NaN entry
+BAD_MATRICES = {"2x3": np.zeros((2, 3)), "0-d": np.array(0.5),
+                "'x'": [[1, 0], [0, "x"]], "True": [[True, 0], [0, 1]],
+                "nan": [[np.nan, 0], [0, 1]]}
+MATRIX_SITES = {
+    "operators": lambda m: channel.KrausSet([m]),
+    "rho": lambda m: tomography.wigner_value(m, 0.5j),
+    "target": lambda m: metrics.avg_gate_fidelity(_x_channel(), m, gates.BinomialCode(6)),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_SITES)
+@pytest.mark.parametrize("label", BAD_MATRICES)
+def test_matrices_are_read_whole(name, label):
+    with pytest.raises(CsqptError, match=name):
+        MATRIX_SITES[name](BAD_MATRICES[label])
 
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf])

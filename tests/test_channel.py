@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csqpt import channel, fock, gates
+from csqpt import channel, fock, gates, reconstruct
 from csqpt.errors import (
     DimensionMismatchError,
     NotAChannelError,
@@ -56,6 +56,17 @@ def test_unitary_channel_rejects_nonunitary():
     # a defect that CPTP_TOL would certify is still no unitary
     with pytest.raises(NotAChannelError, match="not an isometry"):
         channel.unitary_channel((1 + 1e-8) * np.eye(4, dtype=complex))
+
+
+def test_a_nan_defect_is_no_isometry():
+    # finite operators whose sum K^dag K overflows to inf - inf = nan
+    big = [[[1e200, 1e200], [1e200, -1e200]]]
+    ks = channel.KrausSet(big)
+    assert np.isnan(ks.defect) and not ks.certified
+    with pytest.raises(ValidationError, match="not an isometry"):
+        reconstruct.stack_kraus(big)
+    with pytest.raises(NotAChannelError, match="not an isometry"):
+        channel.unitary_channel(big[0])
 
 
 def test_apply_matches_explicit_kraus_sum():

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import csqpt
+from csqpt import basis, errors, gates, tomography
 
 PERFBENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -41,6 +43,27 @@ def test_public_names_resolve_to_their_submodules():
         csqpt.no_such_name
     with pytest.raises(ImportError):
         from csqpt import no_such_name  # noqa: F401
+
+
+def test_errors_has_one_reader_per_kind_of_value():
+    # arrays of any shape go through read_numbers, so no second array
+    # reader can return
+    assert {name for name in vars(errors) if name.startswith("read_")} == {
+        "read_json", "read_int", "read_real", "read_numbers", "read_bool", "read_str"}
+
+
+def test_types_holding_arrays_compare_and_hash():
+    ch = csqpt.unitary_channel(np.eye(6))
+    ob = basis.logical_ordered_basis(gates.BinomialCode(6))
+    gm = basis.gellmann_set(ob)
+    probes, grid = tomography.probe_grid(2, 0.5), tomography.wigner_grid(3, 1.0)
+    ds = tomography.simulate_dataset(csqpt.unitary_channel(np.eye(8)), probes, grid)
+    seq = gates.x_gate_sequence()
+    for s in (seq.steps[1], ch, probes, grid, ds, ob, gm, basis.transfer_matrix(ch, gm)):
+        assert s == s and {s} == {s} and hash(s) == hash(s)
+    # so do the sequences and sequence channels built on gate steps
+    assert isinstance(hash(gates.x_gate_sequence()), int)
+    assert seq in {seq, gates.SequenceChannel(seq, None, 6)}
 
 
 def test_reexports_follow_a_rebound_submodule_attribute(monkeypatch):
