@@ -16,6 +16,10 @@ import numpy as np
 from .errors import NumericalConsistencyError, ValidationError, read_int
 from .fock import fock_state
 
+# the logical pair, the error vector and |1>, |3>, |5>: the ordered basis's
+# first vectors, spanning Fock levels 0..5, and the block analyze displays
+DISPLAY = 6
+
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
                    [[1, 0], [0, -1]]], dtype=complex)
 
@@ -35,15 +39,15 @@ class OrderedBasis:
 def logical_ordered_basis(code):
     """Basis ordered as {|0_L>, |1_L>, (|0>-|4>)/sqrt(2), |1>, |3>, |5>, |6>, ...}.
 
-    The first six vectors span Fock levels 0..5; the remaining columns are
-    the bare Fock states |6>, |7>, ... so vector index k >= 6 sits at Fock
-    level k.
+    The first ``DISPLAY`` (six) vectors span Fock levels 0..5; the remaining
+    columns are the bare Fock states |6>, |7>, ... so vector index k >= 6
+    sits at Fock level k.
     """
-    d = read_int(code.dim, "ordered basis dim", 6)
+    d = read_int(code.dim, "ordered basis dim", DISPLAY)
     cols = [code.zero_l, code.one_l, code.error_vec,
             fock_state(1, d), fock_state(3, d), fock_state(5, d)]
     labels = ["0L", "1L", "E", "f1", "f3", "f5"]
-    for n in range(6, d):
+    for n in range(DISPLAY, d):
         cols.append(fock_state(n, d))
         labels.append(f"f{n}")
     vectors = np.stack(cols, axis=1)
@@ -113,11 +117,9 @@ def gellmann_set(basis):
     return GellMannSet(basis.vectors, labels, keys, phases)
 
 
-def display_indices(gm, n_vectors=6):
-    """Indices of the elements supported on the first ``n_vectors`` vectors."""
-    n_vectors = read_int(n_vectors, "n_vectors", 1)
-    return [i for i in range(len(gm.labels))
-            if i == 0 or gm.keys[i, 1] < n_vectors]
+def display_indices(gm):
+    """Indices of the elements supported on the first ``DISPLAY`` vectors."""
+    return [i for i in range(len(gm.labels)) if i == 0 or gm.keys[i, 1] < DISPLAY]
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +175,11 @@ def logical_ptm_of_images(units, images):
     return TransferMatrix(lam, ("I", "X", "Y", "Z"))
 
 
-def population_transfer_matrix(channel, basis, n_keep=6):
-    """P_ij = <b_i| E(|b_j><b_j|) |b_i> over the first ``n_keep`` vectors."""
+def population_transfer_matrix(channel, basis):
+    """P_ij = <b_i| E(|b_j><b_j|) |b_i> over the first ``DISPLAY`` vectors."""
     if channel.dim != basis.dim:
         raise ValidationError("channel and basis dims differ")
-    n_keep = min(read_int(n_keep, "n_keep", 1), basis.dim)
-    v = basis.vectors[:, :n_keep]
+    v = basis.vectors[:, :DISPLAY]
     outs = channel.apply(np.einsum("aj,bj->jab", v, v.conj()))
     p = np.einsum("ai,jab,bi->ij", v.conj(), outs, v).real
-    return TransferMatrix(p, tuple(basis.labels[:n_keep]))
+    return TransferMatrix(p, tuple(basis.labels[:DISPLAY]))

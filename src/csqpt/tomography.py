@@ -81,14 +81,19 @@ class TomographyDataset:
     seed: int
 
     def __post_init__(self):
-        for name, dtype in (("probes", complex), ("betas", complex), ("values", float)):
+        for name, dtype, shape in (("probes", complex, (None,)),
+                                   ("betas", complex, (None,)),
+                                   ("values", float, (None, None))):
             object.__setattr__(self, name, read_numbers(
-                getattr(self, name), f"dataset {name}", dtype, DataQualityError))
+                getattr(self, name), f"dataset {name}", dtype, DataQualityError,
+                shape=shape))
         if self.values.shape != (self.probes.size, self.betas.size):
             raise DataQualityError(
                 f"values shape {self.values.shape} does not match "
                 f"{self.probes.size} probes x {self.betas.size} betas"
             )
+        if not self.values.size:  # its file could not say that [] is (0, 2)
+            raise DataQualityError("dataset holds no probe or no Wigner point")
         for name, low, high in (("dim", 1, None), ("shots", 0, MAX_SHOTS),
                                 ("seed", 0, None)):
             object.__setattr__(self, name, read_int(

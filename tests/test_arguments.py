@@ -48,11 +48,6 @@ def _target(v):
     return rows
 
 
-@functools.cache
-def _gellmann():
-    return basis.gellmann_set(basis.logical_ordered_basis(gates.BinomialCode(6)))
-
-
 def _params(t1, t2):
     p = channel.DecoherenceParams(t1, t2)
     return [p.loss_rate, p.dephasing_rate]
@@ -96,11 +91,6 @@ SITES = {
                           ("-1", "2.5"), 0.5j),
     "random_channel dim": (lambda v: channel.random_channel(
         v, 1, np.random.default_rng(0)).operators, (), 2.0),
-    "population_transfer_matrix n_keep": (lambda v: basis.population_transfer_matrix(
-        channel.unitary_channel(np.eye(6)),
-        basis.logical_ordered_basis(gates.BinomialCode(6)), v).elements, (), 3.0),
-    "display_indices n_vectors": (lambda v: basis.display_indices(_gellmann(), v),
-                                  (), 3.0),
     "KrausSet operators": (lambda v: channel.KrausSet([[[1, 0], [0, v]]]).operators,
                            ("-1", "2.5"), 0.5j),
     "wigner_value rho": (lambda v: tomography.wigner_value([[0.5, 0], [0, v]], 0.5j),

@@ -56,7 +56,7 @@ def test_gellmann_logical_block_elements():
 def test_display_indices_cover_first_six_block():
     code = gates.BinomialCode(10)
     gm = basis.gellmann_set(basis.logical_ordered_basis(code))
-    idx = basis.display_indices(gm, 6)
+    idx = basis.display_indices(gm)
     # identity + 15 sym + 15 asym + 5 diag supported on the first 6 vectors
     assert len(idx) == 36
     assert idx[:4] == [0, 1, 2, 3]
@@ -145,7 +145,7 @@ def test_population_transfer_matrix_permutation():
     code = gates.BinomialCode(8)
     ob = basis.logical_ordered_basis(code)
     ch = channel.unitary_channel(gates.ideal_logical_x_unitary(code))
-    p = basis.population_transfer_matrix(ch, ob, n_keep=6)
+    p = basis.population_transfer_matrix(ch, ob)
     expected = np.eye(6)
     expected[:2, :2] = [[0, 1], [1, 0]]
     assert np.abs(p.elements - expected).max() < 1e-12
@@ -156,7 +156,7 @@ def test_population_columns_sum_to_one_when_full():
     ch = channel.random_channel(6, 2, np_rng)
     code = gates.BinomialCode(6)
     ob = basis.logical_ordered_basis(code)
-    p = basis.population_transfer_matrix(ch, ob, n_keep=6)
+    p = basis.population_transfer_matrix(ch, ob)
     assert np.abs(p.elements.sum(axis=0) - 1).max() < 1e-10
     assert p.elements.min() >= -1e-12
 

@@ -34,10 +34,12 @@ def write_kraus_json(ks, path):
     return str(path)
 
 
-def write_ideal_x_result(dim, path):
-    """Result file holding the exact ideal-X channel (no optimization)."""
-    code = gates.BinomialCode(dim)
-    ks = channel.unitary_channel(gates.ideal_logical_x_unitary(code))
+def write_ideal_x_result(dim, path, u=None):
+    """Result file holding the exact ideal-X channel, or the unitary ``u``'s
+    (no optimization)."""
+    if u is None:
+        u = gates.ideal_logical_x_unitary(gates.BinomialCode(dim))
+    ks = channel.unitary_channel(u)
     cfg = reconstruct.ReconstructionConfig(rank=1, dim=dim)
     l1 = float(np.sum(np.abs(ks.operators.real)) + np.sum(np.abs(ks.operators.imag)))
     report = reconstruct.LossReport(
@@ -284,6 +286,39 @@ def test_analyze_target_errors(tmp_path, capsys):
     assert len(err) == 1 and "not an isometry" in err[0]
 
 
+def test_analyze_custom_targets(tmp_path):
+    # the X sequence as a sequence file, and its composed unitary as a
+    # rank-1 Kraus file: its SNAP steps carry 10 phases, so dim >= 10
+    dim = 10
+    steps = [{"type": "displace", "alpha": [gates.X_GATE_BETAS[0], 0.0],
+              "duration": gates.DISPLACEMENT_DURATION}]
+    for theta, beta in zip(gates.X_GATE_THETAS, gates.X_GATE_BETAS[1:]):
+        steps += [{"type": "snap", "thetas": list(theta),
+                   "duration": gates.SNAP_DURATION},
+                  {"type": "displace", "alpha": [beta, 0.0],
+                   "duration": gates.DISPLACEMENT_DURATION}]
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"steps": steps}))
+    u = gates.compose_unitary(gates.x_gate_sequence(), dim)
+    # a complex result, so that a conjugated target would change the report
+    res = write_ideal_x_result(dim, tmp_path / "res.json", u)
+    kraus = write_kraus_json(channel.unitary_channel(u), tmp_path / "u.json")
+    targets = {"seq": str(seq), "kraus": kraus}
+    code = gates.BinomialCode(dim)
+    ks = reconstruct.load_result(res)[0]
+    want = dataclasses.asdict(metrics.avg_gate_fidelity(
+        ks, code.projector() @ u @ code.projector(), code))
+    reports = {}
+    for name, target in targets.items():
+        out_dir = tmp_path / name
+        assert main(["analyze", "--result", res, "--target", target,
+                     "--out-dir", str(out_dir)]) == 0
+        assert json.loads((out_dir / "fidelity.json").read_text()) == want
+        reports[name] = {f: (out_dir / f).read_bytes() for f in os.listdir(out_dir)}
+    assert len(reports["seq"]) == len(EMIT_CHOICES)
+    assert reports["seq"] == reports["kraus"]
+
+
 def test_analyze_non_cptp_result_is_numerical_failure(tmp_path):
     res_path = tmp_path / "broken.json"
     good = write_ideal_x_result(8, tmp_path / "good.json")
@@ -443,6 +478,27 @@ def test_config_file_merge(tmp_path, capsys):
         assert main(argv + ["--config", str(bad), "--out", str(tmp_path / "x.json")]) == 3
         assert capsys.readouterr().err == f"error: unknown config keys ['{key}']\n"
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("simulate", "[1, 2]", "config file must hold a JSON object"),
+    ("analyze", '{"emit": ["bogus"]}',
+     "bad emit ['bogus']: unknown emit kinds ['bogus']"),
+])
+def test_config_refusals_are_one_data_error(tmp_path, capsys, command, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--out", str(out)]
+    else:
+        res = write_ideal_x_result(8, tmp_path / "res.json")
+        argv = ["analyze", "--result", res, "--out-dir", str(out)]
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def simulate_flags(tmp_path, skip=()):

@@ -8,39 +8,34 @@ import numpy as np
 import pytest
 
 import csqpt
-from csqpt import basis, errors, gates, tomography
+from csqpt import basis, channel, errors, gates, tomography
 
 PERFBENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 SUBMODULES = ("basis", "channel", "errors", "fock", "gates", "metrics",
               "reconstruct", "tomography")
-# Every name the package re-exports, by the submodule that defines it.
-EXPORTS = {
-    "channel": ("DecoherenceParams", "KrausSet", "choi_to_kraus",
-                "kraus_to_choi", "unitary_channel"),
-    "gates": ("BinomialCode", "GateSequence", "SequenceChannel", "ideal_logical_x",
-              "ideal_logical_x_unitary", "noisy_gate_process", "x_gate_sequence"),
-    "tomography": ("TomographyDataset", "load_dataset", "probe_grid",
-                   "save_dataset", "simulate_dataset", "wigner_grid"),
-    "reconstruct": ("ReconstructionConfig", "load_result", "save_result"),
-    "metrics": ("avg_gate_fidelity", "decoder_study", "error_budget",
-                "process_fidelity_choi", "truncation_sweep"),
-}
 
 
 def test_public_names_resolve_to_their_submodules():
     assert csqpt.__version__ == "0.1.0"
+    assert csqpt.__all__ == list(SUBMODULES)
     for name in SUBMODULES:
         assert getattr(csqpt, name).__name__ == f"csqpt.{name}"
-    for module, names in EXPORTS.items():
-        for name in names:
-            assert getattr(csqpt, name) is getattr(getattr(csqpt, module), name)
-    assert sum(map(len, EXPORTS.values())) == 26
     listed = set(dir(csqpt))
     assert listed >= {*SUBMODULES, "__version__"}
-    assert listed >= {name for names in EXPORTS.values() for name in names}
+    # each public name has one home, csqpt.<module>.<name>: the package
+    # reaches none of the functions and classes defined there
+    for module in SUBMODULES:
+        mod = getattr(csqpt, module)
+        for name, value in vars(mod).items():
+            if getattr(value, "__module__", None) == mod.__name__:
+                assert getattr(csqpt, name, None) is not value, name
+    with pytest.raises(AttributeError):
+        csqpt.KrausSet
     with pytest.raises(AttributeError):
         csqpt.no_such_name
+    with pytest.raises(ImportError):
+        from csqpt import simulate_dataset  # noqa: F401
     with pytest.raises(ImportError):
         from csqpt import no_such_name  # noqa: F401
 
@@ -53,27 +48,17 @@ def test_errors_has_one_reader_per_kind_of_value():
 
 
 def test_types_holding_arrays_compare_and_hash():
-    ch = csqpt.unitary_channel(np.eye(6))
+    ch = channel.unitary_channel(np.eye(6))
     ob = basis.logical_ordered_basis(gates.BinomialCode(6))
     gm = basis.gellmann_set(ob)
     probes, grid = tomography.probe_grid(2, 0.5), tomography.wigner_grid(3, 1.0)
-    ds = tomography.simulate_dataset(csqpt.unitary_channel(np.eye(8)), probes, grid)
+    ds = tomography.simulate_dataset(channel.unitary_channel(np.eye(8)), probes, grid)
     seq = gates.x_gate_sequence()
     for s in (seq.steps[1], ch, probes, grid, ds, ob, gm, basis.transfer_matrix(ch, gm)):
         assert s == s and {s} == {s} and hash(s) == hash(s)
     # so do the sequences and sequence channels built on gate steps
     assert isinstance(hash(gates.x_gate_sequence()), int)
     assert seq in {seq, gates.SequenceChannel(seq, None, 6)}
-
-
-def test_reexports_follow_a_rebound_submodule_attribute(monkeypatch):
-    # nothing is cached in the package: an instrumented function is seen
-    # under both names
-    def wrapped(*args):
-        return args
-
-    monkeypatch.setattr(csqpt.metrics, "error_budget", wrapped)
-    assert csqpt.error_budget is wrapped
 
 
 def test_thread_cap_applies_to_numpy_imported_after_the_package():

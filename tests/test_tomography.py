@@ -350,6 +350,39 @@ def test_shape_validation():
         )
 
 
+@pytest.mark.parametrize("probes, betas, values", [
+    # 2-D probes whose size matches: it would save a file that cannot load
+    (np.zeros((2, 2)), np.zeros(3), np.zeros((4, 3))),
+    (np.zeros(4), np.zeros((3, 1)), np.zeros((4, 3))),
+    (np.array(0.5), np.zeros(3), np.zeros((1, 3))),
+    (np.zeros(4), np.zeros(3), np.zeros(12)),
+    (np.zeros(4), np.zeros(3), np.zeros((4, 3, 1))),
+    # no probe or no point: the saved [] would not read back as (0, 2) pairs
+    (np.zeros(0), np.zeros(2), np.zeros((0, 2))),
+    (np.zeros(2), [], np.zeros((2, 0))),
+])
+def test_datasets_that_could_not_load_do_not_construct(probes, betas, values):
+    with pytest.raises(DataQualityError, match="of shape|holds no"):
+        tomography.TomographyDataset(probes=probes, betas=betas, values=values,
+                                     dim=4, shots=0, seed=0)
+
+
+@pytest.mark.parametrize("probes, betas, values", [
+    ([0.5, 1j, 2], (0, -0.5j), [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]),
+    (np.array([0.25 + 0.5j]), np.arange(3), np.ones((1, 3), dtype=int)),
+])
+def test_a_dataset_that_constructs_loads_back_equal(tmp_path, probes, betas, values):
+    ds = tomography.TomographyDataset(probes=probes, betas=betas, values=values,
+                                      dim=4, shots=7, seed=3)
+    path = tmp_path / "ds.json"
+    tomography.save_dataset(ds, path)
+    back = tomography.load_dataset(path)
+    for name in ("probes", "betas", "values"):
+        got, want = getattr(back, name), getattr(ds, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (back.dim, back.shots, back.seed) == (4, 7, 3)
+
+
 def test_simulate_with_gate_channel():
     # the X gate moves vacuum-probe weight toward the displaced code words,
     # so the Wigner slice differs sharply from the input Gaussian
