@@ -139,13 +139,14 @@ class TransferMatrix:
 def transfer_matrix(channel, gm, rows=None):
     """Gell-Mann transfer matrix Lambda_ij = Tr[B_i E(B_j)].
 
-    ``rows`` restricts both rows and columns to the given element indices
-    (defaults to all dim^2).
+    ``rows`` restricts both rows and columns to the given element indices,
+    integers in [0, dim^2) (defaults to all dim^2).
     """
     d = gm.dim
     if channel.dim != d:
         raise ValidationError("channel and basis dims differ")
-    idx = list(range(d * d)) if rows is None else list(rows)
+    idx = list(range(d * d)) if rows is None else [
+        read_int(i, "row", 0, high=d * d - 1) for i in rows]
     mats = gm.elements(idx)
     outs = channel.apply(mats)
     # Tr[B_i^dag X] is the dot product of the flattened conj(B_i) and X

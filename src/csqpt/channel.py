@@ -97,12 +97,15 @@ def unitary_channel(u):
     return require_isometry(KrausSet([u]), NotAChannelError)
 
 
-def operand(x, dim):
-    """``x`` as a complex operator or stack ending in (dim, dim), else raise."""
-    x = np.asarray(x, dtype=complex)
+def operand(x, dim=None):
+    """``x`` as a finite complex operator or stack ending in (dim, dim), any
+    square pair for None; DimensionMismatchError for another shape."""
+    x = read_numbers(x, "operand x", complex)
+    if dim is None:
+        dim = x.shape[-1] if x.ndim else 1  # a number is no operator
     if x.shape[-2:] != (dim, dim):
         raise DimensionMismatchError(
-            f"operator shape {x.shape} does not end in the channel's ({dim}, {dim})"
+            f"operator shape {x.shape} does not end in ({dim}, {dim})"
         )
     return x
 
@@ -210,10 +213,11 @@ def decay(params, duration, x):
     Gaussian dephasing factor exp(-t (m-n)^2 / T_phi) on |m><n| followed by
     bosonic amplitude damping:
     |m><n| -> sum_l c_l(m) c_l(n) |m-l><n-l|,
-    c_l(n)^2 = C(n, l) eta^(n-l) (1-eta)^l, eta = exp(-t/T1).
+    c_l(n)^2 = C(n, l) eta^(n-l) (1-eta)^l, eta = exp(-t/T1).  ``x`` is
+    read by ``operand``: an operator or stack of square ones.
     """
     duration = read_real(duration, "duration", 0)
-    x = np.asarray(x, dtype=complex)
+    x = operand(x)
     d = x.shape[-1]
     n = np.arange(d)
     x = x * np.exp(-params.dephasing_rate * duration * (n[:, None] - n) ** 2)

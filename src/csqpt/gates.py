@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import choi_to_kraus, decay, operand, unitary_channel
+from .channel import DecoherenceParams, choi_to_kraus, decay, operand, unitary_channel
 from .errors import ValidationError, read_int, read_numbers, read_real
 from .fock import MAX_DIM, displacement, fock_state, snap
 
@@ -125,6 +125,12 @@ class SequenceChannel:
     sequence: GateSequence
     params: object
     dim: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", read_int(self.dim, "dim", 1, high=MAX_DIM))
+        if not (self.params is None or isinstance(self.params, DecoherenceParams)):
+            raise ValidationError(
+                f"params must be None or DecoherenceParams, got {self.params!r}")
 
     def apply(self, x):
         """The channel on one operator or a stack of them."""

@@ -184,8 +184,11 @@ def error_budget(seq, params, code):
 
     Each mechanism is activated alone (photon loss with dephasing off;
     pure dephasing with loss off) and its composed-gate infidelity
-    compared against the decoherence-free baseline.
+    compared against the decoherence-free baseline.  ``params`` must be
+    a DecoherenceParams.
     """
+    if not isinstance(params, DecoherenceParams):
+        raise ValidationError(f"params must be DecoherenceParams, got {params!r}")
     dim = code.dim
     target = ideal_logical_x(code)
 

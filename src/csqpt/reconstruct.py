@@ -48,9 +48,9 @@ also simulates datasets: the probes' output states, packed into d^2 real
 coordinates, times the cached packed parity operators of the grid's
 mirror orbits {beta, -beta, conj beta, -conj beta} in four real block
 GEMMs, whose sign combinations give every beta's column.  The l2
-gradient runs the transposed GEMMs to form N_i = sum_j r_ij M_j and
-applies it to the probe images K_k |alpha_i> in one batched product; in a
-fit those images are the ones the accepted trial's forward pass formed.
+gradient applies the model's ``adjoint`` (N_i = sum_j r_ij M_j) to the
+probe images K_k |alpha_i> in one batched product; in a fit those
+images are the ones the accepted trial's forward pass formed.
 
 Gradient convention: for a real loss L the array returned by
 ``euclidean_gradient`` is G = dL/d(conj V), so the derivative of L along a
@@ -70,7 +70,7 @@ from .errors import (DimensionMismatchError, NotAChannelError, RetractionError,
                      ValidationError, read_bool, read_int, read_json, read_numbers,
                      read_real)
 from .fock import MAX_DIM
-from .tomography import ParityModel, _images, parity_model, probe_kets
+from .tomography import _images, parity_model, probe_kets
 
 RESULT_SCHEMA = "csqpt-result-v1"
 
@@ -159,8 +159,8 @@ def predict_wigner(ks, probes, grid):
     ``simulate_dataset`` also calls, packs the output states rho_i into d^2
     real coordinates that meet the packed parity operators of the grid's
     orbits in four real block GEMMs.  ``probes`` and ``grid`` are a
-    ProbeGrid and WignerGrid or their amplitude arrays.  Probe kets and
-    parity operators are built once per (grid, dim) and cached.
+    ProbeGrid and WignerGrid or their flat amplitude arrays.  Probe kets
+    and parity operators are built once per (grid, dim) and cached.
     """
     require_isometry(ks)
     kets = probe_kets(getattr(probes, "alphas", probes), ks.dim)
@@ -196,14 +196,13 @@ def _residual_weights(ds):
 class _Objective:
     """The loss L = l2 + gamma * l1 of a dataset at one fit dim: what ``loss``,
     ``euclidean_gradient`` and ``reconstruct`` minimise.  It owns the probe
-    kets, the parity model, the data, the weights (None: w = 1), gamma, the
-    fold index and a ``ParityModel.workspace``, so the cached model is only read."""
+    kets, the cached parity model, the data, the weights (None: w = 1), gamma
+    and a ``ParityModel.workspace``, so the cached model is only read."""
 
-    def __init__(self, kets, mops, y, weights, gamma):
-        self.kets, self.y, self.weights = kets, y, weights
+    def __init__(self, kets, model, y, weights, gamma):
+        self.kets, self.model, self.y, self.weights = kets, model, y, weights
         self.gamma = read_real(gamma, "gamma", 0)
-        self.model = model = ParityModel.of(mops)
-        self.fold, self.work = model.fold_index(len(kets)), model.workspace(len(kets))
+        self.work = model.workspace(len(kets))
 
     @classmethod
     def of(cls, ds, dim, gamma, what):
@@ -224,19 +223,17 @@ class _Objective:
         return l2, l1, l2 + self.gamma * l1, wresid, images
 
     def gradient(self, v, wresid, images):
-        """Wirtinger gradient of the total loss at v from ``terms(v)``: 2
-        ``ParityModel.gradient`` plus gamma/2 (sign Re + i sign Im), 0 at 0:
+        """Wirtinger gradient of the total loss at v from ``terms(v)``: row
+        block k of 2 sum_i N_i K_k |alpha_i><alpha_i|, N_i the model's
+        ``adjoint`` of wresid, plus gamma/2 (sign Re + i sign Im), 0 at 0:
         twice d(|Re z| + |Im z|)/d(conj z)."""
-        g = 2.0 * self.model.gradient(v, self.kets, wresid, images, self.fold,
-                                      self.work)
+        n = self.model.adjoint(wresid, self.work)
+        # row k of nk[i] is (N_i K_k |alpha_i>)^T
+        nk = images @ n.swapaxes(1, 2)
+        g = 2.0 * (nk.reshape(len(self.kets), -1).T @ self.kets.conj())
         if self.gamma > 0:
             g += (0.5 * self.gamma) * np.sign(v.view(float)).view(complex)
         return g
-
-
-def _loss_terms(v, kets, mops, y_data, gamma, weights=None):
-    """``_Objective.terms`` of v for these inputs."""
-    return _Objective(kets, mops, y_data, weights, gamma).terms(v)
 
 
 def loss(ks, ds, gamma):

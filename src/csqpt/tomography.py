@@ -102,7 +102,8 @@ class TomographyDataset:
 
 def probe_kets(alphas, dim):
     """Coherent kets |alpha_i> as rows (n_probes, dim), cached and read-only."""
-    return _cached_kets(read_numbers(alphas, "alphas", complex).tobytes(), dim)
+    return _cached_kets(
+        read_numbers(alphas, "alphas", complex, shape=(None,)).tobytes(), dim)
 
 
 @functools.lru_cache(CACHE_ENTRIES)
@@ -162,7 +163,8 @@ def _orbits(betas):
 
 
 class ParityModel:
-    """The forward model W_ij = Tr[M_j E(|alpha_i><alpha_i|)] of one grid.
+    """The forward model W_ij = Tr[M_j E(|alpha_i><alpha_i|)] of one grid:
+    the linear map ``expect`` from states to W and its transpose ``adjoint``.
 
     M_j = (2/pi) D(beta_j) P D^dag(beta_j), built from ``fock.displacement``
     (see ``_grid_model``), is Hermitian, so it has d^2 real coordinates,
@@ -172,20 +174,19 @@ class ParityModel:
     -conj beta} of the grid: ``packed`` (d^2, n_orbits) at the
     representatives, and is built with each beta_j's ``orbit`` and
     ``member`` (see ``_orbits``).  A grid without that symmetry just has
-    one orbit per beta.  ``ops`` (n_betas, d, d), the dense read-only
-    stack, is unpacked from it on every read and not kept, so a cached
-    model never grows.
+    one orbit per beta.
 
-    ``expect`` packs output states rho_i into the rows of X (off-diagonal
+    ``expect`` packs states rho_i into the rows of X (off-diagonal
     coordinates doubled) and runs one real GEMM per block against the
     orbit columns; the four products combine by the 4 x 4 ``_SIGNS`` into
     every member's values, and one column gather picks each beta's.
     ``image_wigner`` forms rho_i = sum_k K_k |alpha_i><alpha_i| K_k^dag of
     a Kraus set in one batched product of the probe images K_k |alpha_i>.
-    The gradient's N_i = sum_j c_ij M_j runs the transpose: c folded per
-    orbit with the same signs (repeated betas add up), four GEMMs into the
-    coordinate blocks, unpacked to Hermitian d x d by one gather and
-    applied to the images in one batched product.
+    ``adjoint`` forms N_i = sum_j c_ij M_j: c folded per orbit with the same
+    signs (repeated betas add up), four GEMMs into the coordinate blocks,
+    unpacked to Hermitian d x d by one gather.  ``ops`` (n_betas, d, d),
+    the dense read-only stack, is the adjoint of the identity, formed on
+    every read and not kept, so a cached model never grows.
     """
 
     def __init__(self, packed, orbit, member):
@@ -194,44 +195,24 @@ class ParityModel:
         self._pack, self._src, self._sign, bounds = map(read_only, _layout(dim))
         # Tr[M rho] counts each coordinate once per slot that reads it
         self._scale = read_only(np.bincount(self._src, self._sign != 0, dim * dim))
-        self._sizes = read_only(np.diff(bounds))
         self._rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._orbit, self._member = read_only(orbit), read_only(member)
         # beta_j's column among the member-major 4 x n_orbits columns
         self._gather = read_only(member * packed.shape[1] + orbit)
 
     @property
     def ops(self):
-        signs = np.repeat(_SIGNS[:, self._member].T, self._sizes, axis=1)
-        out = np.empty((self._orbit.size, self.dim, self.dim), dtype=complex)
-        return read_only(self._unpack(self.packed.T[self._orbit] * signs, out))
-
-    def _unpack(self, coords, out):
-        """Hermitian (n, d, d) matrices from coordinate rows (n, d^2), in ``out``."""
-        slots = out.reshape(len(coords), -1).view(float)
-        # mode "raise" would copy through a temporary; every index is in range
-        coords.take(self._src, axis=1, out=slots, mode="clip")
-        slots *= self._sign
-        return out
-
-    @classmethod
-    def of(cls, ops):
-        """The model of a parity stack: ``ops`` itself if it is a model,
-        else a new one packed from the dense stack, one orbit per operator."""
-        if isinstance(ops, cls):
-            return ops
-        ops = np.ascontiguousarray(ops, dtype=complex)
-        n = ops.shape[0]
-        flat = ops.reshape(n, -1).view(float)
-        pack = _layout(ops.shape[-1])[0]
-        return cls(np.ascontiguousarray(flat.take(pack, axis=1).T),
-                   np.arange(n), np.zeros(n, dtype=np.intp))
+        n = self._gather.size
+        return read_only(self.adjoint(np.eye(n), self.workspace(n)))
 
     def workspace(self, rows):
-        """Buffers for ``rows`` states or N_i and their coordinates, which ``expect``
-        and ``image_wigner`` allocate if given none; no result shares their memory."""
+        """Buffers for ``rows`` states or N_i and their coordinates, and the
+        flat (member, orbit) slot of each of rows x n_betas coefficients,
+        which ``image_wigner`` and ``adjoint`` build if given none (``expect``
+        only the coordinates); no result shares their memory."""
         d = self.dim
-        return np.empty((rows, d, d), dtype=complex), np.empty((rows, d * d))
+        fold = np.add.outer(np.arange(rows) * (4 * self.packed.shape[1]), self._gather)
+        return (np.empty((rows, d, d), dtype=complex), np.empty((rows, d * d)),
+                fold.ravel())
 
     def image_wigner(self, images, work=None):
         """W (n_probes, n_betas) of the output states sum_k a_ik a_ik^dag of
@@ -245,7 +226,7 @@ class ParityModel:
         (n, dim, dim); only its diagonal and upper triangle are read."""
         rho = np.ascontiguousarray(rho, dtype=complex)
         n = rho.shape[0]
-        x = (self.workspace(n) if work is None else work)[1]
+        x = np.empty((n, self.dim * self.dim)) if work is None else work[1]
         rho.reshape(n, -1).view(float).take(self._pack, axis=1, out=x, mode="clip")
         x *= self._scale
         y = np.empty((n, 4, self.packed.shape[1]))
@@ -255,32 +236,22 @@ class ParityModel:
         # symmetric
         return (_SIGNS @ y).reshape(n, -1).take(self._gather, axis=1)
 
-    def fold_index(self, rows):
-        """The flat (member, orbit) slot of each of coeffs' rows x n_betas
-        entries, for ``gradient``; a fit builds it once for its probes."""
-        size = 4 * self.packed.shape[1]
-        return np.add.outer(np.arange(rows) * size, self._gather).ravel()
-
-    def gradient(self, operators, kets, coeffs, images, fold, work):
-        """d/d(conj K) of sum_ij coeffs_ij W_ij, shaped like ``operators``.
-
-        Operator k of it is sum_i N_i K_k |alpha_i><alpha_i| with the
-        Hermitian N_i = sum_j coeffs_ij M_j.  ``images``, ``fold`` and ``work``
-        are ``_images(operators, kets)``, ``fold_index(len(coeffs))`` and
-        ``workspace(len(coeffs))``, which a fit already has.
-        """
+    def adjoint(self, coeffs, work=None):
+        """The Hermitian N_i = sum_j coeffs_ij M_j (n, dim, dim) of real
+        coefficients (n, n_betas), written into ``work[0]``."""
         rows = coeffs.shape[0]
+        n, x, fold = self.workspace(rows) if work is None else work
         # c[i, q, o] sums coeffs_ij over the betas j that are member q of
         # orbit o, so a repeated beta counts each time
         c = np.bincount(fold, coeffs.ravel(), rows * 4 * self.packed.shape[1])
         f = _SIGNS @ c.reshape(rows, 4, -1)
         for b, s in enumerate(self._rows):
-            np.matmul(f[:, b], self.packed[s].T, out=work[1][:, s])
-        n = self._unpack(work[1], work[0])
-        # row k of nk[i] is (N_i K_k |alpha_i>)^T
-        nk = images @ n.swapaxes(1, 2)
-        g = nk.reshape(kets.shape[0], -1).T @ kets.conj()
-        return g.reshape(operators.shape)
+            np.matmul(f[:, b], self.packed[s].T, out=x[:, s])
+        slots = n.reshape(rows, -1).view(float)
+        # mode "raise" would copy through a temporary; every index is in range
+        x.take(self._src, axis=1, out=slots, mode="clip")
+        slots *= self._sign
+        return n
 
 
 def _grid_model(betas, dim):
@@ -290,9 +261,9 @@ def _grid_model(betas, dim):
     or not, so P D^dag(beta) = D(beta) P and (2/pi) D(beta) P D^dag(beta)
     = (2/pi) D(2 beta) P (Royer, Phys. Rev. A 15, 449 (1977)): each
     representative's column is ``fock.displacement`` at 2 beta with
-    column n signed (2/pi)(-1)^n, packed by ``_layout(dim)[0]`` as
-    ``ParityModel.of`` packs a dense stack.  The betas are finite
-    (``read_numbers``): ``np.unique`` would fold every NaN into one orbit."""
+    column n signed (2/pi)(-1)^n, packed by ``_layout(dim)[0]``.  The betas
+    are finite (``read_numbers``): ``np.unique`` would fold every NaN into
+    one orbit."""
     reps, orbit, member = _orbits(betas)
     pack = _layout(dim)[0]
     sign = (2 / np.pi) * (-1.0) ** np.arange(dim)
@@ -304,7 +275,8 @@ def _grid_model(betas, dim):
 
 def parity_model(betas, dim):
     """The ParityModel of a beta grid, read-only and cached per (betas, dim)."""
-    return _cached_model(read_numbers(betas, "betas", complex).tobytes(), dim)
+    return _cached_model(
+        read_numbers(betas, "betas", complex, shape=(None,)).tobytes(), dim)
 
 
 @functools.lru_cache(CACHE_ENTRIES)
@@ -314,7 +286,7 @@ def _cached_model(betas, dim):
 
 def displaced_parity_ops(betas, dim):
     """(2/pi) D(beta) P D^dag(beta) = (2/pi) D(2 beta) P for each beta: the
-    read-only stack unpacked from the cached ``parity_model`` on each call."""
+    read-only stack formed from the cached ``parity_model`` on each call."""
     return parity_model(betas, dim).ops
 
 

@@ -190,10 +190,10 @@ def test_08_cptp_and_gradient_correctness(
         point = rec.retract(rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6)))
         g = rec.euclidean_gradient(point, ds, gamma)
         kets = tomography.probe_kets(ds.probes, 6)
-        mops = tomography.displaced_parity_ops(ds.betas, 6)
 
         def total(m):
-            return rec._loss_terms(m, kets, mops, ds.values, gamma)[2]
+            return rec._Objective(kets, tomography.parity_model(ds.betas, 6),
+                                  ds.values, None, gamma).terms(m)[2]
 
         v = point.matrix
         # keep every coordinate away from the |.| kink so the FD stencil is valid

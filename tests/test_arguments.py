@@ -48,6 +48,11 @@ def _target(v):
     return rows
 
 
+@functools.cache
+def _gellmann():
+    return basis.gellmann_set(basis.logical_ordered_basis(gates.BinomialCode(6)))
+
+
 def _params(t1, t2):
     p = channel.DecoherenceParams(t1, t2)
     return [p.loss_rate, p.dephasing_rate]
@@ -99,6 +104,12 @@ SITES = {
         _x_channel(), _target(v), gates.BinomialCode(6)).f_avg, ("-1", "2.5"), 0.5j),
     "mc_avg_gate_fidelity target": (lambda v: metrics.mc_avg_gate_fidelity(
         _x_channel(), _target(v), gates.BinomialCode(6), 8), ("-1", "2.5"), 0.5j),
+    "apply x": (lambda v: channel.unitary_channel(np.eye(2)).apply([[0.5, 0], [0, v]]),
+                ("-1", "2.5"), 0.5j),
+    "decay x": (lambda v: channel.decay(channel.DecoherenceParams(10.0, 10.0), 0.1,
+                                        [[0.5, 0], [0, v]]), ("-1", "2.5"), 0.5j),
+    "transfer_matrix row": (lambda v: basis.transfer_matrix(
+        _x_channel(), _gellmann(), rows=[0, v]).elements, (), 3.0),
 }
 AMPLITUDES = ("displacement alpha", "coherent_state alpha", "GateStep displace alpha",
               "wigner_value beta", "probe_kets alphas")
@@ -166,3 +177,12 @@ def test_transfer_matrix_of_no_rows_is_empty():
     gm = basis.gellmann_set(basis.logical_ordered_basis(gates.BinomialCode(6)))
     lam = basis.transfer_matrix(channel.unitary_channel(np.eye(6)), gm, rows=[])
     assert lam.elements.shape == (0, 0) and lam.labels == ()
+
+
+def test_transfer_matrix_rows_are_element_indices():
+    # the last of dim^2 = 36 elements is row 35, and 36 is past it
+    ch = channel.unitary_channel(np.eye(6))
+    last = basis.transfer_matrix(ch, _gellmann(), rows=[np.int64(35)])
+    assert last.labels == (_gellmann().labels[35],)
+    with pytest.raises(CsqptError, match="row must be an integer >= 0 and <= 35"):
+        basis.transfer_matrix(ch, _gellmann(), rows=[0, 36])

@@ -260,6 +260,14 @@ def test_decay_rejects_negative_duration():
         channel.decay(params, -0.1, np.eye(3, dtype=complex))
 
 
+def test_decay_refuses_operands_not_ending_in_a_square():
+    # a vector was taken for the diagonal of a 3 x 3 operator
+    params = channel.DecoherenceParams(t1=1.0, t2=1.0)
+    for x in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.array(0.5)):
+        with pytest.raises(DimensionMismatchError):
+            channel.decay(params, 0.1, x)
+
+
 def test_decay_matches_lindblad_expm(lindblad_expm):
     for t1, t2 in ((np.inf, np.inf), (np.inf, 40.0), (60.0, 120.0), (35.0, 22.0)):
         params = channel.DecoherenceParams(t1=t1, t2=t2)

@@ -87,6 +87,23 @@ def test_noise_free_sequence_channel_is_one_unitary():
     assert np.abs(ch.apply(stack) - stepwise(stack)).max() <= 1e-13
 
 
+def test_sequence_channel_reads_its_settings():
+    # params is None or decay times, dim an integer size; a bad one is
+    # refused where the channel is built, not by AttributeError in apply
+    seq = gates.x_gate_sequence()
+    for params, dim in (("x", 12), ((315, 478), 12), ({"t1": 315}, 12),
+                        (None, 2.5), (None, 0), (None, "12"), (None, True),
+                        (None, fock.MAX_DIM + 1)):
+        with pytest.raises(ValidationError):
+            gates.SequenceChannel(seq, params, dim)
+    params = channel.DecoherenceParams(t1=315.0, t2=478.0)
+    ch = gates.SequenceChannel(seq, params, 12.0)
+    assert type(ch.dim) is int and ch.apply(np.eye(12)).shape == (12, 12)
+    # equal settings give equal, equally hashed channels
+    again = gates.SequenceChannel(seq, channel.DecoherenceParams(315.0, 478.0), 12)
+    assert ch == again and hash(ch) == hash(again) and len({ch, again}) == 1
+
+
 def test_noisy_process_is_cptp_and_degrades_transfer():
     seq = gates.x_gate_sequence()
     params = channel.DecoherenceParams(t1=315.0, t2=478.0)

@@ -252,6 +252,12 @@ def test_error_budget_decoherence_free(code):
     }
 
 
+def test_error_budget_needs_decay_times(code):
+    for params in (None, (315.0, 478.0)):
+        with pytest.raises(ValidationError, match="DecoherenceParams"):
+            metrics.error_budget(gates.x_gate_sequence(), params, code)
+
+
 def test_error_budget_measured_cavity_times(code, x_target):
     seq = gates.x_gate_sequence()
     params = DecoherenceParams(315.0, 478.0)

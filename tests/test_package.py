@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import csqpt
-from csqpt import basis, channel, errors, gates, tomography
+from csqpt import basis, channel, errors, gates, reconstruct, tomography
 
 PERFBENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -45,6 +45,15 @@ def test_errors_has_one_reader_per_kind_of_value():
     # reader can return
     assert {name for name in vars(errors) if name.startswith("read_")} == {
         "read_json", "read_int", "read_real", "read_numbers", "read_bool", "read_str"}
+
+
+def test_parity_model_is_one_linear_map_and_its_adjoint():
+    # the forward model has one constructor (tomography.parity_model) and
+    # no second path to the fit's loss or gradient
+    assert {name for name in vars(tomography.ParityModel)
+            if not name.startswith("_")} == {
+        "expect", "image_wigner", "adjoint", "workspace", "ops"}
+    assert not hasattr(reconstruct, "_loss_terms")
 
 
 def test_types_holding_arrays_compare_and_hash():

@@ -160,7 +160,8 @@ def test_packed_forward_model_matches_dense_reference(seed):
             disp = displacement(beta, d)
             m = disp @ np.diag((-1.0) ** np.arange(d)) @ disp.conj().T
             ref[i, j] = (2 / np.pi) * np.trace(m @ out).real
-    pred = tomo.ParityModel.of(mops).image_wigner(tomo._images(v, kets))
+    model = tomo.parity_model(betas, d)
+    pred = model.image_wigner(tomo._images(v, kets))
     assert np.abs(pred - ref).max() <= 1e-12
     # out is the last probe's output state
     assert abs(tomo.wigner_value(out, betas[-1]) - ref[-1, -1]) <= 1e-12
@@ -173,11 +174,8 @@ def test_packed_forward_model_matches_dense_reference(seed):
     nphi = np.einsum("iab,kbi->kai", n, phi)
     g_ref = 2.0 * np.einsum("kai,ic->kac", nphi, kets.conj()).reshape(r * d, d)
     images = tomo._images(v, kets)
-    g = rec._Objective(kets, mops, ref, None, 0.0).gradient(v, resid, images)
+    g = rec._Objective(kets, model, ref, None, 0.0).gradient(v, resid, images)
     assert np.abs(g - g_ref).max() <= 1e-12
-    # a writable copy of the stack is packed the same way
-    objective = rec._Objective(kets, np.array(mops), ref, None, 0.0)
-    assert np.abs(objective.gradient(v, resid, images) - g_ref).max() <= 1e-12
 
 
 def test_forward_model_caches_read_only_and_bounded():
@@ -364,11 +362,11 @@ def test_gradient_matches_finite_differences():
     pt = rec.retract(rng.standard_normal((r * d, d)) + 1j * rng.standard_normal((r * d, d)))
     gamma = 4e-4
     g = rec.euclidean_gradient(pt, ds, gamma)
-    kets = tomo.probe_kets(ds.probes, d)
-    mops = tomo.displaced_parity_ops(ds.betas, d)
+    objective = rec._Objective(tomo.probe_kets(ds.probes, d),
+                               tomo.parity_model(ds.betas, d), ds.values, None, gamma)
 
     def total(m):
-        return rec._loss_terms(m, kets, mops, ds.values, gamma)[2]
+        return objective.terms(m)[2]
 
     assert fd_wirtinger_mismatch(total, g, pt.matrix) <= 1e-5
 
@@ -395,10 +393,10 @@ def test_weighted_gradient_matches_finite_differences():
     gamma = 4e-4
     g = rec.euclidean_gradient(pt, ds, gamma)
     kets = tomo.probe_kets(ds.probes, d)
-    mops = tomo.displaced_parity_ops(ds.betas, d)
+    model = tomo.parity_model(ds.betas, d)
 
     def total(m):
-        resid = tomo.ParityModel.of(mops).image_wigner(tomo._images(m, kets)) - ds.values
+        resid = model.image_wigner(tomo._images(m, kets)) - ds.values
         return float((w * resid**2).sum()) + gamma * rec._l1_parts(m)
 
     assert fd_wirtinger_mismatch(total, g, pt.matrix) <= 1e-5
@@ -439,10 +437,10 @@ def test_gradient_matches_finite_differences_random_sizes(shots, d, r, seed):
     gamma = 4e-4
     g = rec.euclidean_gradient(pt, ds, gamma)
     kets = tomo.probe_kets(ds.probes, d)
-    mops = tomo.displaced_parity_ops(ds.betas, d)
+    model = tomo.parity_model(ds.betas, d)
 
     def total(m):
-        resid = tomo.ParityModel.of(mops).image_wigner(tomo._images(m, kets)) - ds.values
+        resid = model.image_wigner(tomo._images(m, kets)) - ds.values
         return float((w * resid**2).sum()) + gamma * rec._l1_parts(m)
 
     assert fd_wirtinger_mismatch(total, g, pt.matrix, h) <= 1e-5
@@ -712,8 +710,8 @@ def test_memoryless_first_step():
     xi = rec._project(point.matrix, rec.euclidean_gradient(point, ds, cfg.gamma))
     moved = rec._retraction_along(point.matrix, xi)(cfg.step_size)
     kets = tomo.probe_kets(ds.probes, 6)
-    mops = tomo.parity_model(ds.betas, 6)
-    expected = rec._loss_terms(moved, kets, mops, ds.values, cfg.gamma)[2]
+    model = tomo.parity_model(ds.betas, 6)
+    expected = rec._Objective(kets, model, ds.values, None, cfg.gamma).terms(moved)[2]
     assert rep.history == (rec.loss(point, ds, cfg.gamma).total, expected)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from csqpt import basis, channel, fock, gates, tomography
+from csqpt import basis, channel, fock, gates, reconstruct, tomography
 from csqpt.errors import DataQualityError, ValidationError
 
 np_rng = np.random.default_rng(5511)
@@ -81,8 +81,8 @@ _linspace_axis = np.linspace(-2.62, 2.62, 21)
 ], ids=["origin", "axes", "generic", "asymmetric", "linspace", "repeated"])
 @pytest.mark.filterwarnings("ignore::csqpt.errors.TruncationWarning")
 def test_orbit_model_matches_dense_oracle(betas, n_orbits):
-    # expect, gradient and ops of the orbit model against the dense expm
-    # stack, <= 1e-12; a repeated beta's coefficients add up in the gradient.
+    # expect, adjoint and ops of the orbit model against the dense expm
+    # stack, <= 1e-12; a repeated beta's coefficients add up in the adjoint.
     # Dims 1 and 2 leave coordinate blocks empty: zero-width block GEMMs
     betas = np.asarray(betas, dtype=complex)
     for dim in (7, 1, 2):
@@ -104,11 +104,7 @@ def test_orbit_model_matches_dense_oracle(betas, n_orbits):
 
         coeffs = rng.standard_normal((kets.shape[0], betas.size))
         n = np.einsum("ij,jab->iab", coeffs, ref)  # N_i = sum_j c_ij M_j
-        g_ref = np.einsum("iab,ikb,ic->kac", n, images, kets.conj())
-        rows = len(coeffs)
-        g = model.gradient(kraus, kets, coeffs, tomography._images(kraus, kets),
-                           model.fold_index(rows), model.workspace(rows))
-        assert np.abs(g - g_ref).max() <= 1e-12
+        assert np.abs(model.adjoint(coeffs) - n).max() <= 1e-12
 
 
 def test_square_grids_mirror_exactly():
@@ -125,13 +121,22 @@ def test_square_grids_mirror_exactly():
         with pytest.raises(ValidationError):
             tomography.wigner_grid(n, extent)
     # a non-finite beta has no parity operator (np.unique used to fold every
-    # NaN into one orbit of a NaN model)
-    for build, betas in ((tomography.parity_model, np.full(9, np.nan + 0j)),
-                         (tomography.displaced_parity_ops, [0.5, np.inf])):
-        with pytest.raises(ValidationError):
-            build(betas, 4)
-    with pytest.raises(ValidationError):
-        tomography.wigner_value(np.eye(4) / 4, complex("nan"))
+    # NaN into one orbit of a NaN model), and a 2-D array of probes or betas
+    # is refused by name, not flattened into one ket, operator or prediction
+    # row per entry
+    square = np.zeros((2, 2)) + 0.3
+    ks = channel.unitary_channel(np.eye(4))
+    for call, what in (
+            (lambda: tomography.parity_model(np.full(9, np.nan + 0j), 4), "betas"),
+            (lambda: tomography.displaced_parity_ops([0.5, np.inf], 4), "betas"),
+            (lambda: tomography.wigner_value(np.eye(4) / 4, complex("nan")), "beta"),
+            (lambda: tomography.probe_kets(square, 4), "alphas"),
+            (lambda: tomography.parity_model(square, 4), "betas"),
+            (lambda: tomography.displaced_parity_ops(square, 4), "betas"),
+            (lambda: reconstruct.predict_wigner(ks, square, [0.3]), "alphas"),
+            (lambda: reconstruct.predict_wigner(ks, [0.0], square), "betas")):
+        with pytest.raises(ValidationError, match=what):
+            call()
 
 
 def test_cold_builds_allocate_no_dense_stacks():
