@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, ValidationError, read_int
+from .errors import NumericalConsistencyError, ValidationError, read_int, read_numbers
 from .fock import fock_state
 
 # the logical pair, the error vector and |1>, |3>, |5>: the ordered basis's
@@ -140,13 +140,14 @@ def transfer_matrix(channel, gm, rows=None):
     """Gell-Mann transfer matrix Lambda_ij = Tr[B_i E(B_j)].
 
     ``rows`` restricts both rows and columns to the given element indices,
-    integers in [0, dim^2) (defaults to all dim^2).
+    a flat list of integers in [0, dim^2) (defaults to all dim^2).
     """
     d = gm.dim
     if channel.dim != d:
         raise ValidationError("channel and basis dims differ")
     idx = list(range(d * d)) if rows is None else [
-        read_int(i, "row", 0, high=d * d - 1) for i in rows]
+        read_int(i, "row", 0, high=d * d - 1)
+        for i in read_numbers(rows, "rows", shape=(None,)).tolist()]
     mats = gm.elements(idx)
     outs = channel.apply(mats)
     # Tr[B_i^dag X] is the dot product of the flattened conj(B_i) and X

@@ -1,5 +1,6 @@
 """Binomial-code definitions and the SNAP/displacement gate sequence."""
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,18 +76,23 @@ class GateStep:
             complex if displace else float, shape=() if displace else (None,))[()])
 
 
-@dataclass(frozen=True)
-class GateSequence:
-    steps: tuple
-
-
 def x_gate_sequence():
-    """The calibrated seven-step logical-X sequence (2.5 us total)."""
+    """The calibrated seven-step logical-X sequence, a tuple of GateSteps
+    (2.5 us total)."""
     steps = [GateStep("displace", complex(X_GATE_BETAS[0]), DISPLACEMENT_DURATION)]
     for theta, beta in zip(X_GATE_THETAS, X_GATE_BETAS[1:]):
         steps.append(GateStep("snap", np.array(theta), SNAP_DURATION))
         steps.append(GateStep("displace", complex(beta), DISPLACEMENT_DURATION))
-    return GateSequence(tuple(steps))
+    return tuple(steps)
+
+
+def _read_steps(sequence):
+    """A gate sequence, a list or tuple of GateSteps, as a tuple."""
+    if not isinstance(sequence, (list, tuple)) or not all(
+            isinstance(step, GateStep) for step in sequence):
+        raise ValidationError("sequence must be a list or tuple of GateSteps, "
+                              f"got {reprlib.repr(sequence)}")
+    return tuple(sequence)
 
 
 def step_unitary(step, dim):
@@ -97,8 +103,9 @@ def step_unitary(step, dim):
 
 def compose_unitary(sequence, dim):
     """Product of the step unitaries, first listed step applied first."""
+    dim = read_int(dim, "dim", 1, high=MAX_DIM)
     u = np.eye(dim, dtype=complex)
-    for step in sequence.steps:
+    for step in _read_steps(sequence):
         u = step_unitary(step, dim) @ u
     return u
 
@@ -116,17 +123,19 @@ def ideal_logical_x_unitary(code):
 
 @dataclass(frozen=True)
 class SequenceChannel:
-    """The gate sequence with cavity decay for each step's duration before
-    that step's unitary (``params=None``: unitaries only, applied as their
-    one product U x U^dag).  ``apply`` maps just the operators it is given;
+    """The gate sequence (a list or tuple of GateSteps, held as a tuple)
+    with cavity decay for each step's duration before that step's unitary
+    (``params=None``: unitaries only, applied as their one product
+    U x U^dag).  ``apply`` maps just the operators it is given;
     ``noisy_gate_process`` gives the Kraus operators of the same channel.
     """
 
-    sequence: GateSequence
+    sequence: tuple
     params: object
     dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "sequence", _read_steps(self.sequence))
         object.__setattr__(self, "dim", read_int(self.dim, "dim", 1, high=MAX_DIM))
         if not (self.params is None or isinstance(self.params, DecoherenceParams)):
             raise ValidationError(
@@ -138,7 +147,7 @@ class SequenceChannel:
         if self.params is None:
             u = compose_unitary(self.sequence, self.dim)
             return u @ x @ u.conj().T
-        for step in self.sequence.steps:
+        for step in self.sequence:
             x = decay(self.params, step.duration, x)
             u = step_unitary(step, self.dim)
             x = u @ x @ u.conj().T
@@ -176,4 +185,4 @@ def sequence_from_json(data):
             steps.append(GateStep(kind, param, entry.get("duration", 0.0)))
         except (KeyError, ValidationError) as exc:
             raise ValidationError(f"malformed {kind} step {entry}: {exc!r}") from exc
-    return GateSequence(tuple(steps))
+    return tuple(steps)

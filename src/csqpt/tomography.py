@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (DataQualityError, ValidationError, read_bool, read_int,
                      read_json, read_numbers, read_real)
-from .fock import CACHE_ENTRIES, coherent_state, displacement, read_only
+from .fock import CACHE_ENTRIES, MAX_DIM, coherent_state, displacement, read_only
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
 MAX_SHOTS = 2**63 - 1  # the int64 that numpy's binomial draw takes
@@ -100,10 +100,17 @@ class TomographyDataset:
                 getattr(self, name), f"dataset {name}", low, DataQualityError, high))
 
 
+def _amplitudes(values, what):
+    """The bytes of a non-empty flat list of amplitudes, the cache key."""
+    values = read_numbers(values, what, complex, shape=(None,))
+    if not values.size:
+        raise ValidationError(f"{what} must hold at least one amplitude")
+    return values.tobytes()
+
+
 def probe_kets(alphas, dim):
     """Coherent kets |alpha_i> as rows (n_probes, dim), cached and read-only."""
-    return _cached_kets(
-        read_numbers(alphas, "alphas", complex, shape=(None,)).tobytes(), dim)
+    return _cached_kets(_amplitudes(alphas, "alphas"), dim)
 
 
 @functools.lru_cache(CACHE_ENTRIES)
@@ -275,8 +282,8 @@ def _grid_model(betas, dim):
 
 def parity_model(betas, dim):
     """The ParityModel of a beta grid, read-only and cached per (betas, dim)."""
-    return _cached_model(
-        read_numbers(betas, "betas", complex, shape=(None,)).tobytes(), dim)
+    return _cached_model(_amplitudes(betas, "betas"),
+                         read_int(dim, "dim", 1, high=MAX_DIM))
 
 
 @functools.lru_cache(CACHE_ENTRIES)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from csqpt import basis, channel, fock, gates, metrics, reconstruct, tomography
-from csqpt.errors import CsqptError, NotAChannelError, RetractionError
+from csqpt.errors import CsqptError, NotAChannelError, RetractionError, ValidationError
 
 ODD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "-1": -1, "2.5": 2.5,
        "True": True, "'1'": "1", "None": None}
@@ -110,6 +110,12 @@ SITES = {
                                         [[0.5, 0], [0, v]]), ("-1", "2.5"), 0.5j),
     "transfer_matrix row": (lambda v: basis.transfer_matrix(
         _x_channel(), _gellmann(), rows=[0, v]).elements, (), 3.0),
+    "compose_unitary dim": (
+        lambda v: gates.compose_unitary(gates.x_gate_sequence(), v), (), 12.0),
+    "parity_model dim": (lambda v: tomography.parity_model([0.5, 0.5j], v).ops,
+                         (), 4.0),
+    "displaced_parity_ops dim": (
+        lambda v: tomography.displaced_parity_ops([0.5, 0.5j], v), (), 4.0),
 }
 AMPLITUDES = ("displacement alpha", "coherent_state alpha", "GateStep displace alpha",
               "wigner_value beta", "probe_kets alphas")
@@ -186,3 +192,60 @@ def test_transfer_matrix_rows_are_element_indices():
     assert last.labels == (_gellmann().labels[35],)
     with pytest.raises(CsqptError, match="row must be an integer >= 0 and <= 35"):
         basis.transfer_matrix(ch, _gellmann(), rows=[0, 36])
+
+
+# not a list or tuple of GateSteps: numbers, a string, a step alone, a
+# nested sequence, a set, a step list with a stray entry
+STEP = gates.GateStep("displace", 0.5, 0.1)
+BAD_SEQUENCES = {"[1, 2]": [1, 2], "'ab'": "ab", "5": 5, "None": None,
+                 "step": STEP, "nested": ((STEP,),), "set": {STEP},
+                 "stray": [STEP, "x"]}
+SEQUENCE_SITES = {
+    "unitary channel": lambda seq: gates.SequenceChannel(seq, None, 4).apply(np.eye(4)),
+    "noisy channel": lambda seq: gates.SequenceChannel(
+        seq, channel.DecoherenceParams(1, 1), 4).apply(np.eye(4)),
+    "compose_unitary": lambda seq: gates.compose_unitary(seq, 4),
+    "noisy_gate_process": lambda seq: gates.noisy_gate_process(seq, None, 4),
+}
+
+
+@pytest.mark.parametrize("site", SEQUENCE_SITES)
+@pytest.mark.parametrize("label", BAD_SEQUENCES)
+def test_sequences_are_lists_of_gate_steps(site, label):
+    with pytest.raises(ValidationError, match="sequence"):
+        SEQUENCE_SITES[site](BAD_SEQUENCES[label])
+
+
+def test_sequence_channel_holds_its_steps_as_a_tuple():
+    seq = gates.x_gate_sequence()
+    ch = gates.SequenceChannel(list(seq), None, 12)
+    assert ch.sequence == seq and ch == gates.SequenceChannel(seq, None, 12)
+    assert hash(ch) == hash(gates.SequenceChannel(seq, None, 12))
+    assert np.array_equal(gates.compose_unitary(list(seq), 12),
+                          gates.compose_unitary(seq, 12))
+    # no step is the identity, at any dim
+    assert np.array_equal(gates.compose_unitary((), 3), np.eye(3))
+
+
+@pytest.mark.parametrize("call, name", [
+    (tomography.probe_kets, "alphas"), (tomography.parity_model, "betas"),
+    (tomography.displaced_parity_ops, "betas")])
+@pytest.mark.parametrize("empty", [[], (), np.zeros(0, complex)])
+def test_amplitude_lists_are_not_empty(call, name, empty):
+    with pytest.raises(ValidationError, match=name):
+        call(empty, 4)
+
+
+@pytest.mark.parametrize("rows", [
+    5, np.int64(5), "05", b"\x00", [[0, 1]], [0, [1]], (0, (1,)), np.zeros((2, 1), int),
+    np.array(3), {0, 1}], ids=repr)
+def test_transfer_matrix_rows_are_a_flat_list(rows):
+    with pytest.raises(ValidationError, match="rows"):
+        basis.transfer_matrix(_x_channel(), _gellmann(), rows=rows)
+
+
+def test_transfer_matrix_rows_come_as_list_tuple_range_or_array():
+    want = basis.transfer_matrix(_x_channel(), _gellmann(), rows=[0, 1, 2])
+    for rows in ((0, 1, 2), range(3), np.arange(3)):
+        got = basis.transfer_matrix(_x_channel(), _gellmann(), rows=rows)
+        assert np.array_equal(got.elements, want.elements) and got.labels == want.labels

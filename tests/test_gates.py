@@ -25,12 +25,15 @@ def test_binomial_code_states():
 
 def test_x_gate_sequence_shape():
     seq = gates.x_gate_sequence()
-    kinds = [s.kind for s in seq.steps]
+    # a sequence is the tuple of its steps
+    assert type(seq) is tuple and len(seq) == 7
+    assert all(isinstance(s, gates.GateStep) for s in seq)
+    kinds = [s.kind for s in seq]
     assert kinds == ["displace", "snap", "displace", "snap", "displace", "snap",
                      "displace"]
-    assert abs(sum(s.duration for s in seq.steps) - 2.5) < 1e-12
+    assert abs(sum(s.duration for s in seq) - 2.5) < 1e-12
     # first SNAP phase vector enters as exp(i theta) on the diagonal
-    u = gates.step_unitary(seq.steps[1], DIM)
+    u = gates.step_unitary(seq[1], DIM)
     assert abs(u[0, 0] - np.exp(-0.67791071j)) < 1e-12
 
 
@@ -78,7 +81,7 @@ def test_noise_free_sequence_channel_is_one_unitary():
     stack = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
 
     def stepwise(x):
-        for step in seq.steps:
+        for step in seq:
             u = gates.step_unitary(step, dim)
             x = u @ x @ u.conj().T
         return x
@@ -131,7 +134,7 @@ def test_noisy_process_population_oracle(lindblad_expm):
     via_kraus = channel.apply(noisy, rho0)
     via_action = gates.SequenceChannel(seq, params, dim).apply(rho0)
     vec = rho0.flatten(order="F")
-    for step in seq.steps:
+    for step in seq:
         vec = lindblad_expm(params, step.duration, dim) @ vec
         u = gates.step_unitary(step, dim)
         vec = np.kron(u.conj(), u) @ vec
@@ -153,7 +156,9 @@ def test_sequence_json_roundtrip():
         steps.append(displace(beta))
     back = gates.sequence_from_json(json.loads(json.dumps({"steps": steps})))
     seq = gates.x_gate_sequence()
-    assert sum(s.duration for s in back.steps) == sum(s.duration for s in seq.steps)
+    assert sum(s.duration for s in back) == sum(s.duration for s in seq)
+    assert type(back) is tuple
+    assert [(s.kind, s.duration) for s in back] == [(s.kind, s.duration) for s in seq]
     u1 = gates.compose_unitary(seq, 12)
     u2 = gates.compose_unitary(back, 12)
     assert np.abs(u1 - u2).max() == 0

@@ -63,7 +63,7 @@ def test_types_holding_arrays_compare_and_hash():
     probes, grid = tomography.probe_grid(2, 0.5), tomography.wigner_grid(3, 1.0)
     ds = tomography.simulate_dataset(channel.unitary_channel(np.eye(8)), probes, grid)
     seq = gates.x_gate_sequence()
-    for s in (seq.steps[1], ch, probes, grid, ds, ob, gm, basis.transfer_matrix(ch, gm)):
+    for s in (seq[1], ch, probes, grid, ds, ob, gm, basis.transfer_matrix(ch, gm)):
         assert s == s and {s} == {s} and hash(s) == hash(s)
     # so do the sequences and sequence channels built on gate steps
     assert isinstance(hash(gates.x_gate_sequence()), int)
