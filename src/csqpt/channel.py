@@ -216,6 +216,8 @@ def decay(params, duration, x):
     c_l(n)^2 = C(n, l) eta^(n-l) (1-eta)^l, eta = exp(-t/T1).  ``x`` is
     read by ``operand``: an operator or stack of square ones.
     """
+    if not isinstance(params, DecoherenceParams):
+        raise ValidationError(f"params must be DecoherenceParams, got {params!r}")
     duration = read_real(duration, "duration", 0)
     x = operand(x)
     d = x.shape[-1]
@@ -234,6 +236,7 @@ def decay(params, duration, x):
 
 def decay_superoperator(params, duration, dim):
     """exp(duration * L) as a d^2 x d^2 matrix acting on column-vec(rho)."""
+    dim = read_int(dim, "dim", 1)
     units = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
     images = decay(params, duration, units)
     return images.transpose(3, 2, 1, 0).reshape(dim * dim, dim * dim)

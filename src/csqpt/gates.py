@@ -57,9 +57,10 @@ class BinomialCode:
         return np.einsum("ai,bj->abij", c, c.conj())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GateStep:
-    """One sequence step: kind 'displace' (complex alpha) or 'snap' (phases)."""
+    """One sequence step, a value: kind 'displace' (alpha, a complex) or
+    'snap' (phases, a tuple of floats)."""
 
     kind: str
     param: object
@@ -71,9 +72,14 @@ class GateStep:
         object.__setattr__(self, "duration", read_real(
             self.duration, f"{self.kind} step duration", 0))
         displace = self.kind == "displace"
-        object.__setattr__(self, "param", read_numbers(
+        param = read_numbers(
             self.param, f"{self.kind} step {'alpha' if displace else 'thetas'}",
-            complex if displace else float, shape=() if displace else (None,))[()])
+            complex if displace else float, shape=() if displace else (None,)).tolist()
+        object.__setattr__(self, "param", param if displace else tuple(param))
+
+    def unitary(self, dim):
+        """The step's dim x dim unitary: D(alpha), or the SNAP diagonal."""
+        return (displacement if self.kind == "displace" else snap)(self.param, dim)
 
 
 def x_gate_sequence():
@@ -81,7 +87,7 @@ def x_gate_sequence():
     (2.5 us total)."""
     steps = [GateStep("displace", complex(X_GATE_BETAS[0]), DISPLACEMENT_DURATION)]
     for theta, beta in zip(X_GATE_THETAS, X_GATE_BETAS[1:]):
-        steps.append(GateStep("snap", np.array(theta), SNAP_DURATION))
+        steps.append(GateStep("snap", theta, SNAP_DURATION))
         steps.append(GateStep("displace", complex(beta), DISPLACEMENT_DURATION))
     return tuple(steps)
 
@@ -95,18 +101,12 @@ def _read_steps(sequence):
     return tuple(sequence)
 
 
-def step_unitary(step, dim):
-    if step.kind == "displace":
-        return displacement(step.param, dim)
-    return snap(step.param, dim)
-
-
 def compose_unitary(sequence, dim):
     """Product of the step unitaries, first listed step applied first."""
     dim = read_int(dim, "dim", 1, high=MAX_DIM)
     u = np.eye(dim, dtype=complex)
     for step in _read_steps(sequence):
-        u = step_unitary(step, dim) @ u
+        u = step.unitary(dim) @ u
     return u
 
 
@@ -149,7 +149,7 @@ class SequenceChannel:
             return u @ x @ u.conj().T
         for step in self.sequence:
             x = decay(self.params, step.duration, x)
-            u = step_unitary(step, self.dim)
+            u = step.unitary(self.dim)
             x = u @ x @ u.conj().T
         return x
 

@@ -501,6 +501,14 @@ def result_from_json(data):
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed result JSON: {exc}") from exc
+    # a fit records its start and one loss per iteration, and builds its
+    # stack at the config's rank and dim
+    if report.iters_used != len(report.history) - 1:
+        raise ValidationError(f"loss iters_used {report.iters_used} does not match "
+                              f"a history of {len(report.history)} losses")
+    if (cfg.rank, cfg.dim) != (ks.rank, ks.dim):
+        raise ValidationError(f"config rank {cfg.rank}, dim {cfg.dim} does not match "
+                              f"the Kraus block's rank {ks.rank}, dim {ks.dim}")
     return ks, report, cfg
 
 

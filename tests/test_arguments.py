@@ -85,10 +85,12 @@ SITES = {
     "probe_grid alpha_max": (lambda v: tomography.probe_grid(3, v).alphas,
                              ("2.5",), 1),
     "coherent_state alpha": (lambda v: fock.coherent_state(v, 32), ("-1", "2.5"), 0.5j),
-    "GateStep displace alpha": (lambda v: gates.step_unitary(
-        gates.GateStep("displace", v, 0.1), 4), ("-1", "2.5"), 0.5j),
-    "GateStep snap thetas": (lambda v: gates.step_unitary(
-        gates.GateStep("snap", [0.1, v], 0.7), 4), ("-1", "2.5"), 0.5),
+    "GateStep displace alpha": (lambda v: gates.GateStep("displace", v, 0.1).unitary(4),
+                                ("-1", "2.5"), 0.5j),
+    "GateStep snap thetas": (lambda v: gates.GateStep("snap", [0.1, v], 0.7).unitary(4),
+                             ("-1", "2.5"), 0.5),
+    "GateStep.unitary dim": (lambda v: gates.GateStep("snap", [0.1], 0.7).unitary(v),
+                             (), 4.0),
     "snap thetas": (lambda v: fock.snap([0.1, v], 4), ("-1", "2.5"), 0.5),
     "wigner_value beta": (lambda v: tomography.wigner_value(np.eye(4) / 4, v),
                           ("-1", "2.5"), 0.5j),
@@ -106,6 +108,10 @@ SITES = {
         _x_channel(), _target(v), gates.BinomialCode(6), 8), ("-1", "2.5"), 0.5j),
     "apply x": (lambda v: channel.unitary_channel(np.eye(2)).apply([[0.5, 0], [0, v]]),
                 ("-1", "2.5"), 0.5j),
+    "decay params": (lambda v: channel.decay(v, 0.1, np.eye(4) / 4), (),
+                     channel.DecoherenceParams(10.0, 10.0)),
+    "decay_superoperator dim": (lambda v: channel.decay_superoperator(
+        channel.DecoherenceParams(10.0, 10.0), 0.1, v), (), 3.0),
     "decay x": (lambda v: channel.decay(channel.DecoherenceParams(10.0, 10.0), 0.1,
                                         [[0.5, 0], [0, v]]), ("-1", "2.5"), 0.5j),
     "transfer_matrix row": (lambda v: basis.transfer_matrix(

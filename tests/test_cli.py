@@ -337,6 +337,10 @@ def test_analyze_non_cptp_result_is_numerical_failure(tmp_path):
     ("loss", "iters_used", 2.5),
     ("loss", "iters_used", "30"),
     ("config", "rank", True),
+    # parts that disagree with a one-entry history and a rank-1, dim-8 block
+    ("loss", "iters_used", 99),
+    ("config", "dim", 32),
+    ("config", "rank", 2),
 ])
 def test_analyze_loose_result_field_is_data_error(tmp_path, capsys, block, key, value):
     data = json.loads(Path(write_ideal_x_result(8, tmp_path / "good.json")).read_text())
@@ -345,7 +349,8 @@ def test_analyze_loose_result_field_is_data_error(tmp_path, capsys, block, key, 
     res_path.write_text(json.dumps(data))
     out_dir = tmp_path / "o"
     assert main(["analyze", "--result", str(res_path), "--out-dir", str(out_dir)]) == 3
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
     assert not out_dir.exists()
 
 

@@ -33,7 +33,7 @@ def test_x_gate_sequence_shape():
                      "displace"]
     assert abs(sum(s.duration for s in seq) - 2.5) < 1e-12
     # first SNAP phase vector enters as exp(i theta) on the diagonal
-    u = gates.step_unitary(seq[1], DIM)
+    u = seq[1].unitary(DIM)
     assert abs(u[0, 0] - np.exp(-0.67791071j)) < 1e-12
 
 
@@ -82,7 +82,7 @@ def test_noise_free_sequence_channel_is_one_unitary():
 
     def stepwise(x):
         for step in seq:
-            u = gates.step_unitary(step, dim)
+            u = step.unitary(dim)
             x = u @ x @ u.conj().T
         return x
 
@@ -136,7 +136,7 @@ def test_noisy_process_population_oracle(lindblad_expm):
     vec = rho0.flatten(order="F")
     for step in seq:
         vec = lindblad_expm(params, step.duration, dim) @ vec
-        u = gates.step_unitary(step, dim)
+        u = step.unitary(dim)
         vec = np.kron(u.conj(), u) @ vec
     via_vec = vec.reshape(dim, dim, order="F")
     # the Kraus form drops Choi eigenvalues below EIG_CUTOFF; the action
@@ -145,8 +145,8 @@ def test_noisy_process_population_oracle(lindblad_expm):
     assert np.abs(via_action - via_vec).max() <= 1e-12
 
 
-def test_sequence_json_roundtrip():
-    # the X gate written out in the documented sequence JSON format
+def x_gate_json():
+    """The X gate written out in the documented sequence JSON format."""
     def displace(beta):
         return {"type": "displace", "alpha": [beta, 0.0], "duration": 0.1}
 
@@ -154,7 +154,11 @@ def test_sequence_json_roundtrip():
     for theta, beta in zip(gates.X_GATE_THETAS, gates.X_GATE_BETAS[1:]):
         steps.append({"type": "snap", "thetas": theta.tolist(), "duration": 0.7})
         steps.append(displace(beta))
-    back = gates.sequence_from_json(json.loads(json.dumps({"steps": steps})))
+    return json.loads(json.dumps({"steps": steps}))
+
+
+def test_sequence_json_roundtrip():
+    back = gates.sequence_from_json(x_gate_json())
     seq = gates.x_gate_sequence()
     assert sum(s.duration for s in back) == sum(s.duration for s in seq)
     assert type(back) is tuple
@@ -162,6 +166,28 @@ def test_sequence_json_roundtrip():
     u1 = gates.compose_unitary(seq, 12)
     u2 = gates.compose_unitary(back, 12)
     assert np.abs(u1 - u2).max() == 0
+
+
+def test_gate_steps_are_values():
+    # equal steps are equal and equally hashed, so sequences and channels
+    # compare by what they do, not by which step objects they hold
+    seq = gates.x_gate_sequence()
+    assert seq == gates.x_gate_sequence() and hash(seq) == hash(gates.x_gate_sequence())
+    assert type(seq[0].param) is complex
+    assert all(type(t) is float for t in seq[1].param) and type(seq[1].param) is tuple
+    snaps = {gates.GateStep("snap", phases, 0.7)
+             for phases in ([0.1, -0.2], (0.1, -0.2), np.array([0.1, -0.2]))}
+    assert snaps == {gates.GateStep("snap", (0.1, -0.2), 0.7)}
+    assert gates.GateStep("displace", 0.5, 0.1) == gates.GateStep("displace", 0.5 + 0j, 0.1)
+    assert gates.GateStep("displace", 0.5, 0.1) != gates.GateStep("displace", 0.5, 0.2)
+
+
+def test_sequence_channels_from_json_and_code_are_one_key():
+    params = channel.DecoherenceParams(315.0, 478.0)
+    from_json = gates.SequenceChannel(gates.sequence_from_json(x_gate_json()), params, 12)
+    from_code = gates.SequenceChannel(gates.x_gate_sequence(), params, 12)
+    assert from_json == from_code and hash(from_json) == hash(from_code)
+    assert {from_json: "json", from_code: "code"} == {from_code: "code"}
 
 
 def test_sequence_from_json_rejects_garbage():

@@ -925,11 +925,29 @@ def test_result_json_counts_and_flags_are_strict(path, value):
 def test_result_json_whole_floats_load_as_integers():
     data = json.loads(json.dumps(rec.result_to_json(*unfitted_result())))
     data["loss"]["iters_used"] = 3.0
+    data["history"] = [1.0, 0.5, 0.25, 0.125]  # three iterations after the start
     data["config"].update(rank=1.0, dim=4.0, max_iters=40.0, seed=7.0)
     _, rep, cfg = rec.result_from_json(data)
     assert type(rep.iters_used) is int and rep.iters_used == 3
     fields = (cfg.rank, cfg.dim, cfg.max_iters, cfg.seed)
     assert [type(x) for x in fields] == [int] * 4 and fields == (1, 4, 40, 7)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d["loss"].update(iters_used=99), "iters_used 99 .* history of 1"),
+    (lambda d: d.update(history=[]), "iters_used 0 .* history of 0"),
+    (lambda d: d.update(history=d["history"] * 2), "iters_used 0 .* history of 2"),
+    (lambda d: d["config"].update(dim=32), "dim 32 .* dim 4"),
+    (lambda d: d["config"].update(rank=2), "rank 2, .* rank 1"),
+], ids=["iters-over-one-loss", "empty-history", "two-losses", "config-dim", "config-rank"])
+def test_result_json_parts_must_agree(edit, match):
+    # a fit's file has one loss for its start and one per iteration, and a
+    # Kraus block of the config's rank and dim; a file that does not is torn
+    data = json.loads(json.dumps(rec.result_to_json(*unfitted_result())))
+    rec.result_from_json(data)
+    edit(data)
+    with pytest.raises(ValidationError, match=match):
+        rec.result_from_json(data)
 
 
 def special_floats(rng, shape):
