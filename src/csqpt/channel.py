@@ -85,7 +85,10 @@ def require_certified(ks):
 
 def require_isometry(ks, error=ValidationError):
     """Return ``ks``; raise ``error`` unless its stack V is an isometry,
-    ||V^dag V - I|| <= ISOMETRY_TOL (so ``ks`` is certified too)."""
+    ||V^dag V - I|| <= ISOMETRY_TOL (so ``ks`` is certified too), and
+    ValidationError unless it is a KrausSet."""
+    if not isinstance(ks, KrausSet):
+        raise ValidationError(f"ks must be a KrausSet, got {ks!r}")
     if not ks.defect <= ISOMETRY_TOL:  # NaN included
         raise error(
             f"Kraus stack is not an isometry: ||V^dag V - I|| = {ks.defect:.2e}")

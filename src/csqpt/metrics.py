@@ -54,7 +54,6 @@ class ErrorBudget:
     baseline: float
     contributions: tuple
     clipped: tuple = ()
-    scope: str = "cavity decoherence channels only"
 
 
 def _unit_interval(x, what):

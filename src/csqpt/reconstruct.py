@@ -70,7 +70,7 @@ from .errors import (DimensionMismatchError, NotAChannelError, RetractionError,
                      ValidationError, read_bool, read_int, read_json, read_numbers,
                      read_real)
 from .fock import MAX_DIM
-from .tomography import _images, parity_model, probe_kets
+from .tomography import TomographyDataset, _images, parity_model, probe_kets
 
 RESULT_SCHEMA = "csqpt-result-v1"
 
@@ -122,28 +122,38 @@ class ReconstructionConfig:
 
 @dataclass(frozen=True)
 class LossReport:
+    """A Kraus set's losses: ``history`` holds the total loss at the start and
+    after each accepted step; ``stop_reason`` is None without a fit."""
+
     l2: float
     l1: float
-    total: float
     grad_norm: float
-    iters_used: int
     history: tuple
-    converged: bool = False  # True only for a fit stopped by grad_tol
-    stop_reason: str = None  # one of STOP_REASONS; None without a fit
+    stop_reason: str = None
 
     def __post_init__(self):
-        if self.stop_reason is None:
-            return
-        if self.stop_reason not in STOP_REASONS:
-            raise ValidationError(
-                f"stop_reason must be one of {STOP_REASONS}, "
-                f"not {self.stop_reason!r}"
-            )
-        if self.converged != (self.stop_reason == "grad_tol"):
-            raise ValidationError(
-                f"converged={self.converged} contradicts "
-                f"stop_reason {self.stop_reason!r}"
-            )
+        for name in ("l2", "l1", "grad_norm"):
+            object.__setattr__(
+                self, name, read_real(getattr(self, name), f"loss {name}"))
+        history = read_numbers(self.history, "history", shape=(None,))
+        if not history.size:
+            raise ValidationError("history must hold at least one loss")
+        object.__setattr__(self, "history", tuple(history.tolist()))
+        reason = self.stop_reason
+        if not (reason is None or isinstance(reason, str) and reason in STOP_REASONS):
+            raise ValidationError(f"stop_reason must be one of {STOP_REASONS} "
+                                  f"or None, not {reason!r}")
+
+    total = property(lambda self: self.history[-1])
+    iters_used = property(lambda self: len(self.history) - 1)
+    converged = property(lambda self: self.stop_reason == "grad_tol")
+
+
+def _read_instance(value, cls, what):
+    """``value`` if it is a ``cls``, else ValidationError naming ``what``."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def stack_kraus(operators):
@@ -207,7 +217,7 @@ class _Objective:
     @classmethod
     def of(cls, ds, dim, gamma, what):
         """The objective of a dataset; ``what`` names the dim it must match."""
-        if ds.dim != dim:
+        if _read_instance(ds, TomographyDataset, "ds").dim != dim:
             raise DimensionMismatchError(
                 f"dataset dim {ds.dim} does not match {what} dim {dim}")
         return cls(probe_kets(ds.probes, dim), parity_model(ds.betas, dim),
@@ -244,10 +254,7 @@ def loss(ks, ds, gamma):
     """
     objective = _Objective.of(ds, require_isometry(ks).dim, gamma, "stack")
     l2, l1, total = objective.terms(ks.matrix)[:3]
-    return LossReport(
-        l2=l2, l1=l1, total=total, grad_norm=0.0, iters_used=0,
-        history=(total,),
-    )
+    return LossReport(l2, l1, 0.0, (total,))
 
 
 def euclidean_gradient(ks, ds, gamma):
@@ -413,6 +420,7 @@ def reconstruct(ds, cfg):
     Returns (KrausSet, LossReport).  The returned set passes
     ``require_isometry``; NotAChannelError if it does not is a hard error.
     """
+    _read_instance(cfg, ReconstructionConfig, "cfg")
     objective = _Objective.of(ds, cfg.dim, cfg.gamma, "config")
     v = initial_point(cfg).matrix
     l2, l1, total, wresid, images = objective.terms(v)
@@ -463,23 +471,30 @@ def reconstruct(ds, cfg):
         xi_old = xi
 
     ks = _kraus_set(v, NotAChannelError)
-    report = LossReport(
-        l2=l2, l1=l1, total=total, grad_norm=grad_norm,
-        iters_used=len(history) - 1, history=tuple(history),
-        converged=stop_reason == "grad_tol", stop_reason=stop_reason,
-    )
-    return ks, report
+    return ks, LossReport(l2, l1, grad_norm, history, stop_reason)
+
+
+def _read_fit(ks, cfg):
+    """Refuse a Kraus set and config that no fit gives: a fit builds its
+    stack at the config's rank and dim."""
+    _read_instance(ks, KrausSet, "ks")
+    _read_instance(cfg, ReconstructionConfig, "cfg")
+    if (cfg.rank, cfg.dim) != (ks.rank, ks.dim):
+        raise ValidationError(f"config rank {cfg.rank}, dim {cfg.dim} does not match "
+                              f"the Kraus block's rank {ks.rank}, dim {ks.dim}")
 
 
 def result_to_json(ks, report, cfg):
-    loss = asdict(report)
-    history = loss.pop("history")
+    _read_fit(ks, cfg)
+    _read_instance(report, LossReport, "report")
     return {
         "schema": RESULT_SCHEMA,
         "config": asdict(cfg),
         "kraus": kraus_to_json(ks),
-        "loss": loss,
-        "history": list(history),
+        "loss": {key: getattr(report, key) for key in (
+            "l2", "l1", "total", "grad_norm", "iters_used", "converged",
+            "stop_reason")},
+        "history": list(report.history),
     }
 
 
@@ -490,31 +505,28 @@ def result_from_json(data):
         ks = kraus_from_json(data["kraus"])
         cfg = ReconstructionConfig(**data["config"])
         lo = data["loss"]
-        report = LossReport(
-            **{k: read_real(lo[k], f"loss {k}")
-               for k in ("l2", "l1", "total", "grad_norm")},
-            iters_used=read_int(lo["iters_used"], "loss iters_used", 0),
-            history=tuple(read_numbers(data["history"], "history",
-                                       shape=(None,)).tolist()),
-            converged=read_bool(lo["converged"], "loss converged"),
-            stop_reason=lo.get("stop_reason"),  # absent from older v1 files
-        )
+        recorded = {"total": read_real(lo["total"], "loss total"),
+                    "iters_used": read_int(lo["iters_used"], "loss iters_used", 0),
+                    "converged": read_bool(lo["converged"], "loss converged")}
+        # an older v1 file has no stop_reason: its converged stands for one
+        reason = lo.get("stop_reason", "grad_tol" if recorded["converged"] else None)
+        report = LossReport(lo["l2"], lo["l1"], lo["grad_norm"], data["history"],
+                            reason)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed result JSON: {exc}") from exc
-    # a fit records its start and one loss per iteration, and builds its
-    # stack at the config's rank and dim
-    if report.iters_used != len(report.history) - 1:
-        raise ValidationError(f"loss iters_used {report.iters_used} does not match "
-                              f"a history of {len(report.history)} losses")
-    if (cfg.rank, cfg.dim) != (ks.rank, ks.dim):
-        raise ValidationError(f"config rank {cfg.rank}, dim {cfg.dim} does not match "
-                              f"the Kraus block's rank {ks.rank}, dim {ks.dim}")
+    for key, value in recorded.items():
+        if value != getattr(report, key):
+            raise ValidationError(f"loss {key} {value!r} does not match a history of "
+                                  f"{len(report.history)} losses and stop_reason "
+                                  f"{reason!r}")
+    _read_fit(ks, cfg)
     return ks, report, cfg
 
 
 def save_result(ks, report, cfg, path):
+    text = json.dumps(result_to_json(ks, report, cfg)) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(result_to_json(ks, report, cfg)) + "\n")
+        fh.write(text)
 
 
 def load_result(path):

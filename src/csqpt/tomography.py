@@ -359,6 +359,8 @@ def _pairs(arr):
 
 
 def dataset_to_json(ds):
+    if not isinstance(ds, TomographyDataset):
+        raise ValidationError(f"ds must be a TomographyDataset, got {ds!r}")
     return {
         "schema": DATASET_SCHEMA,
         "dim": ds.dim,
@@ -394,8 +396,9 @@ def dataset_from_json(data):
 
 
 def save_dataset(ds, path):
+    text = json.dumps(dataset_to_json(ds)) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(dataset_to_json(ds)) + "\n")
+        fh.write(text)
 
 
 def load_dataset(path):

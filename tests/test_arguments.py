@@ -53,6 +53,13 @@ def _gellmann():
     return basis.gellmann_set(basis.logical_ordered_basis(gates.BinomialCode(6)))
 
 
+@functools.cache
+def _fit():
+    """(ks, report, cfg) of a one-step fit of ``_dataset()``."""
+    cfg = reconstruct.ReconstructionConfig(rank=1, dim=8, max_iters=1)
+    return (*reconstruct.reconstruct(_dataset(), cfg), cfg)
+
+
 def _params(t1, t2):
     p = channel.DecoherenceParams(t1, t2)
     return [p.loss_rate, p.dephasing_rate]
@@ -122,6 +129,25 @@ SITES = {
                          (), 4.0),
     "displaced_parity_ops dim": (
         lambda v: tomography.displaced_parity_ops([0.5, 0.5j], v), (), 4.0),
+    # the fit layer's objects: each call reads the object before using it
+    "loss ks": (lambda v: reconstruct.loss(v, _dataset(), 0.0).history, (),
+                channel.unitary_channel(np.eye(8))),
+    "euclidean_gradient ks": (lambda v: reconstruct.euclidean_gradient(
+        v, _dataset(), 0.0), (), channel.unitary_channel(np.eye(8))),
+    "predict_wigner ks": (lambda v: reconstruct.predict_wigner(
+        v, _dataset().probes, _dataset().betas), (),
+        channel.unitary_channel(np.eye(8))),
+    "loss ds": (lambda v: reconstruct.loss(_fit()[0], v, 0.0).history, (), _dataset()),
+    "euclidean_gradient ds": (lambda v: reconstruct.euclidean_gradient(
+        _fit()[0], v, 0.0), (), _dataset()),
+    "reconstruct ds": (lambda v: reconstruct.reconstruct(v, _fit()[2])[1].history, (),
+                       _dataset()),
+    "reconstruct cfg": (lambda v: reconstruct.reconstruct(_dataset(), v)[1].history, (),
+                        reconstruct.ReconstructionConfig(rank=1, dim=8, max_iters=1)),
+    "result_to_json report": (lambda v: reconstruct.result_to_json(
+        _fit()[0], v, _fit()[2])["history"], (), _fit()[1]),
+    "result_to_json cfg": (lambda v: reconstruct.result_to_json(
+        *_fit()[:2], v)["history"], (), _fit()[2]),
 }
 AMPLITUDES = ("displacement alpha", "coherent_state alpha", "GateStep displace alpha",
               "wigner_value beta", "probe_kets alphas")

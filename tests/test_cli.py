@@ -43,8 +43,7 @@ def write_ideal_x_result(dim, path, u=None):
     cfg = reconstruct.ReconstructionConfig(rank=1, dim=dim)
     l1 = float(np.sum(np.abs(ks.operators.real)) + np.sum(np.abs(ks.operators.imag)))
     report = reconstruct.LossReport(
-        l2=0.0, l1=l1, total=cfg.gamma * l1, grad_norm=0.0,
-        iters_used=0, history=(cfg.gamma * l1,), converged=True,
+        l2=0.0, l1=l1, grad_norm=0.0, history=(cfg.gamma * l1,), stop_reason="grad_tol",
     )
     reconstruct.save_result(ks, report, cfg, str(path))
     return str(path)
@@ -829,8 +828,7 @@ def typed_files(tmp_path):
     ds = tomography.simulate_dataset(ident, tomography.probe_grid(2, 0.5),
                                      tomography.wigner_grid(3, 1.0), shots=100, seed=1)
     report = reconstruct.LossReport(
-        l2=0.0, l1=6.0, total=0.0024, grad_norm=0.0, iters_used=0, history=(0.0024,),
-        converged=True, stop_reason="grad_tol")
+        l2=0.0, l1=6.0, grad_norm=0.0, history=(0.0024,), stop_reason="grad_tol")
     path = {name: str(tmp_path / f"{name}.json") for name in TYPED_FIELDS}
     out = str(tmp_path / "out.json")
     grids = ["--dim", "6", "--probe-grid", "2,0.5", "--wigner-grid", "3,1.0",

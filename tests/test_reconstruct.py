@@ -4,7 +4,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -775,13 +776,16 @@ def test_stop_reasons(tmp_path):
     assert 0 < iters["grad_tol"] < 500
     assert iters["line_search_floor"] == 0  # stopped before any step
 
-    # a v1 file written before stop_reason existed still loads
-    data = rec.result_to_json(ks, rep, c)
-    del data["loss"]["stop_reason"]
-    assert rec.result_from_json(data)[1].stop_reason is None
+    # a v1 file written before stop_reason existed still loads; converged
+    # true stands for grad_tol, false for an unknown reason
+    for old in (rep, replace(rep, stop_reason="grad_tol")):
+        data = rec.result_to_json(ks, old, c)
+        del data["loss"]["stop_reason"]
+        assert rec.result_from_json(data)[1].stop_reason == (
+            "grad_tol" if old.converged else None)
     with pytest.raises(ValidationError):
         replace(rep, stop_reason="tired")
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError):  # converged follows from stop_reason
         replace(rep, converged=True)
 
 
@@ -880,8 +884,7 @@ def unfitted_result(dim=4):
     """(ks, report, cfg) of the identity channel with no fit behind it."""
     ks = KrausSet(np.eye(dim)[None])
     cfg = rec.ReconstructionConfig(rank=1, dim=dim)
-    rep = rec.LossReport(l2=0.0, l1=dim, total=cfg.gamma * dim, grad_norm=0.0,
-                         iters_used=0, history=(cfg.gamma * dim,))
+    rep = rec.LossReport(l2=0.0, l1=dim, grad_norm=0.0, history=(cfg.gamma * dim,))
     return ks, rep, cfg
 
 
@@ -925,7 +928,8 @@ def test_result_json_counts_and_flags_are_strict(path, value):
 def test_result_json_whole_floats_load_as_integers():
     data = json.loads(json.dumps(rec.result_to_json(*unfitted_result())))
     data["loss"]["iters_used"] = 3.0
-    data["history"] = [1.0, 0.5, 0.25, 0.125]  # three iterations after the start
+    # three iterations after the start, down to the recorded total
+    data["history"] = [1.0, 0.5, 0.25, data["loss"]["total"]]
     data["config"].update(rank=1.0, dim=4.0, max_iters=40.0, seed=7.0)
     _, rep, cfg = rec.result_from_json(data)
     assert type(rep.iters_used) is int and rep.iters_used == 3
@@ -935,11 +939,17 @@ def test_result_json_whole_floats_load_as_integers():
 
 @pytest.mark.parametrize("edit, match", [
     (lambda d: d["loss"].update(iters_used=99), "iters_used 99 .* history of 1"),
-    (lambda d: d.update(history=[]), "iters_used 0 .* history of 0"),
+    (lambda d: d.update(history=[]), "history must hold at least one loss"),
     (lambda d: d.update(history=d["history"] * 2), "iters_used 0 .* history of 2"),
     (lambda d: d["config"].update(dim=32), "dim 32 .* dim 4"),
     (lambda d: d["config"].update(rank=2), "rank 2, .* rank 1"),
-], ids=["iters-over-one-loss", "empty-history", "two-losses", "config-dim", "config-rank"])
+    (lambda d: d["loss"].update(total=0.5), "total 0.5 .* history of 1"),
+    (lambda d: d["loss"].update(converged=True), "converged True .* stop_reason None"),
+    (lambda d: d["loss"].update(stop_reason="grad_tol"),
+     "converged False .* 'grad_tol'"),
+], ids=["iters-over-one-loss", "empty-history", "two-losses", "config-dim",
+        "config-rank", "total-not-last-loss", "converged-without-reason",
+        "reason-not-converged"])
 def test_result_json_parts_must_agree(edit, match):
     # a fit's file has one loss for its start and one per iteration, and a
     # Kraus block of the config's rank and dim; a file that does not is torn
@@ -948,6 +958,89 @@ def test_result_json_parts_must_agree(edit, match):
     edit(data)
     with pytest.raises(ValidationError, match=match):
         rec.result_from_json(data)
+
+
+def test_loss_report_derives_total_iters_and_converged():
+    # five fields; the last loss, the step count and the converged flag
+    # follow from them, so no report can contradict itself
+    assert [f.name for f in fields(rec.LossReport)] == [
+        "l2", "l1", "grad_norm", "history", "stop_reason"]
+    rep = rec.LossReport(l2=1, l1=2, grad_norm=0, history=[3, 2.5, 2],
+                         stop_reason="grad_tol")
+    assert (rep.l2, rep.l1, rep.grad_norm) == (1.0, 2.0, 0.0)
+    assert rep.history == (3.0, 2.5, 2.0) and type(rep.history[0]) is float
+    assert (rep.total, rep.iters_used, rep.converged) == (2.0, 2, True)
+    assert not replace(rep, stop_reason="max_iters").converged
+    for name in ("total", "iters_used", "converged"):
+        with pytest.raises(TypeError):
+            replace(rep, **{name: getattr(rep, name)})
+        with pytest.raises(AttributeError):
+            setattr(rep, name, getattr(rep, name))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("l2", float("nan")), ("l1", float("inf")), ("grad_norm", -float("inf")),
+    ("l2", True), ("l1", "0.5"), ("grad_norm", None),
+    ("history", ()), ("history", [[0.5, 0.25]]), ("history", (0.5, float("nan"))),
+    ("history", (True,)), ("history", "0.5"), ("history", 0.5),
+    ("stop_reason", "tired"), ("stop_reason", True),
+    ("stop_reason", np.array("grad_tol")), ("stop_reason", np.array(["grad_tol"] * 2)),
+])
+def test_loss_report_reads_its_fields(field, value):
+    good = dict(l2=0.0, l1=1.0, grad_norm=0.0, history=(0.5,), stop_reason=None)
+    with pytest.raises(ValidationError, match=field):
+        rec.LossReport(**{**good, field: value})
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(finite, finite, finite, st.lists(finite, min_size=1, max_size=12),
+       st.sampled_from((None, *rec.STOP_REASONS)))
+def test_every_loss_report_saves_and_loads_back(l2, l1, grad_norm, history, reason):
+    rep = rec.LossReport(l2, l1, grad_norm, history, reason)
+    ks, _, cfg = unfitted_result(2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "result.json")
+        rec.save_result(ks, rep, cfg, path)
+        with open(path, "rb") as fh:
+            text = fh.read()
+        _, back, _ = rec.load_result(path)
+        assert back == rep
+        rec.save_result(ks, back, cfg, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == text
+
+
+def refused_saves():
+    """name -> a save that must raise ValidationError, given its path."""
+    ks, rep, cfg = unfitted_result()
+    nan_l2 = dict(l2=float("nan"), l1=4.0, grad_norm=0.0, history=(0.0016,))
+    return {
+        "dataset None": lambda p: tomo.save_dataset(None, p),
+        "report None": lambda p: rec.save_result(ks, None, cfg, p),
+        "cfg dict": lambda p: rec.save_result(ks, rep, {"rank": 1, "dim": 4}, p),
+        "ks None": lambda p: rec.save_result(None, rep, cfg, p),
+        # a config that no fit of this Kraus set has
+        "config rank and dim": lambda p: rec.save_result(
+            ks, rep, rec.ReconstructionConfig(rank=2, dim=8), p),
+        "nan l2": lambda p: rec.save_result(ks, rec.LossReport(**nan_l2), cfg, p),
+    }
+
+
+REFUSED_SAVES = refused_saves()
+
+
+@pytest.mark.parametrize("case", REFUSED_SAVES)
+def test_refused_save_leaves_the_file_alone(tmp_path, case):
+    # a save builds its JSON text before it opens the path: load would
+    # refuse what save refuses, and a refused save truncates nothing
+    path = tmp_path / "out.json"
+    path.write_bytes(b"previous contents\n")
+    with pytest.raises(ValidationError):
+        REFUSED_SAVES[case](str(path))
+    assert path.read_bytes() == b"previous contents\n"
 
 
 def special_floats(rng, shape):
@@ -995,11 +1088,10 @@ def test_json_writers_match_element_by_element_encoding(seed):
         ks = KrausSet(cplx(r, d, d))
     assert json.dumps(kraus_to_json(ks)) == json.dumps(kraus_by_element(ks))
 
-    t = special_floats(rng, 6).tolist()
+    t = special_floats(rng, 8).tolist()
     cfg = rec.ReconstructionConfig(rank=r, dim=d, gamma=5e-324, max_iters=7,
                                    step_size=1e300, grad_tol=-0.0, seed=seed)
-    rep = rec.LossReport(l2=t[0], l1=t[1], total=t[2], grad_norm=t[3],
-                         iters_used=7, history=tuple(t), converged=False,
+    rep = rec.LossReport(l2=t[0], l1=t[1], grad_norm=t[3], history=tuple(t),
                          stop_reason="max_iters")
     expect = {
         "schema": rec.RESULT_SCHEMA,
@@ -1007,7 +1099,7 @@ def test_json_writers_match_element_by_element_encoding(seed):
                    "step_size": 1e300, "grad_tol": -0.0, "seed": seed,
                    "init": "identity-perturbed"},
         "kraus": kraus_by_element(ks),
-        "loss": {"l2": rep.l2, "l1": rep.l1, "total": rep.total,
+        "loss": {"l2": rep.l2, "l1": rep.l1, "total": t[-1],
                  "grad_norm": rep.grad_norm, "iters_used": 7,
                  "converged": False, "stop_reason": "max_iters"},
         "history": list(rep.history),
