@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionMismatchError, NotAChannelError, ValidationError,
-                     read_int, read_numbers, read_real)
+                     read_instance, read_int, read_numbers, read_real)
 
 # Frobenius defect below which a Kraus set counts as certified CPTP
 CPTP_TOL = 1e-6
@@ -87,9 +87,7 @@ def require_isometry(ks, error=ValidationError):
     """Return ``ks``; raise ``error`` unless its stack V is an isometry,
     ||V^dag V - I|| <= ISOMETRY_TOL (so ``ks`` is certified too), and
     ValidationError unless it is a KrausSet."""
-    if not isinstance(ks, KrausSet):
-        raise ValidationError(f"ks must be a KrausSet, got {ks!r}")
-    if not ks.defect <= ISOMETRY_TOL:  # NaN included
+    if not read_instance(ks, KrausSet, "ks").defect <= ISOMETRY_TOL:  # NaN included
         raise error(
             f"Kraus stack is not an isometry: ||V^dag V - I|| = {ks.defect:.2e}")
     return ks
@@ -258,6 +256,7 @@ def random_channel(dim, rank, rng):
 
 def kraus_to_json(ks):
     """JSON form {"dim", "rank", "operators"} with row-major [re, im] entries."""
+    read_instance(ks, KrausSet, "ks")
     return {
         "dim": ks.dim,
         "rank": ks.rank,

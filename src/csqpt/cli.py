@@ -293,13 +293,8 @@ def cmd_reconstruct(cfg):
         f" total={report.total:.3e} grad_norm={report.grad_norm:.3e}"
     )
     if not report.converged:
-        why = {
-            "max_iters": f"reached the cap of {rcfg.max_iters} iterations",
-            "line_search_floor": (
-                f"line search hit the step floor after {report.iters_used}"
-                " iterations"
-            ),
-        }[report.stop_reason]
+        why = reconstruct.STOP_REASONS[report.stop_reason].format(
+            iters=report.iters_used)
         print(
             f"warning: no convergence: {why}"
             f" (grad_norm {report.grad_norm:.3e} > {rcfg.grad_tol:.1e})",

@@ -111,6 +111,13 @@ def read_bool(value, what, error=ValidationError):
     return value
 
 
+def read_instance(value, cls, what):
+    """``value`` if it is a ``cls``, else ValidationError naming ``what``."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def read_str(value, what, error=ValidationError):
     if not isinstance(value, str):
         raise error(f"{what} must be a string, got {value!r}")

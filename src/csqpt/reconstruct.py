@@ -41,7 +41,7 @@ The loss is L = l2 + gamma * l1 with l2 the squared Wigner residual and l1
 the sum of |Re| and |Im| over the stack.  For a shot-noise dataset
 (``shots`` > 0) each squared residual is weighted by the inverse of that
 point's binomial variance, estimated from the measured W (weighted least
-squares); exact datasets are fitted unweighted.
+squares); every point of an exact dataset weighs one.
 
 Predictions come from ``tomography.ParityModel``, the forward model that
 also simulates datasets: the probes' output states, packed into d^2 real
@@ -67,8 +67,8 @@ import numpy as np
 
 from .channel import KrausSet, kraus_from_json, kraus_to_json, require_isometry
 from .errors import (DimensionMismatchError, NotAChannelError, RetractionError,
-                     ValidationError, read_bool, read_int, read_json, read_numbers,
-                     read_real)
+                     ValidationError, read_bool, read_instance, read_int, read_json,
+                     read_numbers, read_real)
 from .fock import MAX_DIM
 from .tomography import TomographyDataset, _images, parity_model, probe_kets
 
@@ -92,8 +92,13 @@ LBFGS_MEMORY = 5
 # test), a direction d only if cos(xi, d) does (the descent-angle test)
 MIN_COSINE = 1e-4
 
-# why a fit stopped; only "grad_tol" counts as converged
-STOP_REASONS = ("grad_tol", "line_search_floor", "max_iters")
+# why a fit stopped, each with the phrase that says so, {iters} being the
+# report's iters_used; only "grad_tol" counts as converged
+STOP_REASONS = {
+    "grad_tol": "the gradient norm fell to grad_tol after {iters} iterations",
+    "line_search_floor": "line search hit the step floor after {iters} iterations",
+    "max_iters": "reached the cap of {iters} iterations",
+}
 
 
 @dataclass(frozen=True)
@@ -141,19 +146,12 @@ class LossReport:
         object.__setattr__(self, "history", tuple(history.tolist()))
         reason = self.stop_reason
         if not (reason is None or isinstance(reason, str) and reason in STOP_REASONS):
-            raise ValidationError(f"stop_reason must be one of {STOP_REASONS} "
+            raise ValidationError(f"stop_reason must be one of {tuple(STOP_REASONS)} "
                                   f"or None, not {reason!r}")
 
     total = property(lambda self: self.history[-1])
     iters_used = property(lambda self: len(self.history) - 1)
     converged = property(lambda self: self.stop_reason == "grad_tol")
-
-
-def _read_instance(value, cls, what):
-    """``value`` if it is a ``cls``, else ValidationError naming ``what``."""
-    if not isinstance(value, cls):
-        raise ValidationError(f"{what} must be a {cls.__name__}, got {value!r}")
-    return value
 
 
 def stack_kraus(operators):
@@ -178,12 +176,8 @@ def predict_wigner(ks, probes, grid):
     return model.image_wigner(_images(ks.operators, kets))
 
 
-def _l1_parts(v):
-    return float(np.abs(v.view(float)).sum())
-
-
 def _residual_weights(ds):
-    """Inverse-variance weights, normalised to mean 1, or None for exact data.
+    """Inverse-variance weights, normalised to mean 1; all ones for exact data.
 
     A W value averaged over ``shots`` parity bits has variance
     (2/pi)^2 (1 - (pi W / 2)^2) / shots.  The relative variance
@@ -197,7 +191,7 @@ def _residual_weights(ds):
     and shot-noise datasets.
     """
     if ds.shots <= 0:
-        return None
+        return np.ones_like(ds.values)
     var = np.maximum(1.0 - (ds.values * (np.pi / 2)) ** 2, 4.0 / ds.shots)
     w = 1.0 / var
     return w / w.mean()
@@ -205,31 +199,27 @@ def _residual_weights(ds):
 
 class _Objective:
     """The loss L = l2 + gamma * l1 of a dataset at one fit dim: what ``loss``,
-    ``euclidean_gradient`` and ``reconstruct`` minimise.  It owns the probe
-    kets, the cached parity model, the data, the weights (None: w = 1), gamma
-    and a ``ParityModel.workspace``, so the cached model is only read."""
+    ``euclidean_gradient`` and ``reconstruct`` minimise, refusing a dataset
+    of another dim by ``what`` ("stack" or "config").  It owns the probe
+    kets, the cached parity model, the data, their ``_residual_weights``,
+    gamma and a ``ParityModel.workspace``, so the cached model is only read."""
 
-    def __init__(self, kets, model, y, weights, gamma):
-        self.kets, self.model, self.y, self.weights = kets, model, y, weights
-        self.gamma = read_real(gamma, "gamma", 0)
-        self.work = model.workspace(len(kets))
-
-    @classmethod
-    def of(cls, ds, dim, gamma, what):
-        """The objective of a dataset; ``what`` names the dim it must match."""
-        if _read_instance(ds, TomographyDataset, "ds").dim != dim:
+    def __init__(self, ds, dim, gamma, what):
+        if read_instance(ds, TomographyDataset, "ds").dim != dim:
             raise DimensionMismatchError(
                 f"dataset dim {ds.dim} does not match {what} dim {dim}")
-        return cls(probe_kets(ds.probes, dim), parity_model(ds.betas, dim),
-                   ds.values, _residual_weights(ds), gamma)
+        self.kets, self.model = probe_kets(ds.probes, dim), parity_model(ds.betas, dim)
+        self.y, self.weights = ds.values, _residual_weights(ds)
+        self.gamma = read_real(gamma, "gamma", 0)
+        self.work = self.model.workspace(len(self.kets))
 
     def terms(self, v):
         """(l2, l1, total, wresid, images) with l2 = sum w r^2 and wresid = w r:
         ``gradient`` takes ``wresid`` and the probe images K_k |alpha_i>."""
         images = _images(v, self.kets)
         resid = self.model.image_wigner(images, self.work) - self.y
-        wresid = resid if self.weights is None else self.weights * resid
-        l2, l1 = float((resid * wresid).sum()), _l1_parts(v)
+        wresid = self.weights * resid
+        l2, l1 = float((resid * wresid).sum()), float(np.abs(v.view(float)).sum())
         return l2, l1, l2 + self.gamma * l1, wresid, images
 
     def gradient(self, v, wresid, images):
@@ -251,10 +241,13 @@ def loss(ks, ds, gamma):
 
     ``l2`` is the residual term ``reconstruct`` minimises: variance-weighted
     for a shot-noise dataset, the plain sum of squares for exact data.
+    ``grad_norm`` is the projected gradient norm, as a fit reports it.
     """
-    objective = _Objective.of(ds, require_isometry(ks).dim, gamma, "stack")
-    l2, l1, total = objective.terms(ks.matrix)[:3]
-    return LossReport(l2, l1, 0.0, (total,))
+    objective = _Objective(ds, require_isometry(ks).dim, gamma, "stack")
+    v = ks.matrix
+    l2, l1, total, wresid, images = objective.terms(v)
+    xi = _project(v, objective.gradient(v, wresid, images))
+    return LossReport(l2, l1, math.sqrt(_inner(xi, xi)), (total,))
 
 
 def euclidean_gradient(ks, ds, gamma):
@@ -263,7 +256,7 @@ def euclidean_gradient(ks, ds, gamma):
     For a shot-noise dataset the residuals are variance-weighted, as in
     ``reconstruct``.
     """
-    objective = _Objective.of(ds, require_isometry(ks).dim, gamma, "stack")
+    objective = _Objective(ds, require_isometry(ks).dim, gamma, "stack")
     return objective.gradient(ks.matrix, *objective.terms(ks.matrix)[3:])
 
 
@@ -420,8 +413,8 @@ def reconstruct(ds, cfg):
     Returns (KrausSet, LossReport).  The returned set passes
     ``require_isometry``; NotAChannelError if it does not is a hard error.
     """
-    _read_instance(cfg, ReconstructionConfig, "cfg")
-    objective = _Objective.of(ds, cfg.dim, cfg.gamma, "config")
+    read_instance(cfg, ReconstructionConfig, "cfg")
+    objective = _Objective(ds, cfg.dim, cfg.gamma, "config")
     v = initial_point(cfg).matrix
     l2, l1, total, wresid, images = objective.terms(v)
     history = [total]
@@ -477,8 +470,8 @@ def reconstruct(ds, cfg):
 def _read_fit(ks, cfg):
     """Refuse a Kraus set and config that no fit gives: a fit builds its
     stack at the config's rank and dim."""
-    _read_instance(ks, KrausSet, "ks")
-    _read_instance(cfg, ReconstructionConfig, "cfg")
+    read_instance(ks, KrausSet, "ks")
+    read_instance(cfg, ReconstructionConfig, "cfg")
     if (cfg.rank, cfg.dim) != (ks.rank, ks.dim):
         raise ValidationError(f"config rank {cfg.rank}, dim {cfg.dim} does not match "
                               f"the Kraus block's rank {ks.rank}, dim {ks.dim}")
@@ -486,7 +479,7 @@ def _read_fit(ks, cfg):
 
 def result_to_json(ks, report, cfg):
     _read_fit(ks, cfg)
-    _read_instance(report, LossReport, "report")
+    read_instance(report, LossReport, "report")
     return {
         "schema": RESULT_SCHEMA,
         "config": asdict(cfg),

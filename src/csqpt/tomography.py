@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DataQualityError, ValidationError, read_bool, read_int,
-                     read_json, read_numbers, read_real)
+from .errors import (DataQualityError, ValidationError, read_bool, read_instance,
+                     read_int, read_json, read_numbers, read_real)
 from .fock import CACHE_ENTRIES, MAX_DIM, coherent_state, displacement, read_only
 
 DATASET_SCHEMA = "csqpt-dataset-v1"
@@ -191,9 +191,7 @@ class ParityModel:
     a Kraus set in one batched product of the probe images K_k |alpha_i>.
     ``adjoint`` forms N_i = sum_j c_ij M_j: c folded per orbit with the same
     signs (repeated betas add up), four GEMMs into the coordinate blocks,
-    unpacked to Hermitian d x d by one gather.  ``ops`` (n_betas, d, d),
-    the dense read-only stack, is the adjoint of the identity, formed on
-    every read and not kept, so a cached model never grows.
+    unpacked to Hermitian d x d by one gather.
     """
 
     def __init__(self, packed, orbit, member):
@@ -206,16 +204,13 @@ class ParityModel:
         # beta_j's column among the member-major 4 x n_orbits columns
         self._gather = read_only(member * packed.shape[1] + orbit)
 
-    @property
-    def ops(self):
-        n = self._gather.size
-        return read_only(self.adjoint(np.eye(n), self.workspace(n)))
-
     def workspace(self, rows):
         """Buffers for ``rows`` states or N_i and their coordinates, and the
         flat (member, orbit) slot of each of rows x n_betas coefficients,
         which ``image_wigner`` and ``adjoint`` build if given none (``expect``
-        only the coordinates); no result shares their memory."""
+        only the coordinates).  ``adjoint`` returns the first buffer itself,
+        which the next ``image_wigner`` or ``adjoint`` given them
+        overwrites; no other result shares their memory."""
         d = self.dim
         fold = np.add.outer(np.arange(rows) * (4 * self.packed.shape[1]), self._gather)
         return (np.empty((rows, d, d), dtype=complex), np.empty((rows, d * d)),
@@ -293,8 +288,11 @@ def _cached_model(betas, dim):
 
 def displaced_parity_ops(betas, dim):
     """(2/pi) D(beta) P D^dag(beta) = (2/pi) D(2 beta) P for each beta: the
-    read-only stack formed from the cached ``parity_model`` on each call."""
-    return parity_model(betas, dim).ops
+    dense read-only (n_betas, dim, dim) stack, the ``adjoint`` of the
+    identity under the cached ``parity_model``, formed on each call and not
+    kept, so a cached model never grows."""
+    model = parity_model(betas, dim)
+    return read_only(model.adjoint(np.eye(model._gather.size)))
 
 
 def wigner_value(rho, beta):
@@ -359,8 +357,7 @@ def _pairs(arr):
 
 
 def dataset_to_json(ds):
-    if not isinstance(ds, TomographyDataset):
-        raise ValidationError(f"ds must be a TomographyDataset, got {ds!r}")
+    read_instance(ds, TomographyDataset, "ds")
     return {
         "schema": DATASET_SCHEMA,
         "dim": ds.dim,

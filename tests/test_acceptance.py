@@ -189,11 +189,9 @@ def test_08_cptp_and_gradient_correctness(
         ds = tomography.simulate_dataset(truth, probes, grid, shots=0)
         point = rec.retract(rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6)))
         g = rec.euclidean_gradient(point, ds, gamma)
-        kets = tomography.probe_kets(ds.probes, 6)
 
         def total(m):
-            return rec._Objective(kets, tomography.parity_model(ds.betas, 6),
-                                  ds.values, None, gamma).terms(m)[2]
+            return rec._Objective(ds, 6, gamma, "stack").terms(m)[2]
 
         v = point.matrix
         # keep every coordinate away from the |.| kink so the FD stencil is valid

@@ -125,7 +125,7 @@ SITES = {
         _x_channel(), _gellmann(), rows=[0, v]).elements, (), 3.0),
     "compose_unitary dim": (
         lambda v: gates.compose_unitary(gates.x_gate_sequence(), v), (), 12.0),
-    "parity_model dim": (lambda v: tomography.parity_model([0.5, 0.5j], v).ops,
+    "parity_model dim": (lambda v: tomography.parity_model([0.5, 0.5j], v).packed,
                          (), 4.0),
     "displaced_parity_ops dim": (
         lambda v: tomography.displaced_parity_ops([0.5, 0.5j], v), (), 4.0),
@@ -148,6 +148,8 @@ SITES = {
         _fit()[0], v, _fit()[2])["history"], (), _fit()[1]),
     "result_to_json cfg": (lambda v: reconstruct.result_to_json(
         *_fit()[:2], v)["history"], (), _fit()[2]),
+    "kraus_to_json ks": (lambda v: channel.kraus_to_json(v)["operators"], (),
+                         channel.unitary_channel(np.eye(8))),
 }
 AMPLITUDES = ("displacement alpha", "coherent_state alpha", "GateStep displace alpha",
               "wigner_value beta", "probe_kets alphas")

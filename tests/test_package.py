@@ -44,7 +44,8 @@ def test_errors_has_one_reader_per_kind_of_value():
     # arrays of any shape go through read_numbers, so no second array
     # reader can return
     assert {name for name in vars(errors) if name.startswith("read_")} == {
-        "read_json", "read_int", "read_real", "read_numbers", "read_bool", "read_str"}
+        "read_json", "read_int", "read_real", "read_numbers", "read_bool", "read_str",
+        "read_instance"}
 
 
 def test_parity_model_is_one_linear_map_and_its_adjoint():
@@ -52,7 +53,7 @@ def test_parity_model_is_one_linear_map_and_its_adjoint():
     # no second path to the fit's loss or gradient
     assert {name for name in vars(tomography.ParityModel)
             if not name.startswith("_")} == {
-        "expect", "image_wigner", "adjoint", "workspace", "ops"}
+        "expect", "image_wigner", "adjoint", "workspace"}
     assert not hasattr(reconstruct, "_loss_terms")
 
 

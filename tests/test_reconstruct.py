@@ -175,7 +175,8 @@ def test_packed_forward_model_matches_dense_reference(seed):
     nphi = np.einsum("iab,kbi->kai", n, phi)
     g_ref = 2.0 * np.einsum("kai,ic->kac", nphi, kets.conj()).reshape(r * d, d)
     images = tomo._images(v, kets)
-    g = rec._Objective(kets, model, ref, None, 0.0).gradient(v, resid, images)
+    ds = tomo.TomographyDataset(alphas, betas, ref, d, 0, 0)
+    g = rec._Objective(ds, d, 0.0, "stack").gradient(v, resid, images)
     assert np.abs(g - g_ref).max() <= 1e-12
 
 
@@ -278,12 +279,12 @@ def test_objective_workspace_is_reused_scratch():
         return rec.retract(w).matrix
 
     a, b = point(), point()
-    objective = rec._Objective.of(ds, 5, 1e-3, "stack")
+    objective = rec._Objective(ds, 5, 1e-3, "stack")
     evaluations = []
     for v in (a, b, a):
         terms = objective.terms(v)
         evaluations.append((*terms, objective.gradient(v, *terms[3:])))
-    fresh = rec._Objective.of(ds, 5, 1e-3, "stack")
+    fresh = rec._Objective(ds, 5, 1e-3, "stack")
     terms = fresh.terms(a)
     reference = (*terms, fresh.gradient(a, *terms[3:]))
     for got in (evaluations[0], evaluations[2]):
@@ -299,6 +300,36 @@ def test_objective_workspace_is_reused_scratch():
     returned += [model.image_wigner(images, work), model.expect(work[0], work)]
     for x in returned:
         assert not any(np.shares_memory(x, buf) for buf in work)
+    # adjoint's N_i are the workspace's first buffer itself
+    assert model.adjoint(reference[3], work) is work[0]
+
+
+def test_exact_data_weigh_one():
+    # an exact dataset's weights are all ones, and its l2 is the plain sum
+    # of squares bit for bit
+    rng = np.random.default_rng(27)
+    ds = small_dataset(random_channel(5, 2, rng))
+    weights = rec._residual_weights(ds)
+    assert weights.shape == ds.values.shape and (weights == 1.0).all()
+    v = random_isometry(rng, 2, 5)
+    objective = rec._Objective(ds, 5, 1e-3, "stack")
+    l2, l1, total, wresid, _ = objective.terms(v)
+    resid = objective.model.image_wigner(tomo._images(v, objective.kets)) - ds.values
+    assert l2 == float((resid * resid).sum()) and np.array_equal(wresid, resid)
+    assert total == l2 + 1e-3 * float(np.abs(v.view(float)).sum())
+
+
+def test_loss_reports_the_fits_gradient_norm():
+    # loss() of a capped fit's result is the fit's own report, the
+    # projected gradient norm included, bit for bit
+    rng = np.random.default_rng(28)
+    ds = small_dataset(random_channel(6, 2, rng), shots=500, seed=2)
+    cfg = rec.ReconstructionConfig(rank=2, dim=6, max_iters=15, grad_tol=0.0)
+    ks, report = rec.reconstruct(ds, cfg)
+    assert report.stop_reason == "max_iters" and report.grad_norm > 0
+    got = rec.loss(ks, ds, cfg.gamma)
+    fields = ("l2", "l1", "total", "grad_norm")
+    assert [getattr(got, f) for f in fields] == [getattr(report, f) for f in fields]
 
 
 FIT_FAULTS = """
@@ -363,8 +394,7 @@ def test_gradient_matches_finite_differences():
     pt = rec.retract(rng.standard_normal((r * d, d)) + 1j * rng.standard_normal((r * d, d)))
     gamma = 4e-4
     g = rec.euclidean_gradient(pt, ds, gamma)
-    objective = rec._Objective(tomo.probe_kets(ds.probes, d),
-                               tomo.parity_model(ds.betas, d), ds.values, None, gamma)
+    objective = rec._Objective(ds, d, gamma, "stack")
 
     def total(m):
         return objective.terms(m)[2]
@@ -398,7 +428,7 @@ def test_weighted_gradient_matches_finite_differences():
 
     def total(m):
         resid = model.image_wigner(tomo._images(m, kets)) - ds.values
-        return float((w * resid**2).sum()) + gamma * rec._l1_parts(m)
+        return float((w * resid**2).sum()) + gamma * float(np.abs(m.view(float)).sum())
 
     assert fd_wirtinger_mismatch(total, g, pt.matrix) <= 1e-5
     # loss reports the same weighted objective; exact data stays unweighted
@@ -442,7 +472,7 @@ def test_gradient_matches_finite_differences_random_sizes(shots, d, r, seed):
 
     def total(m):
         resid = model.image_wigner(tomo._images(m, kets)) - ds.values
-        return float((w * resid**2).sum()) + gamma * rec._l1_parts(m)
+        return float((w * resid**2).sum()) + gamma * float(np.abs(m.view(float)).sum())
 
     assert fd_wirtinger_mismatch(total, g, pt.matrix, h) <= 1e-5
 
@@ -710,9 +740,7 @@ def test_memoryless_first_step():
     point = rec.initial_point(cfg)
     xi = rec._project(point.matrix, rec.euclidean_gradient(point, ds, cfg.gamma))
     moved = rec._retraction_along(point.matrix, xi)(cfg.step_size)
-    kets = tomo.probe_kets(ds.probes, 6)
-    model = tomo.parity_model(ds.betas, 6)
-    expected = rec._Objective(kets, model, ds.values, None, cfg.gamma).terms(moved)[2]
+    expected = rec._Objective(ds, 6, cfg.gamma, "stack").terms(moved)[2]
     assert rep.history == (rec.loss(point, ds, cfg.gamma).total, expected)
 
 
@@ -775,6 +803,7 @@ def test_stop_reasons(tmp_path):
         assert rec.load_result(path)[1].stop_reason == reason
     assert 0 < iters["grad_tol"] < 500
     assert iters["line_search_floor"] == 0  # stopped before any step
+    assert iters["max_iters"] == 2  # the cap
 
     # a v1 file written before stop_reason existed still loads; converged
     # true stands for grad_tol, false for an unknown reason

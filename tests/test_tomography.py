@@ -48,12 +48,12 @@ def test_parity_stack_matches_expm_build():
     for j, beta in enumerate(betas):
         d = expm(beta * a.conj().T - np.conj(beta) * a)
         ref[j] = (2 / np.pi) * (d @ p @ d.conj().T)
-    ops = tomography.parity_model(betas, dim).ops
+    ops = tomography.displaced_parity_ops(betas, dim)
     assert np.abs(ops - ref).max() <= 1e-13
     # beta = 0 and dim 1 give the bare parity (2/pi) diag((-1)^n)
-    zero = tomography.parity_model(np.zeros(1), dim).ops[0]
+    zero = tomography.displaced_parity_ops(np.zeros(1), dim)[0]
     assert np.abs(zero - (2 / np.pi) * p).max() <= 1e-13
-    one = tomography.parity_model(betas[:3], 1).ops
+    one = tomography.displaced_parity_ops(betas[:3], 1)
     assert np.abs(one - 2 / np.pi).max() <= 1e-15
 
 
@@ -81,8 +81,9 @@ _linspace_axis = np.linspace(-2.62, 2.62, 21)
 ], ids=["origin", "axes", "generic", "asymmetric", "linspace", "repeated"])
 @pytest.mark.filterwarnings("ignore::csqpt.errors.TruncationWarning")
 def test_orbit_model_matches_dense_oracle(betas, n_orbits):
-    # expect, adjoint and ops of the orbit model against the dense expm
-    # stack, <= 1e-12; a repeated beta's coefficients add up in the adjoint.
+    # expect, adjoint and displaced_parity_ops of the orbit model against
+    # the dense expm stack, <= 1e-12; a repeated beta's coefficients add up
+    # in the adjoint.
     # Dims 1 and 2 leave coordinate blocks empty: zero-width block GEMMs
     betas = np.asarray(betas, dtype=complex)
     for dim in (7, 1, 2):
@@ -90,7 +91,7 @@ def test_orbit_model_matches_dense_oracle(betas, n_orbits):
         model = tomography.parity_model(betas, dim)
         assert model.packed.shape == (dim * dim, n_orbits)
         ref = dense_parity(betas, dim)
-        assert np.abs(model.ops - ref).max() <= 1e-12
+        assert np.abs(tomography.displaced_parity_ops(betas, dim) - ref).max() <= 1e-12
 
         rng = np.random.default_rng(betas.size)
         kraus = channel.random_channel(dim, rank, rng).operators
@@ -163,14 +164,15 @@ def test_cold_builds_allocate_no_dense_stacks():
 
 
 def test_reading_ops_leaves_the_cached_model_unchanged():
-    # ops is unpacked on every read and not kept: the cached model gains
-    # no attribute and holds no dense stack once the caller drops it
+    # displaced_parity_ops unpacks the stack on every call and keeps none
+    # of it: the cached model gains no attribute and holds no dense stack
+    # once the caller drops it
     betas = tomography.wigner_grid().betas * (1 + 2e-12)  # not in the cache
     model = tomography.parity_model(betas, 32)
     before = dict(vars(model))
     tracemalloc.start()
     try:
-        ops = model.ops
+        ops = tomography.displaced_parity_ops(betas, 32)
         assert ops.shape == (441, 32, 32) and not ops.flags.writeable
         del ops
         held = tracemalloc.get_traced_memory()[0]
