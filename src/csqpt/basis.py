@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, ValidationError, read_int, read_numbers
+from .errors import NumericalConsistencyError, read_int, read_numbers
 from .fock import fock_state
 
 # the logical pair, the error vector and |1>, |3>, |5>: the ordered basis's
@@ -143,8 +143,6 @@ def transfer_matrix(channel, gm, rows=None):
     a flat list of integers in [0, dim^2) (defaults to all dim^2).
     """
     d = gm.dim
-    if channel.dim != d:
-        raise ValidationError("channel and basis dims differ")
     idx = list(range(d * d)) if rows is None else [
         read_int(i, "row", 0, high=d * d - 1)
         for i in read_numbers(rows, "rows", shape=(None,)).tolist()]
@@ -179,8 +177,6 @@ def logical_ptm_of_images(units, images):
 
 def population_transfer_matrix(channel, basis):
     """P_ij = <b_i| E(|b_j><b_j|) |b_i> over the first ``DISPLAY`` vectors."""
-    if channel.dim != basis.dim:
-        raise ValidationError("channel and basis dims differ")
     v = basis.vectors[:, :DISPLAY]
     outs = channel.apply(np.einsum("aj,bj->jab", v, v.conj()))
     p = np.einsum("ai,jab,bi->ij", v.conj(), outs, v).real

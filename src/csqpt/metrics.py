@@ -10,19 +10,21 @@ Fidelity conventions for the logical qubit (d_L = 2):
   against the direct form (sum_i |Tr[U^dag K_i]|^2 + 2 Tr[P_L E(P_L/2)]) / 6.
 
 Channels are anything with ``dim`` and a stack-wise ``apply``; only the
-Monte Carlo estimate and the Choi fidelity read Kraus operators.
+Monte Carlo estimate, the Choi fidelity and the truncation sweep read
+Kraus operators, so they take a ``KrausSet`` and refuse anything else.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DecoherenceParams
+from .channel import DecoherenceParams, KrausSet
 from .errors import (
     DimensionMismatchError,
     NotAChannelError,
     NumericalConsistencyError,
     ValidationError,
+    read_instance,
     read_int,
     read_numbers,
 )
@@ -115,7 +117,7 @@ def mc_avg_gate_fidelity(channel, u, code, samples=10000, seed=0):
     substream (seed, b), so the estimate is reproducible and the blocks
     could be evaluated in parallel with a deterministic reduction.
     """
-    u = _read_target(channel, u, code)
+    u = _read_target(read_instance(channel, KrausSet, "channel"), u, code)
     samples, seed = read_int(samples, "samples", 2), read_int(seed, "seed", 0)
     z, o = code.zero_l, code.one_l
     vals = np.empty(samples)
@@ -150,6 +152,7 @@ def process_fidelity_choi(a, b, subspace_cut=None):
     compressed Choi matrix is A^T A*, and likewise B.  The fidelity is then
     ||A* B^T||_1^2 / (||A||^2 ||B||^2), one rank_a x rank_b SVD.
     """
+    a, b = read_instance(a, KrausSet, "a"), read_instance(b, KrausSet, "b")
     if a.dim != b.dim:
         raise DimensionMismatchError(f"channel dims {a.dim} and {b.dim} differ")
     d = a.dim
@@ -168,8 +171,12 @@ def process_fidelity_choi(a, b, subspace_cut=None):
 
 
 def truncation_sweep(channel, reference, cuts):
-    """(cut, subspace process fidelity) for each requested input Fock cut."""
-    cuts = list(cuts)
+    """(cut, subspace process fidelity) for each requested input Fock cut,
+    ``cuts`` being a flat list of integers in [0, dim)."""
+    channel = read_instance(channel, KrausSet, "channel")
+    reference = read_instance(reference, KrausSet, "reference")
+    cuts = [read_int(c, "cut", 0, high=channel.dim - 1)
+            for c in read_numbers(cuts, "cuts", shape=(None,)).tolist()]
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValidationError("cuts must be strictly ascending")
     return [

@@ -8,7 +8,6 @@ row-major with Re(beta) varying fastest.
 
 import functools
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,16 +100,16 @@ class TomographyDataset:
 
 
 def _amplitudes(values, what):
-    """The bytes of a non-empty flat list of amplitudes, the cache key."""
+    """A non-empty flat list of amplitudes as a complex array."""
     values = read_numbers(values, what, complex, shape=(None,))
     if not values.size:
         raise ValidationError(f"{what} must hold at least one amplitude")
-    return values.tobytes()
+    return values
 
 
 def probe_kets(alphas, dim):
     """Coherent kets |alpha_i> as rows (n_probes, dim), cached and read-only."""
-    return _cached_kets(_amplitudes(alphas, "alphas"), dim)
+    return _cached_kets(_amplitudes(alphas, "alphas").tobytes(), dim)
 
 
 @functools.lru_cache(CACHE_ENTRIES)
@@ -159,29 +158,27 @@ def _layout(dim):
     return pack, src, sign, np.searchsorted(block[order], np.arange(5))
 
 
-def _orbits(betas):
-    """(reps, orbit, member) of a beta list under beta -> -beta and
-    beta -> conj(beta): beta_j is member member[j] (see ``_SIGNS``) of the
-    orbit of reps[orbit[j]] = |Re beta_j| + i |Im beta_j|."""
-    reps, orbit = np.unique(np.abs(betas.real) + 1j * np.abs(betas.imag),
-                            return_inverse=True)
-    neg = betas.real < 0
-    return reps, orbit, neg + 2 * (neg != (betas.imag < 0))
-
-
 class ParityModel:
     """The forward model W_ij = Tr[M_j E(|alpha_i><alpha_i|)] of one grid:
     the linear map ``expect`` from states to W and its transpose ``adjoint``.
 
-    M_j = (2/pi) D(beta_j) P D^dag(beta_j), built from ``fock.displacement``
-    (see ``_grid_model``), is Hermitian, so it has d^2 real coordinates,
-    grouped into the four blocks of ``_layout``.  M(-beta) and
-    M(conj beta) differ from M(beta) only by the block signs ``_SIGNS``,
-    so the model holds one column per orbit {beta, -beta, conj beta,
-    -conj beta} of the grid: ``packed`` (d^2, n_orbits) at the
-    representatives, and is built with each beta_j's ``orbit`` and
-    ``member`` (see ``_orbits``).  A grid without that symmetry just has
-    one orbit per beta.
+    ``ParityModel(betas, dim)`` reads ``betas`` as a flat, finite,
+    non-empty list of amplitudes (``np.unique`` would fold every NaN into
+    one orbit) and ``dim`` as an integer in [1, ``MAX_DIM``].
+    M_j = (2/pi) D(beta_j) P D^dag(beta_j) is Hermitian, so it has d^2
+    real coordinates, grouped into the four blocks of ``_layout``.
+    M(-beta) and M(conj beta) differ from M(beta) only by the block signs
+    ``_SIGNS``, so the model holds one column per orbit {beta, -beta,
+    conj beta, -conj beta} of the grid: ``packed`` (d^2, orbit count) at the
+    representatives |Re beta| + i |Im beta|, beta_j being member
+    (bit 0 for -beta, bit 1 for a conjugation, as in ``_SIGNS``) of its
+    orbit.  A grid without that symmetry just has one orbit per beta.
+    The columns are built one at a time, so no dense stack is ever held.
+    P anticommutes with the generator beta a^dag - conj(beta) a, truncated
+    or not, so P D^dag(beta) = D(beta) P and (2/pi) D(beta) P D^dag(beta)
+    = (2/pi) D(2 beta) P (Royer, Phys. Rev. A 15, 449 (1977)): each
+    representative's column is ``fock.displacement`` at 2 beta with
+    column n signed (2/pi)(-1)^n, packed by ``_layout``.
 
     ``expect`` packs states rho_i into the rows of X (off-diagonal
     coordinates doubled) and runs one real GEMM per block against the
@@ -194,15 +191,25 @@ class ParityModel:
     unpacked to Hermitian d x d by one gather.
     """
 
-    def __init__(self, packed, orbit, member):
-        self.packed = read_only(packed)
-        self.dim = dim = math.isqrt(packed.shape[0])
+    def __init__(self, betas, dim):
+        betas = _amplitudes(betas, "betas")
+        self.dim = dim = read_int(dim, "dim", 1, high=MAX_DIM)
+        reps, orbit = np.unique(np.abs(betas.real) + 1j * np.abs(betas.imag),
+                                return_inverse=True)
+        neg = betas.real < 0
+        member = neg + 2 * (neg != (betas.imag < 0))
         self._pack, self._src, self._sign, bounds = map(read_only, _layout(dim))
+        sign = (2 / np.pi) * (-1.0) ** np.arange(dim)
+        packed = np.empty((dim * dim, reps.size))
+        for j, rep in enumerate(reps):
+            column = (displacement(2 * rep, dim) * sign).view(float)
+            packed[:, j] = column.take(self._pack)
+        self.packed = read_only(packed)
         # Tr[M rho] counts each coordinate once per slot that reads it
         self._scale = read_only(np.bincount(self._src, self._sign != 0, dim * dim))
         self._rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        # beta_j's column among the member-major 4 x n_orbits columns
-        self._gather = read_only(member * packed.shape[1] + orbit)
+        # beta_j's column among the member-major 4 x (orbit count) columns
+        self._gather = read_only(member * reps.size + orbit)
 
     def workspace(self, rows):
         """Buffers for ``rows`` states or N_i and their coordinates, and the
@@ -256,34 +263,15 @@ class ParityModel:
         return n
 
 
-def _grid_model(betas, dim):
-    """The uncached ParityModel of a beta list, built at its orbits'
-    representatives one at a time, so no dense stack is ever held.  P
-    anticommutes with the generator beta a^dag - conj(beta) a, truncated
-    or not, so P D^dag(beta) = D(beta) P and (2/pi) D(beta) P D^dag(beta)
-    = (2/pi) D(2 beta) P (Royer, Phys. Rev. A 15, 449 (1977)): each
-    representative's column is ``fock.displacement`` at 2 beta with
-    column n signed (2/pi)(-1)^n, packed by ``_layout(dim)[0]``.  The betas
-    are finite (``read_numbers``): ``np.unique`` would fold every NaN into
-    one orbit."""
-    reps, orbit, member = _orbits(betas)
-    pack = _layout(dim)[0]
-    sign = (2 / np.pi) * (-1.0) ** np.arange(dim)
-    packed = np.empty((dim * dim, reps.size))
-    for j, rep in enumerate(reps):
-        packed[:, j] = (displacement(2 * rep, dim) * sign).view(float).take(pack)
-    return ParityModel(packed, orbit, member)
-
-
 def parity_model(betas, dim):
     """The ParityModel of a beta grid, read-only and cached per (betas, dim)."""
-    return _cached_model(_amplitudes(betas, "betas"),
+    return _cached_model(_amplitudes(betas, "betas").tobytes(),
                          read_int(dim, "dim", 1, high=MAX_DIM))
 
 
 @functools.lru_cache(CACHE_ENTRIES)
 def _cached_model(betas, dim):
-    return _grid_model(np.frombuffer(betas, dtype=complex), dim)
+    return ParityModel(np.frombuffer(betas, dtype=complex), dim)
 
 
 def displaced_parity_ops(betas, dim):
@@ -302,7 +290,7 @@ def wigner_value(rho, beta):
     rho = read_numbers(rho, "rho", complex, shape=(None, None))
     if rho.shape[0] != rho.shape[1]:
         raise ValidationError(f"rho must be square, got shape {rho.shape}")
-    model = _grid_model(read_numbers(beta, "beta", complex, shape=())[None], len(rho))
+    model = ParityModel(read_numbers(beta, "beta", complex, shape=())[None], len(rho))
     return float(model.expect((rho + rho.conj().T)[None] / 2)[0, 0])
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from csqpt import basis, channel, fock, gates, metrics, reconstruct, tomography
-from csqpt.errors import CsqptError, NotAChannelError, RetractionError, ValidationError
+from csqpt.errors import (CsqptError, NotAChannelError, RetractionError,
+                          ValidationError, read_numbers)
 
 ODD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "-1": -1, "2.5": 2.5,
        "True": True, "'1'": "1", "None": None}
@@ -58,6 +59,9 @@ def _fit():
     """(ks, report, cfg) of a one-step fit of ``_dataset()``."""
     cfg = reconstruct.ReconstructionConfig(rank=1, dim=8, max_iters=1)
     return (*reconstruct.reconstruct(_dataset(), cfg), cfg)
+
+
+IDENTITY = channel.unitary_channel(np.eye(4))
 
 
 def _params(t1, t2):
@@ -129,6 +133,10 @@ SITES = {
                          (), 4.0),
     "displaced_parity_ops dim": (
         lambda v: tomography.displaced_parity_ops([0.5, 0.5j], v), (), 4.0),
+    "ParityModel betas": (lambda v: tomography.ParityModel([0.1, v], 4).packed,
+                          ("-1", "2.5"), 0.5j),
+    "ParityModel dim": (lambda v: tomography.ParityModel([0.5, 0.5j], v).packed,
+                        (), 4.0),
     # the fit layer's objects: each call reads the object before using it
     "loss ks": (lambda v: reconstruct.loss(v, _dataset(), 0.0).history, (),
                 channel.unitary_channel(np.eye(8))),
@@ -150,9 +158,23 @@ SITES = {
         *_fit()[:2], v)["history"], (), _fit()[2]),
     "kraus_to_json ks": (lambda v: channel.kraus_to_json(v)["operators"], (),
                          channel.unitary_channel(np.eye(8))),
+    # the analysis that reads Kraus operators takes a KrausSet
+    "process_fidelity_choi a": (
+        lambda v: metrics.process_fidelity_choi(v, IDENTITY), (), IDENTITY),
+    "process_fidelity_choi b": (
+        lambda v: metrics.process_fidelity_choi(IDENTITY, v), (), IDENTITY),
+    "mc_avg_gate_fidelity channel": (lambda v: metrics.mc_avg_gate_fidelity(
+        v, gates.ideal_logical_x(gates.BinomialCode(6)), gates.BinomialCode(6), 8),
+        (), _x_channel()),
+    "truncation_sweep channel": (
+        lambda v: metrics.truncation_sweep(v, IDENTITY, [1]), (), IDENTITY),
+    "truncation_sweep reference": (
+        lambda v: metrics.truncation_sweep(IDENTITY, v, [1]), (), IDENTITY),
+    "truncation_sweep cut": (
+        lambda v: metrics.truncation_sweep(IDENTITY, IDENTITY, [0, v]), (), 3.0),
 }
 AMPLITUDES = ("displacement alpha", "coherent_state alpha", "GateStep displace alpha",
-              "wigner_value beta", "probe_kets alphas")
+              "wigner_value beta", "probe_kets alphas", "ParityModel betas")
 
 
 @pytest.mark.parametrize("site, label", [
@@ -202,6 +224,11 @@ MATRIX_SITES = {
 def test_matrices_are_read_whole(name, label):
     with pytest.raises(CsqptError, match=name):
         MATRIX_SITES[name](BAD_MATRICES[label])
+
+
+def test_integers_too_large_for_a_float_are_refused():
+    with pytest.raises(ValidationError, match="x must be real numbers"):
+        read_numbers([10**400], "x")
 
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf])
@@ -263,19 +290,54 @@ def test_sequence_channel_holds_its_steps_as_a_tuple():
 
 @pytest.mark.parametrize("call, name", [
     (tomography.probe_kets, "alphas"), (tomography.parity_model, "betas"),
-    (tomography.displaced_parity_ops, "betas")])
+    (tomography.displaced_parity_ops, "betas"), (tomography.ParityModel, "betas")])
 @pytest.mark.parametrize("empty", [[], (), np.zeros(0, complex)])
 def test_amplitude_lists_are_not_empty(call, name, empty):
     with pytest.raises(ValidationError, match=name):
         call(empty, 4)
 
 
-@pytest.mark.parametrize("rows", [
-    5, np.int64(5), "05", b"\x00", [[0, 1]], [0, [1]], (0, (1,)), np.zeros((2, 1), int),
-    np.array(3), {0, 1}], ids=repr)
+# not a flat list of integers
+NOT_FLAT = [5, np.int64(5), "05", b"\x00", [[0, 1]], [0, [1]], (0, (1,)),
+            np.zeros((2, 1), int), np.array(3), {0, 1}]
+
+
+@pytest.mark.parametrize("rows", NOT_FLAT, ids=repr)
 def test_transfer_matrix_rows_are_a_flat_list(rows):
     with pytest.raises(ValidationError, match="rows"):
         basis.transfer_matrix(_x_channel(), _gellmann(), rows=rows)
+
+
+@pytest.mark.parametrize("cuts", NOT_FLAT, ids=repr)
+def test_truncation_sweep_cuts_are_a_flat_list(cuts):
+    ks = channel.unitary_channel(np.eye(6))
+    with pytest.raises(ValidationError, match="cuts"):
+        metrics.truncation_sweep(ks, ks, cuts)
+
+
+def test_truncation_sweep_cuts_come_as_list_tuple_range_or_array():
+    # and each cut is written back as the int it names
+    ks = channel.unitary_channel(np.eye(6))
+    want = metrics.truncation_sweep(ks, ks, [1, 2, 3])
+    for cuts in ([1, 2, 3], (1, 2, 3), range(1, 4), np.arange(1, 4), [1.0, 2.0, 3.0]):
+        got = metrics.truncation_sweep(ks, ks, cuts)
+        assert got == want and [type(cut) for cut, _ in got] == [int] * 3
+
+
+def test_kraus_only_metrics_refuse_a_sequence_channel():
+    # a SequenceChannel has dim and apply but no Kraus operators
+    seq = gates.SequenceChannel(gates.x_gate_sequence(), None, 8)
+    ks = channel.unitary_channel(np.eye(8))
+    code = gates.BinomialCode(8)
+    for call, name in (
+            (lambda: metrics.process_fidelity_choi(seq, ks), "a"),
+            (lambda: metrics.process_fidelity_choi(ks, seq), "b"),
+            (lambda: metrics.mc_avg_gate_fidelity(
+                seq, gates.ideal_logical_x(code), code, 8), "channel"),
+            (lambda: metrics.truncation_sweep(seq, ks, [1]), "channel"),
+            (lambda: metrics.truncation_sweep(ks, seq, [1]), "reference")):
+        with pytest.raises(ValidationError, match=f"^{name} must be a KrausSet"):
+            call()
 
 
 def test_transfer_matrix_rows_come_as_list_tuple_range_or_array():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csqpt import basis, channel, gates
-from csqpt.errors import ValidationError
+from csqpt.errors import DimensionMismatchError, ValidationError
 
 np_rng = np.random.default_rng(90210)
 
@@ -159,6 +159,18 @@ def test_population_columns_sum_to_one_when_full():
     p = basis.population_transfer_matrix(ch, ob)
     assert np.abs(p.elements.sum(axis=0) - 1).max() < 1e-10
     assert p.elements.min() >= -1e-12
+
+
+def test_wrong_dim_channel_is_a_dimension_mismatch():
+    # the channel's apply refuses operators of the basis's other dim
+    ob = basis.logical_ordered_basis(gates.BinomialCode(8))
+    gm = basis.gellmann_set(ob)
+    for ch in (channel.unitary_channel(np.eye(7)),
+               gates.SequenceChannel(gates.x_gate_sequence(), None, 7)):
+        with pytest.raises(DimensionMismatchError):
+            basis.transfer_matrix(ch, gm, rows=[0, 1])
+        with pytest.raises(DimensionMismatchError):
+            basis.population_transfer_matrix(ch, ob)
 
 
 def test_transfer_matrix_csv():

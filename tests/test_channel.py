@@ -177,6 +177,8 @@ def test_kraus_json_round_trip_keeps_signed_zeros():
     back = channel.kraus_from_json(json.loads(text))
     assert back.certified
     assert json.dumps(channel.kraus_to_json(back)) == text
+    with pytest.raises(ValidationError, match="malformed Kraus JSON: 'dim'"):
+        channel.kraus_from_json({"rank": 1, "operators": []})
 
 
 @settings(derandomize=True, deadline=None)
@@ -200,6 +202,9 @@ def test_choi_to_kraus_rejects_negative():
         channel.choi_to_kraus(bad)
     with pytest.raises(NotAChannelError):
         channel.choi_to_kraus(np.triu(np.ones((4, 4), dtype=complex)))
+    # 3 is no square of a dim
+    with pytest.raises(ValidationError, match="must be d\\^2 x d\\^2"):
+        channel.choi_to_kraus(np.eye(3))
 
 
 def test_decoherence_params_validation():

@@ -191,6 +191,8 @@ def test_sequence_channels_from_json_and_code_are_one_key():
 
 
 def test_sequence_from_json_rejects_garbage():
+    with pytest.raises(ValidationError, match="unknown step kind 'x'"):
+        gates.GateStep("x", 0.1, 0.1)
     with pytest.raises(ValidationError):
         gates.sequence_from_json({"nope": []})
     with pytest.raises(ValidationError):

@@ -907,6 +907,11 @@ def test_result_json_roundtrip(tmp_path):
     data_bad = dict(data, schema="csqpt-result-v0")
     with pytest.raises(ValidationError):
         rec.result_from_json(data_bad)
+    # a missing field is malformed, named by its key
+    with pytest.raises(ValidationError, match="malformed result JSON: 'schema'"):
+        rec.result_from_json({})
+    with pytest.raises(ValidationError, match="malformed result JSON: 'kraus'"):
+        rec.result_from_json({"schema": rec.RESULT_SCHEMA})
 
 
 def unfitted_result(dim=4):

@@ -71,6 +71,16 @@ def dense_parity(betas, dim):
 _linspace_axis = np.linspace(-2.62, 2.62, 21)
 
 
+def test_parity_model_builds_itself_from_its_grid():
+    # the cached model is the constructor's, bit for bit
+    betas = tomography.wigner_grid(9, 1.0).betas
+    model, cached = tomography.ParityModel(betas, 6), tomography.parity_model(betas, 6)
+    assert type(cached) is tomography.ParityModel and cached.dim == model.dim == 6
+    assert model.packed.tobytes() == cached.packed.tobytes()
+    rho = np.diag([0.5, 0.25, 0.25, 0, 0, 0]).astype(complex)[None]
+    assert model.expect(rho).tobytes() == cached.expect(rho).tobytes()
+
+
 @pytest.mark.parametrize("betas, n_orbits", [
     ([0j], 1),  # the origin, an orbit of one
     ([0.7, -0.7, 0.5j, -0.5j, -1.1], 3),  # axis points, orbits of two
