@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, read_int, read_numbers
+from .errors import NumericalConsistencyError, read_instance, read_int, read_numbers
 from .fock import fock_state
+from .gates import BinomialCode
 
 # the logical pair, the error vector and |1>, |3>, |5>: the ordered basis's
 # first vectors, spanning Fock levels 0..5, and the block analyze displays
@@ -43,7 +44,8 @@ def logical_ordered_basis(code):
     columns are the bare Fock states |6>, |7>, ... so vector index k >= 6
     sits at Fock level k.
     """
-    d = read_int(code.dim, "ordered basis dim", DISPLAY)
+    d = read_int(read_instance(code, BinomialCode, "code").dim, "ordered basis dim",
+                 DISPLAY)
     cols = [code.zero_l, code.one_l, code.error_vec,
             fock_state(1, d), fock_state(3, d), fock_state(5, d)]
     labels = ["0L", "1L", "E", "f1", "f3", "f5"]
@@ -100,7 +102,7 @@ class GellMannSet:
 
 
 def gellmann_set(basis):
-    d = basis.dim
+    d = read_instance(basis, OrderedBasis, "basis").dim
     # logical-block X, Y, Z come first; the rest keep their family order:
     # sym(k, l) and asym(k, l) over the row-major pairs k < l, then diag(m)
     pairs = np.stack(np.triu_indices(d, 1), axis=1)[1:]
@@ -177,7 +179,7 @@ def logical_ptm_of_images(units, images):
 
 def population_transfer_matrix(channel, basis):
     """P_ij = <b_i| E(|b_j><b_j|) |b_i> over the first ``DISPLAY`` vectors."""
-    v = basis.vectors[:, :DISPLAY]
+    v = read_instance(basis, OrderedBasis, "basis").vectors[:, :DISPLAY]
     outs = channel.apply(np.einsum("aj,bj->jab", v, v.conj()))
     p = np.einsum("ai,jab,bi->ij", v.conj(), outs, v).real
     return TransferMatrix(p, tuple(basis.labels[:DISPLAY]))

@@ -11,7 +11,6 @@ Conventions, used consistently everywhere:
   identity for trace-preserving channels.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +116,7 @@ def apply(channel, x):
     A stack is looped over its leading axes, so no (n, rank, d, d)
     intermediate is built.
     """
-    d = channel.dim
+    d = read_instance(channel, KrausSet, "channel").dim
     x = operand(x, d)
     # sum_k (K_k x) K_k^dag as one product of d x (rank*d) stacks
     ops, r = channel.operators, channel.rank
@@ -130,7 +129,7 @@ def apply(channel, x):
 
 def kraus_to_super(channel):
     """Superoperator sum_i conj(K_i) kron K_i acting on column-vec(rho)."""
-    ops = channel.operators
+    ops = read_instance(channel, KrausSet, "channel").operators
     d = channel.dim
     s = np.zeros((d * d, d * d), dtype=complex)
     for k in ops:
@@ -140,7 +139,7 @@ def kraus_to_super(channel):
 
 def kraus_to_choi(channel):
     """Choi matrix sum_i vec(K_i) vec(K_i)^dag, trace = dim."""
-    ops = channel.operators
+    ops = read_instance(channel, KrausSet, "channel").operators
     d = channel.dim
     vecs = ops.transpose(0, 2, 1).reshape(channel.rank, d * d)  # column-vec rows
     return np.einsum("ka,kb->ab", vecs, vecs.conj())
@@ -153,7 +152,7 @@ def choi_to_kraus(choi):
     largest eigenvalue first.  Raises NotAChannelError if the Choi matrix is
     not Hermitian positive semidefinite within tolerance.
     """
-    choi = np.asarray(choi, dtype=complex)
+    choi = read_numbers(choi, "Choi matrix", complex, finite=False, shape=(None, None))
     n = choi.shape[0]
     d = int(round(np.sqrt(n)))
     if d * d != n or choi.shape != (n, n):
@@ -217,27 +216,36 @@ def decay(params, duration, x):
     c_l(n)^2 = C(n, l) eta^(n-l) (1-eta)^l, eta = exp(-t/T1).  ``x`` is
     read by ``operand``: an operator or stack of square ones.
     """
-    if not isinstance(params, DecoherenceParams):
-        raise ValidationError(f"params must be DecoherenceParams, got {params!r}")
+    params = read_instance(params, DecoherenceParams, "params")
     duration = read_real(duration, "duration", 0)
     x = operand(x)
     d = x.shape[-1]
     n = np.arange(d)
     x = x * np.exp(-params.dephasing_rate * duration * (n[:, None] - n) ** 2)
-    eta = np.exp(-duration * params.loss_rate)
-    lost = -np.expm1(-duration * params.loss_rate)
     out = np.zeros_like(x)
-    # without loss (T1 = inf or t = 0) only the l = 0 term is non-zero
-    for l in range(d if lost else 1):
-        comb = np.array([math.comb(m, l) for m in range(l, d)], dtype=float)
-        c = np.sqrt(comb * eta ** (n[: d - l]) * lost**l)
+    for l, c in _loss_weights(duration * params.loss_rate, d):
         out[..., : d - l, : d - l] += np.outer(c, c) * x[..., l:, l:]
     return out
 
 
+def _loss_weights(t, d):
+    """(l, c_l(l + k) of ``decay`` for k < d - l) for each loss count l at
+    t = duration / T1, from log-factorials: no binomial overflows a float."""
+    lost = -np.expm1(-t)
+    # without loss (T1 = inf or t = 0) only the l = 0 term is non-zero
+    log_lost = np.log(lost) if lost else 0.0
+    k = np.arange(d)
+    log_fact = np.concatenate(([0.0], np.log(k[1:]).cumsum()))
+    for l in range(d if lost else 1):
+        yield l, np.exp(0.5 * (log_fact[l:] - log_fact[l] - log_fact[: d - l]
+                               - k[: d - l] * t + l * log_lost))
+
+
 def decay_superoperator(params, duration, dim):
     """exp(duration * L) as a d^2 x d^2 matrix acting on column-vec(rho)."""
-    dim = read_int(dim, "dim", 1)
+    from .fock import MAX_DIM
+
+    dim = read_int(dim, "dim", 1, high=MAX_DIM)
     units = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
     images = decay(params, duration, units)
     return images.transpose(3, 2, 1, 0).reshape(dim * dim, dim * dim)
@@ -245,8 +253,11 @@ def decay_superoperator(params, duration, dim):
 
 def random_channel(dim, rank, rng):
     """Random CPTP channel from a Haar-ish random stacked isometry."""
-    dim = read_int(dim, "dim", 1)
+    from .fock import MAX_DIM
+
+    dim = read_int(dim, "dim", 1, high=MAX_DIM)
     rank = read_int(rank, "rank", 1, high=dim * dim)
+    rng = read_instance(rng, np.random.Generator, "rng")
     g = rng.standard_normal((rank * dim, dim)) + 1j * rng.standard_normal(
         (rank * dim, dim)
     )

@@ -54,8 +54,8 @@ import numpy as np
 from .channel import (DecoherenceParams, kraus_from_json, require_isometry,
                       unitary_channel)
 from .errors import (CsqptError, NotAChannelError, NumericalConsistencyError,
-                     RetractionError, ValidationError, read_int, read_json, read_real,
-                     read_str)
+                     RetractionError, ValidationError, read_instance, read_int,
+                     read_json, read_real)
 
 DATA_EXIT = 3
 NUMERIC_EXIT = 4
@@ -79,7 +79,7 @@ def real(value):
 
 
 def string(value):
-    return read_str(value, "config value", TypeError)
+    return read_instance(value, str, "config value", TypeError)
 
 
 def _pair(value):

@@ -105,20 +105,8 @@ def read_numbers(value, what, dtype=float, error=ValidationError, finite=True,
     return arr
 
 
-def read_bool(value, what, error=ValidationError):
-    if not isinstance(value, bool):
-        raise error(f"{what} must be true or false, got {value!r}")
-    return value
-
-
-def read_instance(value, cls, what):
-    """``value`` if it is a ``cls``, else ValidationError naming ``what``."""
+def read_instance(value, cls, what, error=ValidationError):
+    """``value`` if it is a ``cls``, else ``error`` naming ``what``."""
     if not isinstance(value, cls):
-        raise ValidationError(f"{what} must be a {cls.__name__}, got {value!r}")
-    return value
-
-
-def read_str(value, what, error=ValidationError):
-    if not isinstance(value, str):
-        raise error(f"{what} must be a string, got {value!r}")
+        raise error(f"{what} must be a {cls.__name__}, got {value!r}")
     return value

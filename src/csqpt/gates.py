@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DecoherenceParams, choi_to_kraus, decay, operand, unitary_channel
-from .errors import ValidationError, read_int, read_numbers, read_real
+from .errors import ValidationError, read_instance, read_int, read_numbers, read_real
 from .fock import MAX_DIM, displacement, fock_state, snap
 
 # Calibrated parameters for the binomial-code X gate: four displacement
@@ -137,9 +137,8 @@ class SequenceChannel:
     def __post_init__(self):
         object.__setattr__(self, "sequence", _read_steps(self.sequence))
         object.__setattr__(self, "dim", read_int(self.dim, "dim", 1, high=MAX_DIM))
-        if not (self.params is None or isinstance(self.params, DecoherenceParams)):
-            raise ValidationError(
-                f"params must be None or DecoherenceParams, got {self.params!r}")
+        if self.params is not None:
+            read_instance(self.params, DecoherenceParams, "params")
 
     def apply(self, x):
         """The channel on one operator or a stack of them."""
@@ -170,10 +169,8 @@ def noisy_gate_process(sequence, params, dim):
 def sequence_from_json(data):
     if not isinstance(data, dict) or "steps" not in data:
         raise ValidationError("sequence JSON must be an object containing 'steps'")
-    if not isinstance(data["steps"], list):
-        raise ValidationError("sequence 'steps' must be a list")
     steps = []
-    for entry in data["steps"]:
+    for entry in read_instance(data["steps"], list, "sequence 'steps'"):
         if not isinstance(entry, dict):
             raise ValidationError(f"sequence step {entry!r} is not an object")
         kind = entry.get("type")

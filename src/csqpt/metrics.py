@@ -28,7 +28,7 @@ from .errors import (
     read_int,
     read_numbers,
 )
-from .gates import SequenceChannel, ideal_logical_x
+from .gates import BinomialCode, SequenceChannel, ideal_logical_x
 
 # the two average-fidelity computations must agree this tightly
 FAVG_CONSISTENCY_TOL = 1e-12
@@ -66,6 +66,7 @@ def _unit_interval(x, what):
 
 def _read_target(channel, u, code):
     u = read_numbers(u, "target", complex, shape=(None, None))
+    read_instance(code, BinomialCode, "code")
     if channel.dim != code.dim or u.shape != (channel.dim, channel.dim):
         raise DimensionMismatchError(
             f"channel dim {channel.dim}, target shape {u.shape}, "
@@ -193,9 +194,8 @@ def error_budget(seq, params, code):
     compared against the decoherence-free baseline.  ``params`` must be
     a DecoherenceParams.
     """
-    if not isinstance(params, DecoherenceParams):
-        raise ValidationError(f"params must be DecoherenceParams, got {params!r}")
-    dim = code.dim
+    params = read_instance(params, DecoherenceParams, "params")
+    dim = read_instance(code, BinomialCode, "code").dim
     target = ideal_logical_x(code)
 
     def infidelity(p):
@@ -203,16 +203,11 @@ def error_budget(seq, params, code):
         return 1.0 - avg_gate_fidelity(ch, target, code).f_avg
 
     baseline = infidelity(None)
-    mechanisms = []
-    if params.dephasing_rate > 0:
-        t_phi = 1.0 / params.dephasing_rate
-    else:
-        t_phi = np.inf
-    mechanisms.append(("photon-loss", DecoherenceParams(params.t1, 2.0 * params.t1)))
-    mechanisms.append(("pure-dephasing", DecoherenceParams(np.inf, t_phi)))
+    t_phi = 1.0 / params.dephasing_rate if params.dephasing_rate > 0 else np.inf
+    mechanisms = (("photon-loss", DecoherenceParams(params.t1, 2.0 * params.t1)),
+                  ("pure-dephasing", DecoherenceParams(np.inf, t_phi)))
 
-    contributions = []
-    clipped = []
+    contributions, clipped = [], []
     for label, p in mechanisms:
         delta = infidelity(p) - baseline
         if delta < -1e-6:
@@ -258,7 +253,7 @@ def decoder_study(channel, code):
     # the only use of basis here: error_budget runs without loading it
     from .basis import PAULIS, TransferMatrix, logical_ptm_of_images
 
-    d = code.dim
+    d = read_instance(code, BinomialCode, "code").dim
     u = _decoder_unitary(code)
     units = code.units()
     images = channel.apply(units)

@@ -67,7 +67,7 @@ import numpy as np
 
 from .channel import KrausSet, kraus_from_json, kraus_to_json, require_isometry
 from .errors import (DimensionMismatchError, NotAChannelError, RetractionError,
-                     ValidationError, read_bool, read_instance, read_int, read_json,
+                     ValidationError, read_instance, read_int, read_json,
                      read_numbers, read_real)
 from .fock import MAX_DIM
 from .tomography import TomographyDataset, _images, parity_model, probe_kets
@@ -500,7 +500,8 @@ def result_from_json(data):
         lo = data["loss"]
         recorded = {"total": read_real(lo["total"], "loss total"),
                     "iters_used": read_int(lo["iters_used"], "loss iters_used", 0),
-                    "converged": read_bool(lo["converged"], "loss converged")}
+                    "converged": read_instance(lo["converged"], bool,
+                                               "loss converged")}
         # an older v1 file has no stop_reason: its converged stands for one
         reason = lo.get("stop_reason", "grad_tol" if recorded["converged"] else None)
         report = LossReport(lo["l2"], lo["l1"], lo["grad_norm"], data["history"],

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DataQualityError, ValidationError, read_bool, read_instance,
+from .errors import (DataQualityError, ValidationError, read_instance,
                      read_int, read_json, read_numbers, read_real)
 from .fock import CACHE_ENTRIES, MAX_DIM, coherent_state, displacement, read_only
 
@@ -308,6 +308,8 @@ def simulate_dataset(channel, probes, grid, shots=0, seed=0):
     at most ``MAX_SHOTS``.
     """
     shots, seed = read_int(shots, "shots", 0, high=MAX_SHOTS), read_int(seed, "seed", 0)
+    probes = read_instance(probes, ProbeGrid, "probes")
+    grid = read_instance(grid, WignerGrid, "grid")
     dim = channel.dim
     kets = probe_kets(probes.alphas, dim)
     rho = channel.apply(kets[:, :, None] * kets[:, None, :].conj())
@@ -362,7 +364,8 @@ def dataset_from_json(data):
     try:
         if data["schema"] != DATASET_SCHEMA:
             raise DataQualityError(f"unknown dataset schema {data['schema']!r}")
-        if read_bool(data["normalized"], "dataset normalized", DataQualityError):
+        if read_instance(data["normalized"], bool, "dataset normalized",
+                         DataQualityError):
             # only normalize_dataset of older csqpt releases wrote true
             raise DataQualityError(
                 "dataset holds rescaled (normalized) values, not raw Wigner data"

@@ -172,6 +172,41 @@ SITES = {
         lambda v: metrics.truncation_sweep(IDENTITY, v, [1]), (), IDENTITY),
     "truncation_sweep cut": (
         lambda v: metrics.truncation_sweep(IDENTITY, IDENTITY, [0, v]), (), 3.0),
+    # the other objects the library reads by type
+    "kraus_to_super channel": (channel.kraus_to_super, (), IDENTITY),
+    "kraus_to_choi channel": (channel.kraus_to_choi, (), IDENTITY),
+    "apply channel": (lambda v: channel.apply(v, np.eye(4) / 4), (), IDENTITY),
+    "random_channel rng": (lambda v: channel.random_channel(2, 1, v).operators, (),
+                           np.random.default_rng(0)),
+    "SequenceChannel params": (lambda v: gates.SequenceChannel(
+        gates.x_gate_sequence(), v, 12).apply(np.eye(12) / 12), ("None",),
+        channel.DecoherenceParams(10.0, 10.0)),
+    "error_budget params": (lambda v: metrics.error_budget(
+        gates.x_gate_sequence(), v, gates.BinomialCode(12)).baseline, (),
+        channel.DecoherenceParams(315.0, 478.0)),
+    "error_budget code": (lambda v: metrics.error_budget(
+        gates.x_gate_sequence(), channel.DecoherenceParams(315.0, 478.0),
+        v).baseline, (), gates.BinomialCode(12)),
+    "avg_gate_fidelity code": (lambda v: metrics.avg_gate_fidelity(
+        _x_channel(), gates.ideal_logical_x(gates.BinomialCode(6)), v).f_avg, (),
+        gates.BinomialCode(6)),
+    "decoder_study code": (lambda v: metrics.decoder_study(_x_channel(), v)[0].elements,
+                           (), gates.BinomialCode(6)),
+    "logical_ordered_basis code": (lambda v: basis.logical_ordered_basis(v).vectors, (),
+                                   gates.BinomialCode(6)),
+    "gellmann_set basis": (lambda v: basis.gellmann_set(v).phases, (),
+                           basis.logical_ordered_basis(gates.BinomialCode(6))),
+    "population_transfer_matrix basis": (
+        lambda v: basis.population_transfer_matrix(_x_channel(), v).elements, (),
+        basis.logical_ordered_basis(gates.BinomialCode(6))),
+    "simulate_dataset probes": (lambda v: tomography.simulate_dataset(
+        channel.unitary_channel(np.eye(8)), v, tomography.wigner_grid(3, 1.0)).values,
+        (),
+        tomography.probe_grid(2, 0.5)),
+    "simulate_dataset grid": (lambda v: tomography.simulate_dataset(
+        channel.unitary_channel(np.eye(8)), tomography.probe_grid(2, 0.5), v).values,
+        (),
+        tomography.wigner_grid(3, 1.0)),
 }
 AMPLITUDES = ("displacement alpha", "coherent_state alpha", "GateStep displace alpha",
               "wigner_value beta", "probe_kets alphas", "ParityModel betas")
@@ -216,6 +251,7 @@ MATRIX_SITES = {
     "operators": lambda m: channel.KrausSet([m]),
     "rho": lambda m: tomography.wigner_value(m, 0.5j),
     "target": lambda m: metrics.avg_gate_fidelity(_x_channel(), m, gates.BinomialCode(6)),
+    "Choi matrix": channel.choi_to_kraus,
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -281,6 +282,30 @@ def test_decay_matches_lindblad_expm(lindblad_expm):
                 want = lindblad_expm(params, t, dim)
                 got = channel.decay_superoperator(params, t, dim)
                 assert np.abs(got - want).max() <= 1e-12, (t1, t2, dim, t)
+
+
+def test_decay_weights_hold_where_binomials_overflow_a_float():
+    # C(1099, 549) is about 1e329: each weight c_l(m) is checked against
+    # log-gamma, and the squared weights of each input level sum to one
+    dim, t = 1100, 0.7
+    log_lost, total = math.log(-math.expm1(-t)), np.zeros(dim)
+    for l, c in channel._loss_weights(t, dim):
+        want = [math.exp(0.5 * (math.lgamma(m + 1) - math.lgamma(l + 1)
+                                - math.lgamma(m - l + 1) - (m - l) * t + l * log_lost))
+                for m in range(l, dim)]
+        assert np.allclose(c, want, rtol=1e-10, atol=1e-300)
+        total[l:] += c**2
+    assert np.abs(total - 1).max() < 1e-10
+
+
+def test_channel_dims_are_bounded():
+    # past fock.MAX_DIM the arrays would be too big to allocate; the dim
+    # is read first, so no generator is needed to see it refused
+    params = channel.DecoherenceParams(t1=1.0, t2=1.0)
+    for call in (lambda: channel.decay_superoperator(params, 1.0, 2**20),
+                 lambda: channel.random_channel(fock.MAX_DIM + 1, 1, None)):
+        with pytest.raises(ValidationError, match=f"<= {fock.MAX_DIM}, got"):
+            call()
 
 
 def test_decay_acts_on_stacks():

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -44,8 +46,20 @@ def test_errors_has_one_reader_per_kind_of_value():
     # arrays of any shape go through read_numbers, so no second array
     # reader can return
     assert {name for name in vars(errors) if name.startswith("read_")} == {
-        "read_json", "read_int", "read_real", "read_numbers", "read_bool", "read_str",
-        "read_instance"}
+        "read_json", "read_int", "read_real", "read_numbers", "read_instance"}
+
+
+def test_channel_imports_no_layer_but_errors():
+    # every command loads channel, so its module imports stay few: the
+    # dim bound it shares with fock is imported inside the functions
+    imported = set()
+    for node in ast.parse(inspect.getsource(channel)).body:
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert {name for name in imported if name.startswith(".")} == {".errors"}
+    assert "math" not in imported
 
 
 def test_parity_model_is_one_linear_map_and_its_adjoint():
